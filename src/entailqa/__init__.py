@@ -9,6 +9,7 @@ results back to regenerate the tree.
 from .errors import (
     BackendError,
     EmptyDecomposition,
+    EmptyEvidence,
     EmptyTable,
     EmptyText,
     EntailQAError,

@@ -141,7 +141,7 @@ def _cmd_train(args, config: RunConfig) -> int:
     examples = load_dataset(args.dataset)
     backend = _make_backend(config)
     states, bases = stage1_states(examples, config, backend)
-    items = build_train_items(examples, states, bases)
+    items = build_train_items(examples, states, bases, config.moe)
     params = MoeParams.init(config.moe)
     curve = train(params, config, items)
     out = Path(args.out)

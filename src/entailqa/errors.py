@@ -45,6 +45,10 @@ class UnknownFactId(FactError):
     pass
 
 
+class EmptyEvidence(FactError):
+    """An example has no evidence to build a fact base from."""
+
+
 # --- LLM gateway ------------------------------------------------------------
 
 class GatewayError(EntailQAError):

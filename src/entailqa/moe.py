@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 import re
 import zlib
-from dataclasses import dataclass, replace
+from concurrent.futures import Executor
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Literal, Optional, Sequence
 
 import numpy as np
@@ -45,9 +46,21 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def _bucket(token_hash, vocab_size: int):
+    """Stable hash into buckets 1..vocab_size-1 (0 is the end marker); takes
+    one crc32 or an array of them."""
+    return 1 + token_hash % (vocab_size - 1)
+
+
+def _token_hashes(text: str) -> np.ndarray:
+    return np.array(
+        [zlib.crc32(t.encode("utf-8")) for t in tokenize(text)], dtype=np.int64
+    )
+
+
 def token_bucket(token: str, vocab_size: int) -> int:
     """Stable hash into buckets 1..vocab_size-1 (0 is the end marker)."""
-    return 1 + zlib.crc32(token.encode("utf-8")) % (vocab_size - 1)
+    return _bucket(zlib.crc32(token.encode("utf-8")), vocab_size)
 
 
 def token_ids(text: str, vocab_size: int) -> list[int]:
@@ -256,19 +269,64 @@ class RoutingDecision:
 
 @dataclass(frozen=True)
 class TrainItem:
-    """One training example; either target may be absent."""
+    """One training example; either target may be absent.
+
+    The texts are tokenized once, when the item is built: ``seq_hashes`` holds
+    the crc32 of every token of the tree text then the question, and
+    ``fact_hashes`` those of each fact (``replace`` carries both over). A
+    training step only maps each hash to its vocabulary bucket, as
+    ``token_bucket`` does.
+    """
 
     tree_text: str
     question: str
     fact_texts: tuple[str, ...]
     frg_targets: Optional[tuple[int, ...]] = None
     qa_targets: Optional[tuple[int, ...]] = None
+    seq_hashes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    fact_hashes: Optional[tuple[np.ndarray, ...]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        if self.seq_hashes is None:
+            seq = np.concatenate(
+                [_token_hashes(self.tree_text), _token_hashes(self.question)]
+            )
+            facts = tuple(_token_hashes(text) for text in self.fact_texts)
+            object.__setattr__(self, "seq_hashes", seq)
+            object.__setattr__(self, "fact_hashes", facts)
 
     def without_frg(self) -> "TrainItem":
         return replace(self, frg_targets=None)
 
     def without_qa(self) -> "TrainItem":
         return replace(self, qa_targets=None)
+
+
+def check_train_item(item: TrainItem, config: MoeConfig) -> None:
+    """Raise the error a training step would raise on this item."""
+    length = len(item.seq_hashes)
+    if length > config.max_seq_len:
+        raise SequenceTooLong(
+            f"{length} tokens exceed max_seq_len={config.max_seq_len}"
+        )
+    if not length:
+        raise LengthMismatch("the tree text and question have no tokens")
+    for targets, classes in (
+        (item.frg_targets, len(item.fact_texts)),
+        (item.qa_targets, config.vocab_size),
+    ):
+        if targets is None:
+            continue
+        if not targets:
+            raise LengthMismatch("empty target sequence")
+        if len(targets) > config.max_seq_len:
+            raise SequenceTooLong(
+                f"{len(targets)} targets exceed the {config.max_seq_len} learned queries"
+            )
+        if any(not 0 <= t < classes for t in targets):
+            raise LengthMismatch("target index out of range")
 
 
 def _as_matrix(seq) -> np.ndarray:
@@ -290,14 +348,87 @@ def _softmax_rows_backward(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray
     return probs * (d_probs - inner)
 
 
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+# A float64 gemm of at most 512 rows against 16x32 weights stays under
+# OpenBLAS's threading cutoff (2.6e5 multiply-adds) and runs on the calling
+# thread. A larger one wakes OpenBLAS's own threads, which then compete with
+# the training threads for the same cores.
+_BLAS_ROWS = 512
+
+
+def _mm(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``a @ b`` computed in row blocks of ``_BLAS_ROWS``."""
+    if len(a) <= _BLAS_ROWS:
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((len(a), b.shape[1]))
+    for i in range(0, len(a), _BLAS_ROWS):
+        np.matmul(a[i : i + _BLAS_ROWS], b, out=out[i : i + _BLAS_ROWS])
+    return out
+
+
+def _mm_t(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a.T @ b`` (a weight gradient) summed over row blocks of ``_BLAS_ROWS``."""
+    total = a[:_BLAS_ROWS].T @ b[:_BLAS_ROWS]
+    for i in range(_BLAS_ROWS, len(a), _BLAS_ROWS):
+        total += a[i : i + _BLAS_ROWS].T @ b[i : i + _BLAS_ROWS]
+    return total
+
+
+class _Ragged:
+    """Rows of several items laid end to end, and their zero-padded
+    (item, position) layout."""
+
+    def __init__(self, lengths: Sequence[int]):
+        lengths = np.asarray(lengths, dtype=np.intp)
+        self.mask = np.arange(lengths.max()) < lengths[:, None]
+        self.full = bool(self.mask.all())  # equal lengths: padding is a reshape
+        self.index = np.nonzero(self.mask)  # (item, position) of each row, in order
+
+    def pad(self, rows: np.ndarray) -> np.ndarray:
+        if self.full:
+            return rows.reshape(self.mask.shape + rows.shape[1:])
+        out = np.zeros(self.mask.shape + rows.shape[1:])
+        out[self.index] = rows
+        return out
+
+    def unpad(self, padded: np.ndarray) -> np.ndarray:
+        if self.full:
+            return padded.reshape((-1,) + padded.shape[2:])
+        return padded[self.index]
+
+    def mask_scores(self, scores: np.ndarray) -> np.ndarray:
+        """(items, queries, positions) scores with padding set to -inf."""
+        if self.full:
+            return scores
+        return np.where(self.mask[:, None, :], scores, -np.inf)
+
+
+def _segment_means(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Mean of each run of ``lengths`` consecutive rows; an empty run gives zeros."""
+    out = np.zeros((len(lengths), rows.shape[1]))
+    full = lengths > 0
+    if full.any():
+        starts = (np.cumsum(lengths) - lengths)[full]
+        out[full] = np.add.reduceat(rows, starts, axis=0) / lengths[full, None]
+    return out
+
+
+def _segment_means_bwd(d_means: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    full = lengths > 0
+    return np.repeat(d_means[full] / lengths[full, None], lengths[full], axis=0)
+
+
 # --- forward operations -----------------------------------------------------------
 
 
-def _encode_ids(params: MoeParams, ids: Sequence[int]) -> np.ndarray:
-    if not len(ids):
-        return np.zeros((0, params.config.embed_dim))
-    x = params.embedding[list(ids)]
-    return np.tanh(x @ params.enc_w.T + params.enc_b)
+def _encode_ids(params: MoeParams, ids) -> np.ndarray:
+    x = params.embedding[np.asarray(ids, dtype=np.intp)]
+    return np.tanh(_mm(x, params.enc_w.T) + params.enc_b)
 
 
 def encode(params: MoeParams, tree_text: str, question: str) -> EncodedSequence:
@@ -315,17 +446,21 @@ def fact_features(params: MoeParams, base: FactBase) -> FactFeatures:
     """m x d matrix; row i is the token-mean encoding of fact i."""
     if not len(base):
         raise ValueError("fact base is empty")
-    d = params.config.embed_dim
-    rows = []
-    for fact in base.facts:
-        ids = token_ids(fact.text, params.config.vocab_size)
-        enc = _encode_ids(params, ids)
-        rows.append(enc.mean(axis=0) if len(ids) else np.zeros(d))
-    return FactFeatures(features=np.stack(rows))
+    ids = [token_ids(fact.text, params.config.vocab_size) for fact in base.facts]
+    enc = _encode_ids(params, [t for fact_ids in ids for t in fact_ids])
+    return FactFeatures(features=_segment_means(enc, np.array([len(i) for i in ids])))
 
 
 def _gate_matrix(params: MoeParams, gate: GateId) -> np.ndarray:
     return params.gate_a if gate == GATE_A else params.gate_b
+
+
+def _gate_probs(params: MoeParams, feats: np.ndarray, gate: GateId) -> np.ndarray:
+    """(pool, rows) softmax of the gate logits, pool-major so that the
+    reductions over a pool's few experts run along whole rows."""
+    logits = np.ascontiguousarray(_mm(feats, _gate_matrix(params, gate).T).T)
+    e = np.exp(logits - logits.max(axis=0))
+    return e / e.sum(axis=0)
 
 
 def route(params: MoeParams, config: MoeConfig, seq, gate: GateId) -> RoutingDecision:
@@ -335,10 +470,14 @@ def route(params: MoeParams, config: MoeConfig, seq, gate: GateId) -> RoutingDec
     the config says so; ties select the lowest pool index first.
     """
     feats = _as_matrix(seq)
-    probs = _softmax_rows(feats @ _gate_matrix(params, gate).T)
-    order = np.argsort(-probs, axis=1, kind="stable")
-    pool_positions = order[:, : config.top_k]
-    values = np.take_along_axis(probs, pool_positions, axis=1)
+    probs = _gate_probs(params, feats, gate)
+    rows = np.arange(len(feats))
+    pool_positions = np.empty((len(feats), config.top_k), dtype=np.intp)
+    remaining = probs.copy()
+    for k in range(config.top_k):
+        pool_positions[:, k] = best = remaining.argmax(axis=0)  # first of ties
+        remaining[best, rows] = -np.inf
+    values = probs[pool_positions, rows[:, None]]
     if config.renormalize_topk:
         values = values / values.sum(axis=1, keepdims=True)
     pool = np.asarray(config.pool(gate))
@@ -350,31 +489,47 @@ def route(params: MoeParams, config: MoeConfig, seq, gate: GateId) -> RoutingDec
     )
 
 
-def _expert_forward(
-    params: MoeParams, expert: int, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    h = np.tanh(x @ params.expert_w1[expert].T + params.expert_b1[expert])
-    out = h @ params.expert_w2[expert].T + params.expert_b2[expert]
-    return out, h
+def _sum_over_k(by_slot: np.ndarray, slots: np.ndarray, k: int) -> np.ndarray:
+    """Per-row sums of expert-sorted slot values; ``slots[i]`` is the slot
+    ``row * k + j`` that value i belongs to."""
+    by_row = np.empty_like(by_slot)
+    by_row[slots] = by_slot
+    by_row = by_row.reshape(-1, k, by_slot.shape[1])
+    total = by_row[:, 0].copy()
+    for j in range(1, k):
+        total += by_row[:, j]
+    return total
 
 
 def _moe_fwd(
     params: MoeParams, config: MoeConfig, feats: np.ndarray, gate: GateId
 ) -> tuple[np.ndarray, dict]:
+    """Route every row once, then run each expert once over the rows that
+    selected it (grouped, dropless dispatch).
+
+    The (row, k) slots are sorted by expert, so each expert reads and writes
+    one contiguous block; the per-slot outputs are put back in row order and
+    summed over k.
+    """
     decision = route(params, config, feats, gate)
-    y = np.zeros_like(feats)
-    expert_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-    for expert in config.pool(gate):
-        mask = decision.indices == expert  # (l, K)
-        rows = np.nonzero(mask.any(axis=1))[0]
-        if not rows.size:
-            continue
-        weights = (decision.values * mask)[rows].sum(axis=1)
-        out, h = _expert_forward(params, expert, feats[rows])
-        y[rows] += weights[:, None] * out
-        expert_cache[expert] = (rows, weights, h, out)
-    cache = {"decision": decision, "expert_cache": expert_cache, "feats": feats}
-    return y + feats, cache
+    chosen = decision.indices.ravel()
+    slots = np.argsort(chosen, kind="stable")
+    pool = config.pool(gate)  # ascending expert ids
+    bounds = np.searchsorted(chosen[slots], pool + (pool[-1] + 1,))
+    x = feats[slots // config.top_k]
+    h = np.empty((len(slots), params.expert_w1.shape[1]))
+    mixed = np.empty_like(x)
+    for expert, lo, hi in zip(pool, bounds[:-1], bounds[1:]):
+        if lo < hi:
+            h_e, mixed_e = h[lo:hi], mixed[lo:hi]
+            _mm(x[lo:hi], params.expert_w1[expert].T, out=h_e)
+            h_e += params.expert_b1[expert]
+            np.tanh(h_e, out=h_e)
+            _mm(h_e, params.expert_w2[expert].T, out=mixed_e)
+            mixed_e += params.expert_b2[expert]
+    mixed *= decision.values.ravel()[slots, None]
+    cache = {"decision": decision, "slots": slots, "bounds": bounds, "h": h}
+    return feats + _sum_over_k(mixed, slots, config.top_k), cache
 
 
 def moe_forward(params: MoeParams, config: MoeConfig, seq, gate: GateId) -> np.ndarray:
@@ -383,94 +538,83 @@ def moe_forward(params: MoeParams, config: MoeConfig, seq, gate: GateId) -> np.n
     return out
 
 
+# Learned queries and query/key/value projections of each head's attention
+# over the routed sequence.
+_ATTENTION = {
+    "frg": ("frg_queries", "frg_q1", "frg_k1", "frg_v1"),
+    "qa": ("qa_queries", "qa_q", "qa_k", "qa_v"),
+}
+
+
 def _attention_fwd(
-    q_in: np.ndarray,
-    kv_in: np.ndarray,
-    wq: np.ndarray,
-    wk: np.ndarray,
-    wv: np.ndarray,
+    params: MoeParams, head: str, count: int, kv_in: np.ndarray, layout: _Ragged
 ) -> tuple[np.ndarray, dict]:
-    d = q_in.shape[1]
-    scale = 1.0 / math.sqrt(d)
-    q = q_in @ wq
-    k = kv_in @ wk
-    v = kv_in @ wv
-    attn = _softmax_rows(q @ k.T * scale)
-    out = attn @ v
-    return out, {"q": q, "k": k, "v": v, "attn": attn, "scale": scale}
+    """The head's first ``count`` learned queries attend over each item's own
+    rows of ``kv_in``; (items, count, d)."""
+    queries, wq, wk, wv = (getattr(params, name) for name in _ATTENTION[head])
+    scale = 1.0 / math.sqrt(params.config.embed_dim)
+    q = queries[:count] @ wq
+    k = layout.pad(_mm(kv_in, wk))
+    v = layout.pad(_mm(kv_in, wv))
+    attn = _softmax_rows(layout.mask_scores(q @ k.transpose(0, 2, 1) * scale))
+    return attn @ v, {"q": q, "k": k, "v": v, "attn": attn, "scale": scale}
 
 
 def _frg_fwd(
-    params: MoeParams, seq_moe: np.ndarray, fact_feats: np.ndarray, step_count: int
+    params: MoeParams,
+    seq_moe: np.ndarray,
+    layout: _Ragged,
+    fact_feats: np.ndarray,
+    fact_layout: _Ragged,
+    step_count: int,
 ) -> tuple[np.ndarray, dict]:
+    """(items, steps, facts) scores; an item's missing facts score -inf."""
+    ctx, attn = _attention_fwd(params, "frg", step_count, seq_moe, layout)
+    scale = 1.0 / math.sqrt(params.config.embed_dim)
+    q2 = ctx @ params.frg_q2
+    k2 = fact_layout.pad(fact_feats @ params.frg_k2)
+    scores = fact_layout.mask_scores(q2 @ k2.transpose(0, 2, 1) * scale)
+    return scores, {"ctx": ctx, "q2": q2, "k2": k2, "scale": scale, "attn": attn}
+
+
+def frg_forward(params: MoeParams, seq_moe, fact_feats, step_count: int) -> np.ndarray:
+    """Per-step score vectors over the facts (step_count x m)."""
     if step_count < 1:
         raise ValueError("step_count must be >= 1")
     if step_count > params.frg_queries.shape[0]:
         raise SequenceTooLong(
             f"{step_count} steps exceed the {params.frg_queries.shape[0]} learned queries"
         )
-    queries = params.frg_queries[:step_count]
-    ctx, attn_cache = _attention_fwd(
-        queries, seq_moe, params.frg_q1, params.frg_k1, params.frg_v1
+    seq, facts = _as_matrix(seq_moe), _as_matrix(fact_feats)
+    scores, _ = _frg_fwd(
+        params, seq, _Ragged([len(seq)]), facts, _Ragged([len(facts)]), step_count
     )
-    scale = 1.0 / math.sqrt(params.config.embed_dim)
-    q2 = ctx @ params.frg_q2
-    k2 = fact_feats @ params.frg_k2
-    scores = q2 @ k2.T * scale
-    cache = {
-        "queries": queries,
-        "ctx": ctx,
-        "q2": q2,
-        "k2": k2,
-        "scale": scale,
-        "attn": attn_cache,
-        "seq_moe": seq_moe,
-        "fact_feats": fact_feats,
-    }
-    return scores, cache
-
-
-def frg_forward(
-    params: MoeParams, seq_moe, seq_enc, fact_feats, step_count: int
-) -> np.ndarray:
-    """Per-step score vectors over the facts (step_count x m).
-
-    ``seq_enc`` is accepted for interface parity with callers that hold the
-    raw encoder output; the scores are computed from the routed sequence.
-    """
-    del seq_enc
-    scores, _ = _frg_fwd(params, _as_matrix(seq_moe), _as_matrix(fact_feats), step_count)
-    return scores
+    return scores[0]
 
 
 def _qa_fwd(
-    params: MoeParams, seq_moe: np.ndarray, answer_len: int
+    params: MoeParams, seq_moe: np.ndarray, layout: _Ragged, answer_len: int
 ) -> tuple[np.ndarray, dict]:
+    """(items, positions, vocab) logits."""
+    ctx, attn = _attention_fwd(params, "qa", answer_len, seq_moe, layout)
+    return ctx @ params.vocab_out.T, {"ctx": ctx, "attn": attn}
+
+
+def qa_forward(params: MoeParams, seq_moe, answer_len: int) -> np.ndarray:
+    """Vocabulary logits per answer position; independent of fact features."""
     if answer_len < 1:
         raise ValueError("answer_len must be >= 1")
     if answer_len > params.qa_queries.shape[0]:
         raise SequenceTooLong(
             f"{answer_len} positions exceed the {params.qa_queries.shape[0]} learned queries"
         )
-    queries = params.qa_queries[:answer_len]
-    ctx, attn_cache = _attention_fwd(
-        queries, seq_moe, params.qa_q, params.qa_k, params.qa_v
-    )
-    logits = ctx @ params.vocab_out.T
-    cache = {"queries": queries, "ctx": ctx, "attn": attn_cache, "seq_moe": seq_moe}
-    return logits, cache
+    seq = _as_matrix(seq_moe)
+    logits, _ = _qa_fwd(params, seq, _Ragged([len(seq)]), answer_len)
+    return logits[0]
 
 
-def qa_forward(params: MoeParams, seq_moe, answer_len: int) -> np.ndarray:
-    """Vocabulary logits per answer position; independent of fact features."""
-    logits, _ = _qa_fwd(params, _as_matrix(seq_moe), answer_len)
-    return logits
-
-
-def _cross_entropy(
-    scores: np.ndarray, targets: Sequence[int]
-) -> tuple[float, np.ndarray]:
-    """Mean negative log softmax at the target columns; returns loss and probs."""
+def _cross_entropy(scores: np.ndarray, targets: Sequence[int]) -> float:
+    """Mean negative log softmax at the target columns."""
     if scores.shape[0] != len(targets):
         raise LengthMismatch(
             f"{scores.shape[0]} score rows for {len(targets)} targets"
@@ -478,11 +622,8 @@ def _cross_entropy(
     targets = list(targets)
     if any(not 0 <= t < scores.shape[1] for t in targets):
         raise LengthMismatch("target index out of range")
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    log_probs = shifted - log_z[:, None]
-    loss = -float(np.mean(log_probs[np.arange(len(targets)), targets]))
-    return loss, np.exp(log_probs)
+    log_probs = _log_softmax(scores)
+    return -float(np.mean(log_probs[np.arange(len(targets)), targets]))
 
 
 def losses(
@@ -492,261 +633,331 @@ def losses(
     gold_answer_tokens: Sequence[int],
 ) -> tuple[float, float, float]:
     """(retrieval loss, answer loss, their sum) as mean cross-entropies."""
-    l_frg, _ = _cross_entropy(_as_matrix(frg_scores), gold_fact_sequence)
-    l_qa, _ = _cross_entropy(_as_matrix(qa_logits), gold_answer_tokens)
+    l_frg = _cross_entropy(_as_matrix(frg_scores), gold_fact_sequence)
+    l_qa = _cross_entropy(_as_matrix(qa_logits), gold_answer_tokens)
     return l_frg, l_qa, l_frg + l_qa
 
 
-# --- full forward/backward for training ----------------------------------------------
-
-
-def _item_forward(params: MoeParams, config: MoeConfig, item: TrainItem) -> dict:
-    vocab = config.vocab_size
-    ids = token_ids(item.tree_text, vocab) + token_ids(item.question, vocab)
-    if len(ids) > config.max_seq_len:
-        raise SequenceTooLong(f"{len(ids)} tokens exceed max_seq_len")
-    feats = _encode_ids(params, ids)
-    cache: dict = {"ids": ids, "feats": feats, "item": item}
-
-    if item.frg_targets is not None:
-        fact_ids = [token_ids(t, vocab) for t in item.fact_texts]
-        fact_enc = [_encode_ids(params, fid) for fid in fact_ids]
-        ff = np.stack(
-            [
-                enc.mean(axis=0) if len(fid) else np.zeros(config.embed_dim)
-                for fid, enc in zip(fact_ids, fact_enc)
-            ]
-        )
-        out_a, moe_a = _moe_fwd(params, config, feats, GATE_A)
-        scores, frg_cache = _frg_fwd(params, out_a, ff, len(item.frg_targets))
-        loss_frg, probs = _cross_entropy(scores, item.frg_targets)
-        cache.update(
-            fact_ids=fact_ids,
-            fact_enc=fact_enc,
-            moe_a=moe_a,
-            frg=frg_cache,
-            frg_probs=probs,
-            loss_frg=loss_frg,
-        )
-    if item.qa_targets is not None:
-        out_b, moe_b = _moe_fwd(params, config, feats, GATE_B)
-        logits, qa_cache = _qa_fwd(params, out_b, len(item.qa_targets))
-        loss_qa, probs = _cross_entropy(logits, item.qa_targets)
-        cache.update(moe_b=moe_b, qa=qa_cache, qa_probs=probs, loss_qa=loss_qa)
-    return cache
+# --- backward operations -----------------------------------------------------------
 
 
 def _attention_bwd(
+    params: MoeParams,
+    head: str,
     d_out: np.ndarray,
-    attn_cache: dict,
-    q_in: np.ndarray,
+    cache: dict,
     kv_in: np.ndarray,
-    wq: np.ndarray,
-    wk: np.ndarray,
-    wv: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (d_q_in, d_kv_in, d_wq, d_wk, d_wv)."""
-    q, k, v = attn_cache["q"], attn_cache["k"], attn_cache["v"]
-    attn, scale = attn_cache["attn"], attn_cache["scale"]
-    d_attn = d_out @ v.T
-    d_v = attn.T @ d_out
+    layout: _Ragged,
+    grads: dict[str, np.ndarray],
+) -> np.ndarray:
+    """Accumulates the head's attention gradients; returns d_kv_in."""
+    names = _ATTENTION[head]
+    queries, wq, wk, wv = (getattr(params, name) for name in names)
+    q, k, v = cache["q"], cache["k"], cache["v"]
+    attn, scale = cache["attn"], cache["scale"]
+    d_attn = d_out @ v.transpose(0, 2, 1)
+    d_v = layout.unpad(attn.transpose(0, 2, 1) @ d_out)
     d_scores = _softmax_rows_backward(attn, d_attn)
-    d_q = d_scores @ k * scale
-    d_k = d_scores.T @ q * scale
-    d_wq = q_in.T @ d_q
-    d_wk = kv_in.T @ d_k
-    d_wv = kv_in.T @ d_v
-    d_q_in = d_q @ wq.T
-    d_kv_in = d_k @ wk.T + d_v @ wv.T
-    return d_q_in, d_kv_in, d_wq, d_wk, d_wv
+    d_q = (d_scores @ k).sum(axis=0) * scale
+    d_k = layout.unpad(d_scores.transpose(0, 2, 1) @ q) * scale
+    grads[names[0]][: len(q)] += d_q @ wq.T
+    grads[names[1]] += queries[: len(q)].T @ d_q
+    grads[names[2]] += _mm_t(kv_in, d_k)
+    grads[names[3]] += _mm_t(kv_in, d_v)
+    return _mm(d_k, wk.T) + _mm(d_v, wv.T)
 
 
 def _moe_bwd(
     params: MoeParams,
     config: MoeConfig,
-    moe_cache: dict,
+    feats: np.ndarray,
+    cache: dict,
     d_out: np.ndarray,
     grads: dict[str, np.ndarray],
 ) -> np.ndarray:
-    """Backward through expert mix + residual; returns gradient w.r.t. input."""
-    decision: RoutingDecision = moe_cache["decision"]
-    feats = moe_cache["feats"]
-    d_feats = d_out.copy()  # residual path
+    """Backward through expert mix + residual; returns gradient w.r.t. input.
 
-    gate_name = "gate_a" if decision.gate == GATE_A else "gate_b"
-    gate_matrix = _gate_matrix(params, decision.gate)
-    probs = _softmax_rows(feats @ gate_matrix.T)
-    d_probs = np.zeros_like(probs)
-
-    for expert, (rows, weights, h, out) in moe_cache["expert_cache"].items():
-        mask = decision.indices[rows] == expert  # (r, K)
-        d_mix = d_out[rows]
-        d_expert_out = weights[:, None] * d_mix
-        d_weight = (out * d_mix).sum(axis=1)
-
-        grads["expert_w2"][expert] += d_expert_out.T @ h
-        grads["expert_b2"][expert] += d_expert_out.sum(axis=0)
-        d_h = d_expert_out @ params.expert_w2[expert]
-        d_a = d_h * (1.0 - h * h)
-        grads["expert_w1"][expert] += d_a.T @ feats[rows]
+    Expert outputs are recomputed from the cached hidden activations rather
+    than kept from the forward pass.
+    """
+    decision: RoutingDecision = cache["decision"]
+    slots, bounds, h = cache["slots"], cache["bounds"], cache["h"]
+    rows = slots // config.top_k
+    x = feats[rows]
+    d_mix = d_out[rows]
+    d_expert_out = decision.values.ravel()[slots, None] * d_mix
+    d_slot_values = np.empty(len(slots))
+    d_x = np.empty_like(x)
+    pool = config.pool(decision.gate)
+    for expert, lo, hi in zip(pool, bounds[:-1], bounds[1:]):
+        if lo == hi:
+            continue
+        h_e, d_e = h[lo:hi], d_expert_out[lo:hi]
+        out = _mm(h_e, params.expert_w2[expert].T)
+        out += params.expert_b2[expert]
+        out *= d_mix[lo:hi]
+        d_slot_values[lo:hi] = out.sum(axis=1)
+        grads["expert_w2"][expert] += _mm_t(d_e, h_e)
+        grads["expert_b2"][expert] += d_e.sum(axis=0)
+        d_a = _mm(d_e, params.expert_w2[expert])
+        d_a *= 1.0 - h_e * h_e
+        grads["expert_w1"][expert] += _mm_t(d_a, x[lo:hi])
         grads["expert_b1"][expert] += d_a.sum(axis=0)
-        d_feats[rows] += d_a @ params.expert_w1[expert]
+        _mm(d_a, params.expert_w1[expert], out=d_x[lo:hi])
+    d_feats = d_out + _sum_over_k(d_x, slots, config.top_k)
+    d_values = np.empty_like(d_slot_values)
+    d_values[slots] = d_slot_values
 
-        # route the value gradient to the selected softmax entries
-        slot = mask.argmax(axis=1)
-        positions = decision.pool_positions[rows, slot]
-        if config.renormalize_topk:
-            raw = np.take_along_axis(probs[rows], decision.pool_positions[rows], axis=1)
-            total = raw.sum(axis=1)
-            value = raw[np.arange(len(rows)), slot]
-            for j in range(config.top_k):
-                pos_j = decision.pool_positions[rows, j]
-                grad_j = np.where(
-                    j == slot,
-                    (total - value) / total**2,
-                    -value / total**2,
-                ) * d_weight
-                np.add.at(d_probs, (rows, pos_j), grad_j)
-        else:
-            np.add.at(d_probs, (rows, positions), d_weight)
-
-    d_logits = _softmax_rows_backward(probs, d_probs)
-    grads[gate_name] += d_logits.T @ feats
-    d_feats += d_logits @ gate_matrix
+    # route the value gradient to the selected softmax entries
+    probs = _gate_probs(params, feats, decision.gate)
+    selected = (decision.pool_positions, np.arange(len(feats))[:, None])
+    d_values = d_values.reshape(decision.values.shape)
+    if config.renormalize_topk:
+        raw = probs[selected]
+        total = raw.sum(axis=1, keepdims=True)
+        weighted = (d_values * raw).sum(axis=1, keepdims=True)
+        d_values = (d_values * total - weighted) / total**2
+    d_probs = np.zeros_like(probs)
+    d_probs[selected] = d_values
+    d_logits = (probs * (d_probs - (d_probs * probs).sum(axis=0))).T
+    grads["gate_a" if decision.gate == GATE_A else "gate_b"] += _mm_t(d_logits, feats)
+    d_feats += _mm(d_logits, _gate_matrix(params, decision.gate))
     return d_feats
-
-
-def _item_backward(
-    params: MoeParams,
-    config: MoeConfig,
-    cache: dict,
-    grads: dict[str, np.ndarray],
-    frg_weight: float,
-    qa_weight: float,
-) -> None:
-    item: TrainItem = cache["item"]
-    feats = cache["feats"]
-    d_feats = np.zeros_like(feats)
-    d_fact_rows: Optional[np.ndarray] = None
-
-    if item.frg_targets is not None and frg_weight:
-        probs = cache["frg_probs"].copy()
-        probs[np.arange(len(item.frg_targets)), list(item.frg_targets)] -= 1.0
-        d_scores = probs * (frg_weight / len(item.frg_targets))
-
-        frg = cache["frg"]
-        d_q2 = d_scores @ frg["k2"] * frg["scale"]
-        d_k2 = d_scores.T @ frg["q2"] * frg["scale"]
-        grads["frg_q2"] += frg["ctx"].T @ d_q2
-        d_ctx = d_q2 @ params.frg_q2.T
-        grads["frg_k2"] += frg["fact_feats"].T @ d_k2
-        d_fact_rows = d_k2 @ params.frg_k2.T
-
-        d_queries, d_seq_moe, d_wq, d_wk, d_wv = _attention_bwd(
-            d_ctx,
-            frg["attn"],
-            frg["queries"],
-            frg["seq_moe"],
-            params.frg_q1,
-            params.frg_k1,
-            params.frg_v1,
-        )
-        grads["frg_q1"] += d_wq
-        grads["frg_k1"] += d_wk
-        grads["frg_v1"] += d_wv
-        grads["frg_queries"][: len(item.frg_targets)] += d_queries
-        d_feats += _moe_bwd(params, config, cache["moe_a"], d_seq_moe, grads)
-
-    if item.qa_targets is not None and qa_weight:
-        probs = cache["qa_probs"].copy()
-        probs[np.arange(len(item.qa_targets)), list(item.qa_targets)] -= 1.0
-        d_logits = probs * (qa_weight / len(item.qa_targets))
-
-        qa = cache["qa"]
-        grads["vocab_out"] += d_logits.T @ qa["ctx"]
-        d_ctx = d_logits @ params.vocab_out
-
-        d_queries, d_seq_moe, d_wq, d_wk, d_wv = _attention_bwd(
-            d_ctx,
-            qa["attn"],
-            qa["queries"],
-            qa["seq_moe"],
-            params.qa_q,
-            params.qa_k,
-            params.qa_v,
-        )
-        grads["qa_q"] += d_wq
-        grads["qa_k"] += d_wk
-        grads["qa_v"] += d_wv
-        grads["qa_queries"][: len(item.qa_targets)] += d_queries
-        d_feats += _moe_bwd(params, config, cache["moe_b"], d_seq_moe, grads)
-
-    # encoder + embedding for the main sequence
-    _encoder_bwd(params, grads, cache["ids"], feats, d_feats)
-
-    # encoder + embedding through the fact features
-    if d_fact_rows is not None:
-        for fid, enc, d_row in zip(cache["fact_ids"], cache["fact_enc"], d_fact_rows):
-            if not len(fid):
-                continue
-            d_enc = np.repeat(d_row[None, :] / len(fid), len(fid), axis=0)
-            _encoder_bwd(params, grads, fid, enc, d_enc)
 
 
 def _encoder_bwd(
     params: MoeParams,
     grads: dict[str, np.ndarray],
-    ids: Sequence[int],
+    ids: np.ndarray,
     enc_out: np.ndarray,
     d_out: np.ndarray,
 ) -> None:
     d_z = d_out * (1.0 - enc_out * enc_out)
-    x = params.embedding[list(ids)]
-    grads["enc_w"] += d_z.T @ x
+    grads["enc_w"] += _mm_t(d_z, params.embedding[ids])
     grads["enc_b"] += d_z.sum(axis=0)
-    np.add.at(grads["embedding"], list(ids), d_z @ params.enc_w)
+    vocab, d = params.embedding.shape
+    cells = (ids[:, None] * d + np.arange(d)).ravel()
+    grads["embedding"] += np.bincount(
+        cells, weights=_mm(d_z, params.enc_w).ravel(), minlength=vocab * d
+    ).reshape(vocab, d)
+
+
+# --- batched training step ----------------------------------------------------------
+
+# Items per micro-batch. A thread runs one micro-batch forward then backward
+# and drops its activations before it takes the next, which bounds the
+# activations held at once. 8 items give each numpy call enough work for two
+# threads to overlap; 2-item micro-batches are bound by the interpreter lock.
+MICRO_BATCH = 8
+
+
+def _pad_targets(
+    targets: Sequence[Sequence[int]], weight: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(items, longest) zero-padded targets and the loss weight of each:
+    ``weight`` over the item's target count, 0 on padding."""
+    longest = max(len(t) for t in targets)
+    padded = np.zeros((len(targets), longest), dtype=np.intp)
+    step_weights = np.zeros((len(targets), longest))
+    for i, t in enumerate(targets):
+        padded[i, : len(t)] = t
+        step_weights[i, : len(t)] = weight / len(t)
+    return padded, step_weights
+
+
+def _weighted_cross_entropy(
+    scores: np.ndarray, targets: np.ndarray, step_weights: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Weighted sum of -log softmax(scores) at the targets, and its gradient."""
+    log_probs = _log_softmax(scores)
+    picked = np.take_along_axis(log_probs, targets[..., None], axis=-1)[..., 0]
+    d_scores = np.exp(log_probs)
+    items, steps = np.indices(targets.shape)
+    d_scores[items, steps, targets] -= 1.0
+    d_scores *= step_weights[..., None]
+    return -float((picked * step_weights).sum()), d_scores
+
+
+def _micro_forward(
+    params: MoeParams,
+    config: MoeConfig,
+    items: Sequence[TrainItem],
+    frg_weight: float,
+    qa_weight: float,
+) -> tuple[float, dict]:
+    """Weighted joint loss of one micro-batch and what its backward needs.
+
+    One encode covers the sequences of the retrieval items, then those of the
+    answer items (an item carrying both targets appears in each), then every
+    fact of the retrieval items; each gate routes its task's rows once.
+    """
+    for item in items:
+        check_train_item(item, config)
+    frg = [item for item in items if item.frg_targets is not None]
+    qa = [item for item in items if item.qa_targets is not None]
+    fact_hashes = [h for item in frg for h in item.fact_hashes]
+    hashes = [item.seq_hashes for item in frg + qa] + fact_hashes
+    ids = _bucket(
+        np.concatenate(hashes) if hashes else np.zeros(0, np.int64), config.vocab_size
+    )
+    enc = _encode_ids(params, ids)
+    n_frg = sum(len(item.seq_hashes) for item in frg)
+    n_seq = n_frg + sum(len(item.seq_hashes) for item in qa)
+    cache: dict = {"ids": ids, "enc": enc}
+    loss = 0.0
+    if frg:
+        rows = slice(0, n_frg)
+        layout = _Ragged([len(item.seq_hashes) for item in frg])
+        seq_moe, moe = _moe_fwd(params, config, enc[rows], GATE_A)
+        targets, step_weights = _pad_targets(
+            [item.frg_targets for item in frg], frg_weight
+        )
+        fact_layout = _Ragged([len(item.fact_hashes) for item in frg])
+        fact_lengths = np.array([len(h) for h in fact_hashes], dtype=np.intp)
+        fact_feats = _segment_means(enc[n_seq:], fact_lengths)
+        scores, head = _frg_fwd(
+            params, seq_moe, layout, fact_feats, fact_layout, targets.shape[1]
+        )
+        part, d_scores = _weighted_cross_entropy(scores, targets, step_weights)
+        loss += part
+        cache["frg"] = {
+            "rows": rows,
+            "layout": layout,
+            "seq_moe": seq_moe,
+            "moe": moe,
+            "facts": slice(n_seq, None),
+            "fact_layout": fact_layout,
+            "fact_lengths": fact_lengths,
+            "fact_feats": fact_feats,
+            "head": head,
+            "d_scores": d_scores,
+        }
+    if qa:
+        rows = slice(n_frg, n_seq)
+        layout = _Ragged([len(item.seq_hashes) for item in qa])
+        seq_moe, moe = _moe_fwd(params, config, enc[rows], GATE_B)
+        targets, step_weights = _pad_targets(
+            [item.qa_targets for item in qa], qa_weight
+        )
+        logits, head = _qa_fwd(params, seq_moe, layout, targets.shape[1])
+        part, d_logits = _weighted_cross_entropy(logits, targets, step_weights)
+        loss += part
+        cache["qa"] = {
+            "rows": rows,
+            "layout": layout,
+            "seq_moe": seq_moe,
+            "moe": moe,
+            "head": head,
+            "d_logits": d_logits,
+        }
+    return loss, cache
+
+
+def _micro_backward(
+    params: MoeParams, config: MoeConfig, cache: dict
+) -> dict[str, np.ndarray]:
+    grads = params.zero_grads()
+    enc = cache["enc"]
+    d_enc = np.zeros_like(enc)
+
+    frg = cache.get("frg")
+    if frg is not None:
+        head, d_scores = frg["head"], frg["d_scores"]
+        d_q2 = d_scores @ head["k2"] * head["scale"]
+        d_k2 = frg["fact_layout"].unpad(
+            d_scores.transpose(0, 2, 1) @ head["q2"] * head["scale"]
+        )
+        d = params.config.embed_dim
+        grads["frg_q2"] += _mm_t(head["ctx"].reshape(-1, d), d_q2.reshape(-1, d))
+        grads["frg_k2"] += _mm_t(frg["fact_feats"], d_k2)
+        d_seq = _attention_bwd(
+            params,
+            "frg",
+            d_q2 @ params.frg_q2.T,
+            head["attn"],
+            frg["seq_moe"],
+            frg["layout"],
+            grads,
+        )
+        rows = frg["rows"]
+        d_enc[rows] = _moe_bwd(params, config, enc[rows], frg["moe"], d_seq, grads)
+        d_enc[frg["facts"]] = _segment_means_bwd(
+            d_k2 @ params.frg_k2.T, frg["fact_lengths"]
+        )
+
+    qa = cache.get("qa")
+    if qa is not None:
+        head, d_logits = qa["head"], qa["d_logits"]
+        grads["vocab_out"] += _mm_t(
+            d_logits.reshape(-1, d_logits.shape[2]),
+            head["ctx"].reshape(-1, head["ctx"].shape[2]),
+        )
+        d_seq = _attention_bwd(
+            params,
+            "qa",
+            d_logits @ params.vocab_out,
+            head["attn"],
+            qa["seq_moe"],
+            qa["layout"],
+            grads,
+        )
+        rows = qa["rows"]
+        d_enc[rows] = _moe_bwd(params, config, enc[rows], qa["moe"], d_seq, grads)
+
+    _encoder_bwd(params, grads, cache["ids"], enc, d_enc)
+    return grads
+
+
+def _micro_batches(
+    batch: Sequence[TrainItem],
+) -> tuple[list[Sequence[TrainItem]], float, float]:
+    """The batch cut into micro-batches, and the loss weights that average the
+    retrieval and answer terms each over the items carrying that target."""
+    n_frg = sum(item.frg_targets is not None for item in batch)
+    n_qa = sum(item.qa_targets is not None for item in batch)
+    chunks = [batch[i : i + MICRO_BATCH] for i in range(0, len(batch), MICRO_BATCH)]
+    return chunks, 1.0 / n_frg if n_frg else 0.0, 1.0 / n_qa if n_qa else 0.0
 
 
 def batch_loss(
     params: MoeParams, config: MoeConfig, batch: Sequence[TrainItem]
 ) -> float:
-    """Pure recomputation of the joint batch loss (finite-difference oracle hook).
+    """The joint batch loss by the forward pass of ``batch_gradients``
+    (finite-difference oracle hook).
 
     The retrieval and answer terms are each averaged over the items that carry
     that target, then summed.
     """
-    frg_losses, qa_losses = [], []
-    for item in batch:
-        cache = _item_forward(params, config, item)
-        if "loss_frg" in cache:
-            frg_losses.append(cache["loss_frg"])
-        if "loss_qa" in cache:
-            qa_losses.append(cache["loss_qa"])
+    chunks, frg_weight, qa_weight = _micro_batches(batch)
     total = 0.0
-    if frg_losses:
-        total += sum(frg_losses) / len(frg_losses)
-    if qa_losses:
-        total += sum(qa_losses) / len(qa_losses)
+    for chunk in chunks:
+        total += _micro_forward(params, config, chunk, frg_weight, qa_weight)[0]
     return total
 
 
 def batch_gradients(
-    params: MoeParams, config: MoeConfig, batch: Sequence[TrainItem]
+    params: MoeParams,
+    config: MoeConfig,
+    batch: Sequence[TrainItem],
+    pool: Optional[Executor] = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Analytic gradients of the joint batch loss for every parameter block."""
-    caches = [_item_forward(params, config, item) for item in batch]
-    n_frg = sum(1 for c in caches if "loss_frg" in c)
-    n_qa = sum(1 for c in caches if "loss_qa" in c)
-    grads = params.zero_grads()
-    total = 0.0
-    for cache in caches:
-        frg_w = 1.0 / n_frg if "loss_frg" in cache else 0.0
-        qa_w = 1.0 / n_qa if "loss_qa" in cache else 0.0
-        if "loss_frg" in cache:
-            total += cache["loss_frg"] * frg_w
-        if "loss_qa" in cache:
-            total += cache["loss_qa"] * qa_w
-        _item_backward(params, config, cache, grads, frg_w, qa_w)
+    """Analytic gradients of the joint batch loss for every parameter block.
+
+    Each micro-batch of ``MICRO_BATCH`` items runs forward then backward, on
+    ``pool`` when one is given. Losses and gradients are summed in
+    micro-batch order, so the result is the same bits for any pool.
+    """
+    chunks, frg_weight, qa_weight = _micro_batches(batch)
+
+    def one(chunk: Sequence[TrainItem]) -> tuple[float, dict[str, np.ndarray]]:
+        loss, cache = _micro_forward(params, config, chunk, frg_weight, qa_weight)
+        return loss, _micro_backward(params, config, cache)
+
+    total, grads = 0.0, params.zero_grads()
+    for loss, chunk_grads in (pool.map if pool is not None else map)(one, chunks):
+        total += loss
+        for name, g in chunk_grads.items():
+            grads[name] += g
     return total, grads
 
 
@@ -756,9 +967,10 @@ def backward_and_step(
     batch: Sequence[TrainItem],
     learning_rate: float,
     weight_decay: float = 0.01,
+    pool: Optional[Executor] = None,
 ) -> tuple[MoeParams, float]:
     """One AdamW step on the joint loss; params are updated in place."""
-    loss, grads = batch_gradients(params, config, batch)
+    loss, grads = batch_gradients(params, config, batch, pool)
     if not math.isfinite(loss):
         raise NonFiniteLoss(f"loss is {loss}")
     _adamw_step(params, grads, learning_rate, weight_decay)

@@ -10,6 +10,7 @@ malformed backend response marks that example failed and the batch continues.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import metrics
 from .dataset import QAExample, RunConfig
-from .errors import EntailQAError, ParseError, TreeError, UnknownFactId
+from .errors import EmptyEvidence, EntailQAError, MoeError, ParseError, TreeError, UnknownFactId
 from .facts import IMAGE, TABLE, TEXT, FactBase, add_fact, linearize_table, lookup_text, retrieve_evidence
 from .llm import (
     Backend,
@@ -33,11 +34,13 @@ from .llm import (
 from .moe import (
     GATE_A,
     GATE_B,
+    MoeConfig,
     MoeParams,
     TrainItem,
     answer_token_targets,
     backward_and_step,
     build_lexicon,
+    check_train_item,
     decode_answer,
     encode,
     fact_features,
@@ -129,7 +132,7 @@ def run_stage1(
 ) -> tuple[FactBase, EntailmentTree]:
     """Retrieve, decompose, answer per modality, refine facts, build the tree."""
     if not example.evidence:
-        raise ValueError(f"example {example.id} has no evidence")
+        raise EmptyEvidence(f"example {example.id} has no evidence")
     retrieved = retrieve_evidence(example.question, list(example.evidence), top_n)
     decomposition = decompose_question(backend, example.question, retrieved)
     by_id = {ev.id: ev for ev in retrieved}
@@ -185,35 +188,43 @@ def predict_pending(
     decode_answer_len: int = 8,
 ) -> None:
     """Run stage-2 inference for every tree version not yet decoded."""
+    pending = state.tree_versions[len(state.predicted_answers) :]
+    if not pending:
+        return
     config = params.config
     lexicon = build_lexicon(base.texts() + [state.question], config.vocab_size)
-    while len(state.predicted_answers) < len(state.tree_versions):
-        tree = state.tree_versions[len(state.predicted_answers)]
+    ff = fact_features(params, base)
+    scored = bool(state.frg_targets and state.qa_targets)
+    for tree in pending:
         enc = encode(params, tree_to_text(tree), state.question)
-        ff = fact_features(params, base)
+        step_count = len(leaf_preorder(tree))
+        # query rows are independent: one forward per head at the longer
+        # length serves both the decode and the loss
+        frg_steps, qa_len = step_count, decode_answer_len
+        if scored:
+            frg_steps = max(frg_steps, len(state.frg_targets))
+            qa_len = max(qa_len, len(state.qa_targets))
 
         out_a = moe_forward(params, config, enc, GATE_A)
-        step_count = len(leaf_preorder(tree))
-        scores = frg_forward(params, out_a, enc.features, ff, step_count)
+        scores = frg_forward(params, out_a, ff, frg_steps)
         picks = []
-        for row in np.asarray(scores):
+        for row in scores[:step_count]:
             idx = int(np.argmax(row))
             if idx not in picks:
                 picks.append(idx)
         retrieved = [f"fact{i + 1}" for i in picks]
 
         out_b = moe_forward(params, config, enc, GATE_B)
-        logits = qa_forward(params, out_b, decode_answer_len)
-        answer = decode_answer(greedy_answer_ids(logits), lexicon)
+        logits = qa_forward(params, out_b, qa_len)
+        answer = decode_answer(greedy_answer_ids(logits[:decode_answer_len]), lexicon)
 
         loss = None
-        if state.frg_targets and state.qa_targets:
-            frg_scores = frg_forward(
-                params, out_a, enc.features, ff, len(state.frg_targets)
-            )
-            qa_logits = qa_forward(params, out_b, len(state.qa_targets))
+        if scored:
             _, _, loss = losses(
-                frg_scores, state.frg_targets, qa_logits, state.qa_targets
+                scores[: len(state.frg_targets)],
+                state.frg_targets,
+                logits[: len(state.qa_targets)],
+                state.qa_targets,
             )
 
         state.retrieved_fact_ids.append(retrieved)
@@ -264,52 +275,68 @@ def build_train_items(
     examples: Sequence[QAExample],
     states: dict[str, PipelineState],
     bases: dict[str, FactBase],
+    config: MoeConfig,
 ) -> list[TrainItem]:
+    """Tokenized training items, one per example that passed stage 1.
+
+    An example the MoE core cannot take (its tree text plus question exceeds
+    ``max_seq_len``, say) is marked failed in ``states`` and left out.
+    """
     items = []
     for example in examples:
         state = states.get(example.id)
         if state is None or state.failed or not state.tree_versions:
             continue
-        items.append(
-            TrainItem(
-                tree_text=tree_to_text(state.tree_versions[0]),
-                question=example.question,
-                fact_texts=tuple(bases[example.id].texts()),
-                frg_targets=state.frg_targets,
-                qa_targets=state.qa_targets,
-            )
+        item = TrainItem(
+            tree_text=tree_to_text(state.tree_versions[0]),
+            question=example.question,
+            fact_texts=tuple(bases[example.id].texts()),
+            frg_targets=state.frg_targets,
+            qa_targets=state.qa_targets,
         )
+        try:
+            check_train_item(item, config)
+        except MoeError as exc:
+            state.error = f"{type(exc).__name__}: {exc}"
+            continue
+        items.append(item)
     return items
 
 
 def train(
     params: MoeParams, config: RunConfig, items: Sequence[TrainItem]
 ) -> list[float]:
-    """Seeded training loop; each step draws a retrieval batch and a QA batch."""
+    """Seeded training loop; each step draws a retrieval batch and a QA batch.
+
+    Each step's micro-batches run on one thread per core; the result does not
+    depend on the number of threads.
+    """
     if not items:
         return []
     rng = np.random.default_rng(config.seed)
-    frg_pool = [i for i, item in enumerate(items) if item.frg_targets]
-    qa_pool = [i for i, item in enumerate(items) if item.qa_targets]
+    frg_pool = [item.without_qa() for item in items if item.frg_targets]
+    qa_pool = [item.without_frg() for item in items if item.qa_targets]
     curve = []
-    for _ in range(config.training.steps):
-        batch: list[TrainItem] = []
-        if frg_pool:
-            size = min(config.training.batch_size_retrieval, len(frg_pool))
-            chosen = rng.choice(len(frg_pool), size=size, replace=False)
-            batch.extend(items[frg_pool[i]].without_qa() for i in chosen)
-        if qa_pool:
-            size = min(config.training.batch_size_qa, len(qa_pool))
-            chosen = rng.choice(len(qa_pool), size=size, replace=False)
-            batch.extend(items[qa_pool[i]].without_frg() for i in chosen)
-        params, loss = backward_and_step(
-            params,
-            params.config,
-            batch,
-            config.training.learning_rate,
-            weight_decay=config.training.weight_decay,
-        )
-        curve.append(loss)
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        for _ in range(config.training.steps):
+            batch: list[TrainItem] = []
+            if frg_pool:
+                size = min(config.training.batch_size_retrieval, len(frg_pool))
+                chosen = rng.choice(len(frg_pool), size=size, replace=False)
+                batch.extend(frg_pool[i] for i in chosen)
+            if qa_pool:
+                size = min(config.training.batch_size_qa, len(qa_pool))
+                chosen = rng.choice(len(qa_pool), size=size, replace=False)
+                batch.extend(qa_pool[i] for i in chosen)
+            params, loss = backward_and_step(
+                params,
+                params.config,
+                batch,
+                config.training.learning_rate,
+                weight_decay=config.training.weight_decay,
+                pool=pool,
+            )
+            curve.append(loss)
     return curve
 
 
@@ -381,7 +408,7 @@ def run_pipeline(
 
     states, bases = stage1_states(examples, config, backend)
 
-    items = build_train_items(examples, states, bases)
+    items = build_train_items(examples, states, bases, config.moe)
     curve = train(params, config, items)
 
     val_ids = validation_ids(examples, config.validation_fraction)

@@ -110,7 +110,7 @@ def seeded_experiment():
         bases[example.id] = base
         gold[example.id] = parse_tree(example.gold_tree)
 
-    items = build_train_items(examples, states, bases)
+    items = build_train_items(examples, states, bases, config.moe)
     params = MoeParams.init(config.moe)
     t0 = time.monotonic()
     curve = train(params, config, items)

@@ -210,6 +210,40 @@ class TestCli:
         assert state["config_hash"] == manifest["config_hash"]
         assert state["seed"] == 5
 
+    def _run_with(self, small_run, edit):
+        """run-pipeline on the small corpus after ``edit`` changes one example."""
+        ds, cfg, tmp_path = small_run
+        data = json.loads(ds.read_text())
+        bad = data["examples"][2]
+        edit(bad)
+        write_json(ds, data)
+        out = tmp_path / "run"
+        rc = cli_dispatch(["run-pipeline", str(ds), "--config", str(cfg), "--out", str(out)])
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed"] == [bad["id"]]
+        predictions = json.loads((out / "predictions.json").read_text())["predictions"]
+        assert len(predictions) == 5
+        assert bad["id"] not in {p["id"] for p in predictions}
+        return json.loads((out / f"{bad['id']}.state.json").read_text())
+
+    def test_too_long_example_fails_alone(self, small_run):
+        def lengthen(example):
+            example["question"] = "why " * 600 + example["question"]
+
+        state = self._run_with(small_run, lengthen)
+        assert state["error"].startswith("SequenceTooLong:")
+        assert state["predicted_answers"] == []
+
+    def test_empty_evidence_fails_alone(self, small_run):
+        def strip(example):
+            example["evidence"] = []
+            del example["gold_support_ids"]
+            del example["gold_tree"]
+
+        state = self._run_with(small_run, strip)
+        assert state["error"].startswith("EmptyEvidence:")
+
     def test_build_factbase_and_trees(self, small_run):
         ds, cfg, tmp_path = small_run
         for command, suffix in [

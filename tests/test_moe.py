@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from entailqa.moe import (
     EOS_ID,
     GATE_A,
     GATE_B,
+    MICRO_BATCH,
     MoeConfig,
     MoeParams,
     TrainItem,
@@ -30,6 +34,7 @@ from entailqa.moe import (
     token_ids,
     tokenize,
 )
+from entailqa.synth import random_sentence
 
 
 def small_batch(vocab=32):
@@ -284,7 +289,7 @@ class TestHeads:
     def test_frg_shapes(self, tiny_params, tiny_config):
         seq = np.random.default_rng(7).normal(size=(4, 8))
         facts = np.random.default_rng(8).normal(size=(1, 8))
-        scores = frg_forward(tiny_params, seq, seq, facts, 1)
+        scores = frg_forward(tiny_params, seq, facts, 1)
         assert scores.shape == (1, 1)
 
     def test_softmax_shift_invariance_in_loss(self, tiny_params):
@@ -297,17 +302,17 @@ class TestHeads:
         seq = np.random.default_rng(9).normal(size=(5, 8))
         tiny_params.frg_q2[:] = np.eye(8)
         tiny_params.frg_k2[:] = np.eye(8)
-        probe = frg_forward(tiny_params, seq, seq, np.zeros((1, 8)), 1)
+        probe = frg_forward(tiny_params, seq, np.zeros((1, 8)), 1)
         # reconstruct ctx direction: score with identity projections is ctx @ ff.T
         rng = np.random.default_rng(10)
         ctx_dir = np.zeros(8)
         ctx_dir[:] = 0.0
         # recover ctx by probing with basis fact vectors
         basis = np.eye(8)
-        scores = frg_forward(tiny_params, seq, seq, basis, 1) * math.sqrt(8)
+        scores = frg_forward(tiny_params, seq, basis, 1) * math.sqrt(8)
         ctx_dir = scores[0]
         facts = np.vstack([rng.normal(size=8) * 0.05, ctx_dir / np.linalg.norm(ctx_dir)])
-        out = frg_forward(tiny_params, seq, seq, facts, 1)
+        out = frg_forward(tiny_params, seq, facts, 1)
         assert int(np.argmax(out[0])) == 1
 
     def test_qa_shapes(self, tiny_params, tiny_config):
@@ -332,7 +337,7 @@ class TestHeads:
     def test_step_count_bounds(self, tiny_params):
         seq = np.zeros((2, 8))
         with pytest.raises(ValueError):
-            frg_forward(tiny_params, seq, seq, np.zeros((1, 8)), 0)
+            frg_forward(tiny_params, seq, np.zeros((1, 8)), 0)
         with pytest.raises(SequenceTooLong):
             qa_forward(tiny_params, seq, 1000)
 
@@ -380,12 +385,15 @@ class TestLosses:
             losses(np.zeros((1, 3)), [7], np.zeros((1, 2)), [0])
 
 
-def relative_errors(params, config, batch, grads, eps=1e-5):
+def relative_errors(params, config, batch, grads, eps=1e-5, per_block=None):
+    """Worst relative gap between analytic and centered-difference gradients,
+    over every entry or over ``per_block`` evenly spaced entries of each block."""
     worst = 0.0
     for name, arr in params.blocks():
         flat = arr.ravel()
         gflat = grads[name].ravel()
-        for i in range(flat.size):
+        count = flat.size if per_block is None else min(per_block, flat.size)
+        for i in np.linspace(0, flat.size - 1, num=count, dtype=int):
             orig = flat[i]
             flat[i] = orig + eps
             up = batch_loss(params, config, batch)
@@ -506,3 +514,122 @@ class TestOptimizerAndState:
 
     def test_tokenize_rule(self):
         assert tokenize("The Falcon, 42 times!") == ["the", "falcon", "42", "times"]
+
+
+def seeded_items(n, vocab, seed=0):
+    """Items carrying both targets; some facts have no tokens at all."""
+    rng = random.Random(seed)
+    items = []
+    for _ in range(n):
+        facts = tuple(
+            random_sentence(rng) if rng.random() < 0.9 else "--"
+            for _ in range(rng.randint(1, 4))
+        )
+        tree = " ".join(random_sentence(rng) for _ in range(rng.randint(1, 3)))
+        frg = tuple(rng.randrange(len(facts)) for _ in range(rng.randint(1, 3)))
+        answer = random_sentence(rng).split()[rng.randint(0, 2)]
+        items.append(
+            TrainItem(tree, random_sentence(rng), facts, frg, answer_token_targets(answer, vocab))
+        )
+    return items
+
+
+def split_batch(items, n_frg):
+    """The training step's batch shape: retrieval-only items, then answer-only."""
+    return [i.without_qa() for i in items[:n_frg]] + [i.without_frg() for i in items[n_frg:]]
+
+
+@pytest.fixture
+def step_config():
+    return MoeConfig(
+        embed_dim=8,
+        vocab_size=64,
+        n_frg_experts=2,
+        n_qa_experts=2,
+        n_shared_experts=2,
+        max_seq_len=64,
+        seed=4,
+    )
+
+
+class TestBatchedStep:
+    @pytest.mark.parametrize("n_frg", [32, 44])
+    def test_batch_equals_sum_of_single_items(self, step_config, n_frg):
+        """Padding, masking and grouped dispatch over 44 items give the
+        weighted sum of the items' own gradients."""
+        params = MoeParams.init(step_config)
+        batch = split_batch(seeded_items(44, 64, seed=n_frg), n_frg)
+        assert len(batch) > MICRO_BATCH
+        loss, grads = batch_gradients(params, step_config, batch)
+        weight = {"frg": 1.0 / n_frg, "qa": 1.0 / (44 - n_frg) if n_frg < 44 else 0.0}
+        expected_loss, expected = 0.0, params.zero_grads()
+        for item in batch:
+            w = weight["frg"] if item.frg_targets is not None else weight["qa"]
+            item_loss, item_grads = batch_gradients(params, step_config, [item])
+            expected_loss += w * item_loss
+            for name, g in item_grads.items():
+                expected[name] += w * g
+        assert loss == pytest.approx(expected_loss, abs=1e-12)
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, expected[name], rtol=0, atol=1e-12, err_msg=name)
+
+    def test_bit_identical_for_any_thread_count(self, step_config):
+        params = MoeParams.init(step_config)
+        batch = split_batch(seeded_items(44, 64, seed=1), 32)
+        ref_loss, ref = batch_gradients(params, step_config, batch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for workers in (1, 2, 4):
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    loss, grads = batch_gradients(params, step_config, batch, pool)
+                assert loss == ref_loss
+                for name, g in grads.items():
+                    assert np.array_equal(g, ref[name]), (workers, name)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_gradcheck_across_micro_batches(self, renormalize):
+        config = MoeConfig(
+            embed_dim=8,
+            vocab_size=64,
+            n_frg_experts=2,
+            n_qa_experts=2,
+            n_shared_experts=2,
+            max_seq_len=64,
+            seed=5,
+            renormalize_topk=renormalize,
+        )
+        params = MoeParams.init(config)
+        batch = seeded_items(MICRO_BATCH + 3, 64, seed=7)
+        _, grads = batch_gradients(params, config, batch)
+        assert relative_errors(params, config, batch, grads, per_block=10) < 1e-4
+
+    def test_errors_raised_from_the_batched_path(self, step_config):
+        params = MoeParams.init(step_config)
+        items = seeded_items(MICRO_BATCH + 2, 64, seed=2)
+        too_long = TrainItem("word " * 80, "why?", ("a fact.",), (0,), None)
+        bad_fact = TrainItem("tree", "why?", ("a fact.",), (1,), None)
+        bad_token = TrainItem("tree", "why?", ("a fact.",), None, (64,))
+        for bad, error in (
+            (too_long, SequenceTooLong),
+            (bad_fact, LengthMismatch),
+            (bad_token, LengthMismatch),
+        ):
+            batch = items + [bad]
+            with pytest.raises(error):
+                batch_gradients(params, step_config, batch)
+            with ThreadPoolExecutor(max_workers=2) as pool, pytest.raises(error):
+                batch_gradients(params, step_config, batch, pool)
+            with pytest.raises(error):
+                batch_loss(params, step_config, batch)
+
+    def test_items_are_tokenized_once(self):
+        item = TrainItem("the falcon is fast", "what is fast?", ("a b", ""), (0,), None)
+        assert len(item.seq_hashes) == 7
+        assert [len(h) for h in item.fact_hashes] == [2, 0]
+        assert item.without_qa().seq_hashes is item.seq_hashes
+        assert [1 + int(h) % 31 for h in item.seq_hashes] == token_ids(
+            "the falcon is fast what is fast?", 32
+        )

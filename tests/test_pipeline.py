@@ -1,6 +1,7 @@
 import pytest
 
 from entailqa.dataset import QAExample, run_config_from_dict
+from entailqa.errors import EmptyEvidence
 from entailqa.facts import Evidence, Table
 from entailqa.llm import MockBackend
 from entailqa.moe import MoeParams
@@ -62,7 +63,7 @@ class TestStage1:
 
     def test_empty_evidence_precondition(self, mock_backend):
         example = QAExample(id="x", question="q?", evidence=(), gold_answer="a")
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyEvidence):
             run_stage1(example, mock_backend)
 
     def test_mixed_modalities_build_facts(self, mock_backend):
@@ -175,7 +176,9 @@ class TestFeedbackIteration:
         )
         params = MoeParams.init(config.moe)
         if trained:
-            items = build_train_items([example], {example.id: state}, {example.id: base})
+            items = build_train_items(
+                [example], {example.id: state}, {example.id: base}, config.moe
+            )
             train(params, config, items)
         return example, base, state, params
 
