@@ -24,7 +24,7 @@ from .dataset import (
     write_json,
 )
 from .errors import EntailQAError, GatewayError, SchemaError
-from .llm import HttpBackend, MockBackend, generate_tree_structure
+from .llm import HttpBackend, MockBackend
 from .moe import GATE_A, GATE_B, MoeParams, route
 from .pipeline import evaluate_predictions, run_pipeline, run_stage1
 from .tree import serialize_tree
@@ -95,42 +95,35 @@ def _stamp(config: RunConfig, payload: dict) -> dict:
     return {"config_hash": config.config_hash(), "seed": config.seed, **payload}
 
 
-def _cmd_build_factbase(args, config: RunConfig) -> int:
+# Stage-1 commands: the file suffix each writes per example, and its payload
+# from the example, its fact base and its refined tree.
+_STAGE1_ARTIFACTS = {
+    "build-factbase": ("factbase", lambda example, base, tree: base.to_json_dict()),
+    "gen-tree": (
+        "structure",
+        lambda example, base, tree: {
+            "question_id": example.id,
+            "dsl": serialize_tree(tree, include_texts=False),
+        },
+    ),
+    "refine-tree": (
+        "tree",
+        lambda example, base, tree: {"dsl": serialize_tree(tree), **tree.to_json_dict()},
+    ),
+}
+
+
+def _cmd_stage1(args, config: RunConfig) -> int:
+    suffix, payload = _STAGE1_ARTIFACTS[args.command]
     examples = load_dataset(args.dataset)
     backend = _make_backend(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for example in examples:
-        base, _ = run_stage1(example, backend, top_n=config.retrieval_top_n)
-        write_json(out / f"{example.id}.factbase.json", _stamp(config, base.to_json_dict()))
-    return 0
-
-
-def _cmd_gen_tree(args, config: RunConfig) -> int:
-    examples = load_dataset(args.dataset)
-    backend = _make_backend(config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for example in examples:
-        base, _ = run_stage1(example, backend, top_n=config.retrieval_top_n)
-        dsl = generate_tree_structure(backend, example.question, base)
+        base, tree = run_stage1(example, backend, top_n=config.retrieval_top_n)
         write_json(
-            out / f"{example.id}.structure.json",
-            _stamp(config, {"question_id": example.id, "dsl": dsl}),
-        )
-    return 0
-
-
-def _cmd_refine_tree(args, config: RunConfig) -> int:
-    examples = load_dataset(args.dataset)
-    backend = _make_backend(config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for example in examples:
-        _, tree = run_stage1(example, backend, top_n=config.retrieval_top_n)
-        write_json(
-            out / f"{example.id}.tree.json",
-            _stamp(config, {"dsl": serialize_tree(tree), **tree.to_json_dict()}),
+            out / f"{example.id}.{suffix}.json",
+            _stamp(config, payload(example, base, tree)),
         )
     return 0
 
@@ -223,9 +216,7 @@ def _cmd_route_demo(args, config: RunConfig) -> int:
 
 
 _COMMANDS = {
-    "build-factbase": _cmd_build_factbase,
-    "gen-tree": _cmd_gen_tree,
-    "refine-tree": _cmd_refine_tree,
+    **dict.fromkeys(_STAGE1_ARTIFACTS, _cmd_stage1),
     "train": _cmd_train,
     "run-pipeline": _cmd_run_pipeline,
     "eval": _cmd_eval,

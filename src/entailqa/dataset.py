@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Union
 
@@ -65,7 +65,6 @@ class RunConfig:
     seed: int = 0
     iteration_budget: int = 2
     min_delta: float = 0.0
-    validation_metric: str = "em"
     validation_fraction: float = 0.25
     retrieval_top_n: int = 4
     decode_answer_len: int = 8
@@ -91,85 +90,34 @@ class RunConfig:
             raise ValueError(f"unknown backend: {self.backend!r}")
         if self.iteration_budget < 1:
             raise ValueError("iteration budget must be >= 1")
-        if self.validation_metric not in ("em", "accuracy"):
-            raise ValueError(f"unknown validation metric: {self.validation_metric!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
     def to_json_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "seed": self.seed,
-            "iteration_budget": self.iteration_budget,
-            "min_delta": self.min_delta,
-            "validation_metric": self.validation_metric,
-            "validation_fraction": self.validation_fraction,
-            "retrieval_top_n": self.retrieval_top_n,
-            "decode_answer_len": self.decode_answer_len,
-            "workers": self.workers,
-            "http_model": self.http_model,
-            "http_timeout": self.http_timeout,
-            "http_max_retries": self.http_max_retries,
-            "http_max_in_flight": self.http_max_in_flight,
-            "moe": {
-                "embed_dim": self.moe.embed_dim,
-                "vocab_size": self.moe.vocab_size,
-                "n_frg_experts": self.moe.n_frg_experts,
-                "n_qa_experts": self.moe.n_qa_experts,
-                "n_shared_experts": self.moe.n_shared_experts,
-                "top_k": self.moe.top_k,
-                "max_seq_len": self.moe.max_seq_len,
-                "seed": self.moe.seed,
-                "renormalize_topk": self.moe.renormalize_topk,
-            },
-            "training": {
-                "steps": self.training.steps,
-                "learning_rate": self.training.learning_rate,
-                "batch_size_retrieval": self.training.batch_size_retrieval,
-                "batch_size_qa": self.training.batch_size_qa,
-                "weight_decay": self.training.weight_decay,
-            },
-        }
+        return asdict(self)
 
     def config_hash(self) -> str:
         return hashlib.sha256(canonical_json(self.to_json_dict()).encode()).hexdigest()[:12]
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    """Build a RunConfig from loose JSON; the top-level seed feeds every component."""
+    """Build a RunConfig from loose JSON; the top-level seed feeds every component.
+
+    Each top-level value is coerced to the type of its default; unknown
+    top-level keys are ignored.
+    """
+    defaults = RunConfig()
     try:
-        seed = int(data.get("seed", 0))
-        moe_data = dict(data.get("moe", {}))
-        moe_data.setdefault("seed", seed)
-        moe_defaults = RunConfig().moe
-        for key in (
-            "embed_dim",
-            "vocab_size",
-            "n_frg_experts",
-            "n_qa_experts",
-            "n_shared_experts",
-            "top_k",
-            "max_seq_len",
-            "renormalize_topk",
-        ):
-            moe_data.setdefault(key, getattr(moe_defaults, key))
-        training = TrainingConfig(**data.get("training", {}))
+        top = {
+            f.name: type(getattr(defaults, f.name))(data[f.name])
+            for f in fields(RunConfig)
+            if f.name in data and f.name not in ("moe", "training")
+        }
+        moe = {**asdict(defaults.moe), "seed": top.get("seed", 0), **data.get("moe", {})}
         return RunConfig(
-            backend=data.get("backend", "mock"),
-            seed=seed,
-            iteration_budget=int(data.get("iteration_budget", 2)),
-            min_delta=float(data.get("min_delta", 0.0)),
-            validation_metric=data.get("validation_metric", "em"),
-            validation_fraction=float(data.get("validation_fraction", 0.25)),
-            retrieval_top_n=int(data.get("retrieval_top_n", 4)),
-            decode_answer_len=int(data.get("decode_answer_len", 8)),
-            workers=int(data.get("workers", 1)),
-            http_model=data.get("http_model", "gpt-3.5-turbo"),
-            http_timeout=float(data.get("http_timeout", 60.0)),
-            http_max_retries=int(data.get("http_max_retries", 2)),
-            http_max_in_flight=int(data.get("http_max_in_flight", 4)),
-            moe=MoeConfig(**moe_data),
-            training=training,
+            **top,
+            moe=MoeConfig(**moe),
+            training=TrainingConfig(**data.get("training", {})),
         )
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"invalid run config: {exc}") from exc

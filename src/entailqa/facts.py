@@ -144,11 +144,6 @@ def lookup_text(base: FactBase, node: NodeId) -> str:
     return base.facts[node.index - 1].text
 
 
-def get_fact(base: FactBase, node: NodeId) -> Fact:
-    lookup_text(base, node)
-    return base.facts[node.index - 1]
-
-
 def linearize_table(table: Table) -> list[str]:
     """One sentence per row: "row one's Season is 2010, Winner is Super Saver."."""
     if not table.rows or not table.header:

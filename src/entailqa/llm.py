@@ -383,8 +383,8 @@ class HttpBackend:
     """Chat-completion-style HTTP backend.
 
     POSTs ``{"model", "messages", "temperature", "max_tokens"}`` with a bearer
-    key and reads ``choices[0].message.content``. Retries server errors up to
-    ``max_retries`` times; every request/response pair is appended to
+    key and reads ``choices[0].message.content``. Retries server errors and
+    429 (rate limited) up to ``max_retries`` times; every request/response pair is appended to
     ``exchange_log`` tagged with the template name.
     """
 
@@ -441,7 +441,7 @@ class HttpBackend:
                     )
                 return text
             except urllib.error.HTTPError as exc:
-                if exc.code < 500:
+                if exc.code < 500 and exc.code != 429:
                     raise BackendError(f"HTTP {exc.code} from backend") from exc
                 last_error = exc
             except (urllib.error.URLError, TimeoutError, KeyError, IndexError,

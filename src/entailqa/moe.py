@@ -25,7 +25,7 @@ import math
 import re
 import zlib
 from concurrent.futures import Executor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Literal, Optional, Sequence
 
 import numpy as np
@@ -64,7 +64,7 @@ def token_bucket(token: str, vocab_size: int) -> int:
 
 
 def token_ids(text: str, vocab_size: int) -> list[int]:
-    return [token_bucket(t, vocab_size) for t in tokenize(text)]
+    return _bucket(_token_hashes(text), vocab_size).tolist()
 
 
 def build_lexicon(texts: Iterable[str], vocab_size: int) -> dict[int, str]:
@@ -194,9 +194,6 @@ class MoeParams:
         }
         return cls(config, arrays)
 
-    def block_names(self) -> tuple[str, ...]:
-        return self._names
-
     def blocks(self) -> Iterable[tuple[str, np.ndarray]]:
         for name in self._names:
             yield name, getattr(self, name)
@@ -212,17 +209,7 @@ class MoeParams:
     def to_state_dict(self) -> dict:
         return {
             "format": "entailqa-checkpoint-v1",
-            "config": {
-                "embed_dim": self.config.embed_dim,
-                "vocab_size": self.config.vocab_size,
-                "n_frg_experts": self.config.n_frg_experts,
-                "n_qa_experts": self.config.n_qa_experts,
-                "n_shared_experts": self.config.n_shared_experts,
-                "top_k": self.config.top_k,
-                "max_seq_len": self.config.max_seq_len,
-                "seed": self.config.seed,
-                "renormalize_topk": self.config.renormalize_topk,
-            },
+            "config": asdict(self.config),
             "arrays": {
                 name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
                 for name, arr in self.blocks()
@@ -242,21 +229,6 @@ class MoeParams:
 
 
 # --- value containers -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EncodedSequence:
-    """Per-token features of "tree text (+) question", one row per token."""
-
-    features: np.ndarray
-    token_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class FactFeatures:
-    """One row per fact: mean of the fact's encoded token features."""
-
-    features: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -327,14 +299,6 @@ def check_train_item(item: TrainItem, config: MoeConfig) -> None:
             )
         if any(not 0 <= t < classes for t in targets):
             raise LengthMismatch("target index out of range")
-
-
-def _as_matrix(seq) -> np.ndarray:
-    if isinstance(seq, EncodedSequence):
-        return seq.features
-    if isinstance(seq, FactFeatures):
-        return seq.features
-    return np.asarray(seq, dtype=float)
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -431,24 +395,25 @@ def _encode_ids(params: MoeParams, ids) -> np.ndarray:
     return np.tanh(_mm(x, params.enc_w.T) + params.enc_b)
 
 
-def encode(params: MoeParams, tree_text: str, question: str) -> EncodedSequence:
-    """Hashed-embedding + single projection + tanh over tree text then question."""
+def encode(params: MoeParams, tree_text: str, question: str) -> np.ndarray:
+    """Hashed-embedding + single projection + tanh over tree text then
+    question; one row per token."""
     vocab = params.config.vocab_size
     ids = token_ids(tree_text, vocab) + token_ids(question, vocab)
     if len(ids) > params.config.max_seq_len:
         raise SequenceTooLong(
             f"{len(ids)} tokens exceed max_seq_len={params.config.max_seq_len}"
         )
-    return EncodedSequence(features=_encode_ids(params, ids), token_ids=tuple(ids))
+    return _encode_ids(params, ids)
 
 
-def fact_features(params: MoeParams, base: FactBase) -> FactFeatures:
+def fact_features(params: MoeParams, base: FactBase) -> np.ndarray:
     """m x d matrix; row i is the token-mean encoding of fact i."""
     if not len(base):
         raise ValueError("fact base is empty")
     ids = [token_ids(fact.text, params.config.vocab_size) for fact in base.facts]
     enc = _encode_ids(params, [t for fact_ids in ids for t in fact_ids])
-    return FactFeatures(features=_segment_means(enc, np.array([len(i) for i in ids])))
+    return _segment_means(enc, np.array([len(i) for i in ids]))
 
 
 def _gate_matrix(params: MoeParams, gate: GateId) -> np.ndarray:
@@ -463,13 +428,14 @@ def _gate_probs(params: MoeParams, feats: np.ndarray, gate: GateId) -> np.ndarra
     return e / e.sum(axis=0)
 
 
-def route(params: MoeParams, config: MoeConfig, seq, gate: GateId) -> RoutingDecision:
+def route(
+    params: MoeParams, config: MoeConfig, feats: np.ndarray, gate: GateId
+) -> RoutingDecision:
     """Top-K token-choice routing over the gate's expert pool.
 
     Values are the selected softmax probabilities, not renormalized unless
     the config says so; ties select the lowest pool index first.
     """
-    feats = _as_matrix(seq)
     probs = _gate_probs(params, feats, gate)
     rows = np.arange(len(feats))
     pool_positions = np.empty((len(feats), config.top_k), dtype=np.intp)
@@ -532,9 +498,11 @@ def _moe_fwd(
     return feats + _sum_over_k(mixed, slots, config.top_k), cache
 
 
-def moe_forward(params: MoeParams, config: MoeConfig, seq, gate: GateId) -> np.ndarray:
+def moe_forward(
+    params: MoeParams, config: MoeConfig, seq: np.ndarray, gate: GateId
+) -> np.ndarray:
     """Per-token top-K expert mix plus the residual input row."""
-    out, _ = _moe_fwd(params, config, _as_matrix(seq), gate)
+    out, _ = _moe_fwd(params, config, seq, gate)
     return out
 
 
@@ -577,7 +545,9 @@ def _frg_fwd(
     return scores, {"ctx": ctx, "q2": q2, "k2": k2, "scale": scale, "attn": attn}
 
 
-def frg_forward(params: MoeParams, seq_moe, fact_feats, step_count: int) -> np.ndarray:
+def frg_forward(
+    params: MoeParams, seq_moe: np.ndarray, fact_feats: np.ndarray, step_count: int
+) -> np.ndarray:
     """Per-step score vectors over the facts (step_count x m)."""
     if step_count < 1:
         raise ValueError("step_count must be >= 1")
@@ -585,9 +555,13 @@ def frg_forward(params: MoeParams, seq_moe, fact_feats, step_count: int) -> np.n
         raise SequenceTooLong(
             f"{step_count} steps exceed the {params.frg_queries.shape[0]} learned queries"
         )
-    seq, facts = _as_matrix(seq_moe), _as_matrix(fact_feats)
     scores, _ = _frg_fwd(
-        params, seq, _Ragged([len(seq)]), facts, _Ragged([len(facts)]), step_count
+        params,
+        seq_moe,
+        _Ragged([len(seq_moe)]),
+        fact_feats,
+        _Ragged([len(fact_feats)]),
+        step_count,
     )
     return scores[0]
 
@@ -600,7 +574,7 @@ def _qa_fwd(
     return ctx @ params.vocab_out.T, {"ctx": ctx, "attn": attn}
 
 
-def qa_forward(params: MoeParams, seq_moe, answer_len: int) -> np.ndarray:
+def qa_forward(params: MoeParams, seq_moe: np.ndarray, answer_len: int) -> np.ndarray:
     """Vocabulary logits per answer position; independent of fact features."""
     if answer_len < 1:
         raise ValueError("answer_len must be >= 1")
@@ -608,8 +582,7 @@ def qa_forward(params: MoeParams, seq_moe, answer_len: int) -> np.ndarray:
         raise SequenceTooLong(
             f"{answer_len} positions exceed the {params.qa_queries.shape[0]} learned queries"
         )
-    seq = _as_matrix(seq_moe)
-    logits, _ = _qa_fwd(params, seq, _Ragged([len(seq)]), answer_len)
+    logits, _ = _qa_fwd(params, seq_moe, _Ragged([len(seq_moe)]), answer_len)
     return logits[0]
 
 
@@ -627,14 +600,14 @@ def _cross_entropy(scores: np.ndarray, targets: Sequence[int]) -> float:
 
 
 def losses(
-    frg_scores,
+    frg_scores: np.ndarray,
     gold_fact_sequence: Sequence[int],
-    qa_logits,
+    qa_logits: np.ndarray,
     gold_answer_tokens: Sequence[int],
 ) -> tuple[float, float, float]:
     """(retrieval loss, answer loss, their sum) as mean cross-entropies."""
-    l_frg = _cross_entropy(_as_matrix(frg_scores), gold_fact_sequence)
-    l_qa = _cross_entropy(_as_matrix(qa_logits), gold_answer_tokens)
+    l_frg = _cross_entropy(frg_scores, gold_fact_sequence)
+    l_qa = _cross_entropy(qa_logits, gold_answer_tokens)
     return l_frg, l_qa, l_frg + l_qa
 
 
@@ -1008,5 +981,5 @@ def _adamw_step(
         arr -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * arr)
 
 
-def greedy_answer_ids(qa_logits) -> list[int]:
-    return [int(i) for i in np.argmax(_as_matrix(qa_logits), axis=1)]
+def greedy_answer_ids(qa_logits: np.ndarray) -> list[int]:
+    return [int(i) for i in np.argmax(qa_logits, axis=1)]

@@ -60,7 +60,6 @@ STOP_NO_IMPROVEMENT = "no_improvement"
 @dataclass(frozen=True)
 class IterationConfig:
     budget: int = 2
-    validation_metric: str = "em"
     min_delta: float = 0.0
 
     def __post_init__(self):
@@ -379,11 +378,8 @@ def stage1_states(
             state.error = f"{type(exc).__name__}: {exc}"
             return state, None
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_one, examples))
-    else:
-        results = [_one(ex) for ex in examples]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        results = list(pool.map(_one, examples))
     states: dict[str, PipelineState] = {}
     bases: dict[str, FactBase] = {}
     for example, (state, base) in zip(examples, results):
@@ -419,11 +415,7 @@ def run_pipeline(
         )
     baseline_em = _validation_em(examples, states, val_ids)
 
-    iter_cfg = IterationConfig(
-        budget=config.iteration_budget,
-        validation_metric=config.validation_metric,
-        min_delta=config.min_delta,
-    )
+    iter_cfg = IterationConfig(budget=config.iteration_budget, min_delta=config.min_delta)
     history: list[float] = []
     iteration_summaries = []
     for _ in range(iter_cfg.budget):

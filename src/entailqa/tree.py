@@ -17,7 +17,7 @@ tree invariants, so a constructed ``EntailmentTree`` is always well formed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import StructureError, TreeSyntaxError
@@ -238,9 +238,6 @@ class EntailmentTree:
                 out[p] = out[node] + 1
                 stack.append(p)
         return out
-
-    def with_hypothesis(self, hypothesis: str) -> "EntailmentTree":
-        return replace(self, hypothesis=hypothesis)
 
     def structurally_equal(self, other: "EntailmentTree") -> bool:
         """Identity up to step order and premise order within a step."""

@@ -1,19 +1,25 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from entailqa.cli import cli_dispatch
 from entailqa.dataset import (
     RunConfig,
+    TrainingConfig,
     canonical_json,
     dataset_from_dict,
     dataset_to_dict,
     load_dataset,
+    load_run_config,
     run_config_from_dict,
     write_json,
 )
 from entailqa.errors import SchemaError
+from entailqa.llm import MockBackend
+from entailqa.moe import MoeConfig
 from entailqa.synth import synthetic_corpus
+from entailqa.tree import parse_tree, serialize_tree
 
 
 def _fixture_dict():
@@ -152,6 +158,56 @@ class TestRunConfig:
         with pytest.raises(SchemaError):
             run_config_from_dict({"moe": {"top_k": 10}})
 
+    def test_round_trip_of_every_field(self):
+        config = RunConfig(
+            backend="http",
+            seed=9,
+            iteration_budget=4,
+            min_delta=0.01,
+            validation_fraction=0.5,
+            retrieval_top_n=3,
+            decode_answer_len=5,
+            workers=3,
+            http_model="m-1",
+            http_timeout=5.0,
+            http_max_retries=4,
+            http_max_in_flight=1,
+            moe=MoeConfig(
+                embed_dim=12,
+                vocab_size=300,
+                n_frg_experts=3,
+                n_qa_experts=1,
+                n_shared_experts=1,
+                top_k=1,
+                max_seq_len=64,
+                seed=4,
+                renormalize_topk=True,
+            ),
+            training=TrainingConfig(
+                steps=7,
+                learning_rate=0.5,
+                batch_size_retrieval=5,
+                batch_size_qa=3,
+                weight_decay=0.2,
+            ),
+        )
+        defaults = RunConfig()
+        for part, default in (
+            (config, defaults),
+            (config.moe, defaults.moe),
+            (config.training, defaults.training),
+        ):
+            for f in fields(part):
+                assert getattr(part, f.name) != getattr(default, f.name), f.name
+        assert run_config_from_dict(config.to_json_dict()) == config
+
+    def test_dropped_validation_metric_key_is_ignored(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        write_json(path, {"seed": 3, "validation_metric": "accuracy"})
+        config = load_run_config(path)
+        assert config == run_config_from_dict({"seed": 3})
+        assert "validation_metric" not in config.to_json_dict()
+
 
 @pytest.fixture
 def small_run(tmp_path):
@@ -255,6 +311,28 @@ class TestCli:
             rc = cli_dispatch([command, str(ds), "--config", str(cfg), "--out", str(out)])
             assert rc == 0
             assert (out / f"syn0000.{suffix}.json").exists()
+
+    def test_gen_tree_writes_the_stage1_structure(self, small_run, monkeypatch):
+        ds, cfg, tmp_path = small_run
+        tags = []
+        complete = MockBackend.complete
+
+        def counting(self, request):
+            tags.append(request.tag)
+            return complete(self, request)
+
+        monkeypatch.setattr(MockBackend, "complete", counting)
+        gen, refined = tmp_path / "gen", tmp_path / "refine"
+        for command, out in (("gen-tree", gen), ("refine-tree", refined)):
+            rc = cli_dispatch([command, str(ds), "--config", str(cfg), "--out", str(out)])
+            assert rc == 0
+            if command == "gen-tree":
+                assert tags.count("tree_structure") == 6  # one per example
+        for example in load_dataset(ds):
+            dsl = json.loads((gen / f"{example.id}.structure.json").read_text())["dsl"]
+            tree = json.loads((refined / f"{example.id}.tree.json").read_text())
+            assert serialize_tree(parse_tree(dsl)) == dsl
+            assert dsl == serialize_tree(parse_tree(tree["dsl"]), include_texts=False)
 
     def test_train_writes_checkpoint(self, small_run):
         ds, cfg, tmp_path = small_run

@@ -97,6 +97,13 @@ def test_retry_on_server_error(stub_factory):
     assert len(stub.seen) == 2
 
 
+def test_retry_on_rate_limit(stub_factory):
+    stub = stub_factory([(429, ""), (200, "ok")])
+    backend = HttpBackend(endpoint=stub.url, api_key="k", retry_wait=0.0)
+    assert backend.complete(BackendRequest(prompt="p", tag="vqa")) == "ok"
+    assert len(stub.seen) == 2
+
+
 def test_client_error_is_immediate(stub_factory):
     stub = stub_factory([(403, "")])
     backend = HttpBackend(endpoint=stub.url, api_key="k", retry_wait=0.0)

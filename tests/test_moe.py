@@ -81,16 +81,16 @@ class TestTokens:
 class TestEncode:
     def test_single_token_shape(self, tiny_params):
         enc = encode(tiny_params, "falcon", "")
-        assert enc.features.shape == (1, 8)
+        assert enc.shape == (1, 8)
 
     def test_deterministic(self, tiny_params):
         a = encode(tiny_params, "tree text here", "and a question?")
         b = encode(tiny_params, "tree text here", "and a question?")
-        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a, b)
 
     def test_concatenates_tree_then_question(self, tiny_params):
         enc = encode(tiny_params, "one two", "three?")
-        assert len(enc.token_ids) == 3
+        assert len(enc) == 3
 
     def test_too_long(self, tiny_params):
         with pytest.raises(SequenceTooLong):
@@ -103,7 +103,7 @@ class TestEncode:
         b.qa_q[:] = 0.0
         ea = encode(a, "tree", "question?")
         eb = encode(b, "tree", "question?")
-        assert np.array_equal(ea.features, eb.features)
+        assert np.array_equal(ea, eb)
 
 
 class TestFactFeatures:
@@ -111,16 +111,16 @@ class TestFactFeatures:
         base = add_fact(FactBase("q"), "falcon", "text", "e1")
         ff = fact_features(tiny_params, base)
         enc = encode(tiny_params, "falcon", "")
-        assert np.allclose(ff.features[0], enc.features[0])
+        assert np.allclose(ff[0], enc[0])
 
     def test_mean_of_two_tokens(self, tiny_params):
         base = add_fact(FactBase("q"), "falcon harbor", "text", "e1")
         ff = fact_features(tiny_params, base)
         enc = encode(tiny_params, "falcon harbor", "")
-        assert np.allclose(ff.features[0], enc.features.mean(axis=0))
+        assert np.allclose(ff[0], enc.mean(axis=0))
 
     def test_row_per_fact(self, tiny_params, small_base):
-        assert fact_features(tiny_params, small_base).features.shape == (3, 8)
+        assert fact_features(tiny_params, small_base).shape == (3, 8)
 
     def test_empty_base_rejected(self, tiny_params):
         with pytest.raises(ValueError):
