@@ -88,7 +88,7 @@ def _make_backend(config: RunConfig):
             max_retries=config.http_max_retries,
             max_in_flight=config.http_max_in_flight,
         )
-    return MockBackend(seed=config.seed)
+    return MockBackend()
 
 
 def _stamp(config: RunConfig, payload: dict) -> dict:

@@ -100,24 +100,42 @@ class RunConfig:
         return hashlib.sha256(canonical_json(self.to_json_dict()).encode()).hexdigest()[:12]
 
 
+def _coerced(defaults, data: dict) -> dict:
+    """The fields of the dataclass ``defaults`` that ``data`` sets, each
+    converted to the type of its default: a bool takes only true or false,
+    an int no number with a fractional part."""
+    out = {}
+    for f in fields(defaults):
+        if f.name in data:
+            value, kind = data[f.name], type(getattr(defaults, f.name))
+            if kind is bool and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be true or false, got {value!r}")
+            if kind is int and isinstance(value, float) and not value.is_integer():
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            out[f.name] = kind(value)
+    return out
+
+
 def run_config_from_dict(data: dict) -> RunConfig:
     """Build a RunConfig from loose JSON; the top-level seed feeds every component.
 
-    Each top-level value is coerced to the type of its default; unknown
-    top-level keys are ignored.
+    Every value, top-level or in ``moe``/``training``, is coerced to the type
+    of its default. Unknown top-level keys are ignored; unknown nested keys
+    are errors.
     """
+    if not isinstance(data, dict):
+        raise SchemaError("run config must be a JSON object")
     defaults = RunConfig()
     try:
-        top = {
-            f.name: type(getattr(defaults, f.name))(data[f.name])
-            for f in fields(RunConfig)
-            if f.name in data and f.name not in ("moe", "training")
-        }
+        top = _coerced(
+            defaults, {k: v for k, v in data.items() if k not in ("moe", "training")}
+        )
         moe = {**asdict(defaults.moe), "seed": top.get("seed", 0), **data.get("moe", {})}
+        training = data.get("training", {})
         return RunConfig(
             **top,
-            moe=MoeConfig(**moe),
-            training=TrainingConfig(**data.get("training", {})),
+            moe=MoeConfig(**{**moe, **_coerced(defaults.moe, moe)}),
+            training=TrainingConfig(**{**training, **_coerced(defaults.training, training)}),
         )
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"invalid run config: {exc}") from exc

@@ -29,9 +29,14 @@ _ORDINALS = (
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
+def tokenize(text: str) -> list[str]:
+    """The one word split of the package: lowercase alphanumeric runs."""
+    return _TOKEN_RE.findall(text.lower())
+
+
 def overlap_tokens(text: str) -> list[str]:
-    """Retriever normalization: lowercase, alphanumeric runs, drop 1-char tokens."""
-    return [t for t in _TOKEN_RE.findall(text.lower()) if len(t) > 1]
+    """Retriever normalization: the word split without 1-char tokens."""
+    return [t for t in tokenize(text) if len(t) > 1]
 
 
 @dataclass(frozen=True)

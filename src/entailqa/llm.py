@@ -1,8 +1,8 @@
 """Uniform backend interface for every generative call, plus prompt templates.
 
 All operations build a prompt from a named template, send a single
-``BackendRequest`` to the backend, and run the response through exactly one
-parser with a one-retry policy. Two backends ship:
+``BackendRequest`` to the backend through ``_call``, and run the response
+through exactly one parser with a one-retry policy. Two backends ship:
 
 * ``MockBackend`` — deterministic, offline; its behaviors are part of the test
   contract (see the class docstring).
@@ -22,10 +22,10 @@ import urllib.request
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
-from .errors import BackendError, EmptyDecomposition, ParseError
-from .facts import IMAGE, Evidence, FactBase
+from .errors import BackendError, EmptyDecomposition, ParseError, TreeError, UnknownFactId
+from .facts import IMAGE, Evidence, FactBase, lookup_text, tokenize
+from .tree import EntailmentTree, parse_tree
 
-DEFAULT_MAX_TOKENS = 512
 FEEDBACK_WORD_BUDGET = 200
 
 # --- prompt templates ---------------------------------------------------------
@@ -85,56 +85,28 @@ TEMPLATES: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    name: str
-    template: str
-
-    def render(self, **slots: str) -> str:
-        try:
-            text = self.template.format(**slots)
-        except (KeyError, IndexError) as exc:
-            raise ValueError(f"unbound slot in template {self.name}: {exc}") from exc
-        if not text.strip():
-            raise ValueError(f"template {self.name} rendered empty")
-        return text
-
-
-def get_template(name: str) -> PromptTemplate:
-    return PromptTemplate(name, TEMPLATES[name])
+def render(name: str, **slots: str) -> str:
+    """Fill the named template; an unbound slot or an empty result is a ValueError."""
+    template = TEMPLATES[name]
+    try:
+        text = template.format(**slots)
+    except (KeyError, IndexError) as exc:
+        raise ValueError(f"unbound slot in template {name}: {exc}") from exc
+    if not text.strip():
+        raise ValueError(f"template {name} rendered empty")
+    return text
 
 
 @dataclass(frozen=True)
 class BackendRequest:
     prompt: str
-    temperature: float = 0.0
-    max_tokens: int = DEFAULT_MAX_TOKENS
     tag: str = ""
-
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
 
 @dataclass(frozen=True)
 class SubQuestion:
     question: str
     evidence_id: str
-
-
-@dataclass(frozen=True)
-class DecompositionResult:
-    sub_questions: tuple[SubQuestion, ...]
-
-
-@dataclass(frozen=True)
-class VqaAnswer:
-    question: str
-    answer: str
-
-    def __post_init__(self):
-        if not self.answer:
-            raise ValueError("empty VQA answer")
 
 
 class Backend(Protocol):
@@ -152,7 +124,6 @@ _COLORS = {
     "black", "white", "brown", "red", "blue", "green", "gray", "grey",
     "yellow", "orange", "purple", "pink", "silver", "gold", "crimson",
 }
-_WORD_RE = re.compile(r"[a-z0-9]+")
 _NUMBERED_LINE = re.compile(r"^\s*\d+[.)]\s*(?P<body>.+?)\s*$")
 _TAGGED_ITEM = re.compile(r"^(?P<q>.+?)\s*\[(?P<eid>[^\]]+)\]$")
 _FEEDBACK_LINE = re.compile(
@@ -166,12 +137,8 @@ def _one_line(text: str) -> str:
     return " ".join(text.split())
 
 
-def _words(text: str) -> list[str]:
-    return _WORD_RE.findall(text.lower())
-
-
 def _content_words(text: str) -> list[str]:
-    return [w for w in _words(text) if w not in _STOPWORDS]
+    return [w for w in tokenize(text) if w not in _STOPWORDS]
 
 
 def _field_line(prompt: str, label: str) -> str:
@@ -184,7 +151,7 @@ def _field_line(prompt: str, label: str) -> str:
 class MockBackend:
     """Deterministic offline stand-in for every generative call.
 
-    Behaviors, all pure functions of the prompt (the seed only labels runs):
+    Behaviors, all pure functions of the prompt:
 
     * decompose_question — one sub-question per listed evidence item:
       ``what does <id> say about <first content words of the question>?``
@@ -205,8 +172,7 @@ class MockBackend:
     * intermediate_infer — joins the premises with "; therefore ".
     """
 
-    def __init__(self, seed: int = 0, scripted_trees: Optional[dict[str, str]] = None):
-        self.seed = seed
+    def __init__(self, scripted_trees: Optional[dict[str, str]] = None):
         self.scripted_trees = dict(scripted_trees or {})
 
     def complete(self, request: BackendRequest) -> str:
@@ -241,7 +207,7 @@ class MockBackend:
     def _do_vqa(self, prompt: str) -> str:
         question = _field_line(prompt, "question")
         caption = _field_line(prompt, "image caption")
-        q_words, c_words = _words(question), _words(caption)
+        q_words, c_words = tokenize(question), tokenize(caption)
         if not set(q_words) & set(c_words):
             return "unknown"
         if "color" in q_words or "colour" in q_words:
@@ -268,8 +234,8 @@ class MockBackend:
                 continue
             if in_block and line.strip():
                 rows.append(line.strip())
-        q_words = set(_words(question))
-        best = max(rows, key=lambda r: (len(q_words & set(_words(r))), -rows.index(r)))
+        q_words = set(tokenize(question))
+        best = max(rows, key=lambda r: (len(q_words & set(tokenize(r))), -rows.index(r)))
         body = re.sub(r"^row \S+'s\s+", "", best).rstrip(".")
         cells = []
         for part in body.split(", "):
@@ -279,10 +245,10 @@ class MockBackend:
         mentioned = [
             (col, value)
             for col, value in cells
-            if set(_words(col)) and set(_words(col)) <= q_words
+            if set(tokenize(col)) and set(tokenize(col)) <= q_words
         ]
         for col, value in mentioned:
-            if not set(_words(value)) <= q_words:
+            if not set(tokenize(value)) <= q_words:
                 return value
         return "unknown"
 
@@ -290,10 +256,10 @@ class MockBackend:
         question = _field_line(prompt, "question")
         passage = _field_line(prompt, "passage")
         sentences = [s.strip() for s in passage.split(". ") if s.strip()]
-        q_words = set(_words(question))
+        q_words = set(tokenize(question))
         best = max(
             sentences,
-            key=lambda s: (len(q_words & set(_words(s))), -sentences.index(s)),
+            key=lambda s: (len(q_words & set(tokenize(s))), -sentences.index(s)),
         )
         answer = [w for w in _content_words(best) if w not in q_words][:4]
         return " ".join(answer) if answer else "unknown"
@@ -382,10 +348,11 @@ class MockBackend:
 class HttpBackend:
     """Chat-completion-style HTTP backend.
 
-    POSTs ``{"model", "messages", "temperature", "max_tokens"}`` with a bearer
-    key and reads ``choices[0].message.content``. Retries server errors and
-    429 (rate limited) up to ``max_retries`` times; every request/response pair is appended to
-    ``exchange_log`` tagged with the template name.
+    POSTs ``{"model", "messages", "temperature": 0.0, "max_tokens": 512}``
+    with a bearer key and reads ``choices[0].message.content``. Retries server
+    errors and 429 (rate limited) up to ``max_retries`` times; every
+    request/response pair is appended to ``exchange_log`` tagged with the
+    template name.
     """
 
     def __init__(
@@ -415,8 +382,8 @@ class HttpBackend:
             {
                 "model": self.model,
                 "messages": [{"role": "user", "content": request.prompt}],
-                "temperature": request.temperature,
-                "max_tokens": request.max_tokens,
+                "temperature": 0.0,
+                "max_tokens": 512,
             }
         ).encode("utf-8")
         req = urllib.request.Request(
@@ -454,17 +421,18 @@ class HttpBackend:
 
 # --- shared call/parse plumbing ----------------------------------------------------
 
+# What a parser raises for a response worth asking for once more; an
+# EmptyDecomposition is a well-formed answer and is not retried.
+_RETRIED = (ParseError, TreeError, UnknownFactId)
 
-def _call(backend: Backend, tag: str, parser, **slots):
-    """Render, send, parse; one retry on a parse failure, then ParseError."""
-    prompt = get_template(tag).render(**slots)
+
+def _call(backend: Backend, tag: str, prompt: str, parser):
+    """Send, parse; one retry on a parse failure, then the parser's error."""
     request = BackendRequest(prompt=prompt, tag=tag)
-    response = backend.complete(request)
     try:
-        return parser(response)
-    except ParseError:
-        response = backend.complete(request)
-        return parser(response)
+        return parser(backend.complete(request))
+    except _RETRIED:
+        return parser(backend.complete(request))
 
 
 def _parse_numbered(response: str) -> list[str]:
@@ -492,7 +460,7 @@ def _parse_short(response: str) -> str:
 
 def decompose_question(
     backend: Backend, question: str, evidence_list: list[Evidence]
-) -> DecompositionResult:
+) -> tuple[SubQuestion, ...]:
     """One sub-question per evidence item, parsed from a numbered list."""
     if not evidence_list:
         raise ValueError("evidence_list is empty")
@@ -502,7 +470,7 @@ def decompose_question(
         for ev in evidence_list
     )
 
-    def parser(response: str) -> DecompositionResult:
+    def parser(response: str) -> tuple[SubQuestion, ...]:
         pairs = []
         for item in _parse_numbered(response):
             m = _TAGGED_ITEM.match(item)
@@ -512,11 +480,10 @@ def decompose_question(
                 pairs.append(SubQuestion(m.group("q"), m.group("eid")))
         if not pairs:
             raise EmptyDecomposition("no sub-question referenced known evidence")
-        return DecompositionResult(tuple(pairs))
+        return tuple(pairs)
 
-    return _call(
-        backend, "decompose_question", parser, question=question, evidence_block=block
-    )
+    prompt = render("decompose_question", question=question, evidence_block=block)
+    return _call(backend, "decompose_question", prompt, parser)
 
 
 def decompose_atomic(
@@ -527,58 +494,44 @@ def decompose_atomic(
         raise ValueError("decompose_atomic expects image evidence")
     if not sub_question.strip():
         raise ValueError("empty sub-question")
-    return _call(
-        backend,
+    prompt = render(
         "decompose_atomic",
-        _parse_numbered,
         sub_question=sub_question,
         evidence_id=evidence.id,
         caption=evidence.caption or "",
     )
+    return _call(backend, "decompose_atomic", prompt, _parse_numbered)
 
 
-def vqa_answer(backend: Backend, atomic_question: str, evidence: Evidence) -> VqaAnswer:
+def vqa_answer(backend: Backend, atomic_question: str, evidence: Evidence) -> str:
     if evidence.modality != IMAGE:
         raise ValueError("vqa_answer expects image evidence")
-    answer = _call(
-        backend,
-        "vqa",
-        _parse_short,
-        question=atomic_question,
-        caption=evidence.caption or "",
-    )
-    return VqaAnswer(question=atomic_question, answer=answer)
+    prompt = render("vqa", question=atomic_question, caption=evidence.caption or "")
+    return _call(backend, "vqa", prompt, _parse_short)
 
 
-def table_qa(
-    backend: Backend, sub_question: str, linearized_rows: list[str]
-) -> tuple[str, str]:
+def table_qa(backend: Backend, sub_question: str, linearized_rows: list[str]) -> str:
     if not linearized_rows:
         raise ValueError("no linearized rows")
-    answer = _call(
-        backend,
-        "table_qa",
-        _parse_short,
-        question=sub_question,
-        rows_block="\n".join(linearized_rows),
+    prompt = render(
+        "table_qa", question=sub_question, rows_block="\n".join(linearized_rows)
     )
-    return sub_question, answer
+    return _call(backend, "table_qa", prompt, _parse_short)
 
 
-def text_qa(backend: Backend, sub_question: str, passage: str) -> tuple[str, str]:
+def text_qa(backend: Backend, sub_question: str, passage: str) -> str:
     """Text-modality path: answer the sub-question over the snippet."""
     if not passage.strip():
         raise ValueError("empty passage")
-    answer = _call(
-        backend, "text_qa", _parse_short, question=sub_question, passage=passage
-    )
-    return sub_question, answer
+    prompt = render("text_qa", question=sub_question, passage=passage)
+    return _call(backend, "text_qa", prompt, _parse_short)
 
 
 def refine_to_fact(backend: Backend, question: str, answer: str) -> str:
     if not question.strip() or not answer.strip():
         raise ValueError("refine_to_fact needs a question and an answer")
-    return _call(backend, "refine_fact", _parse_short, question=question, answer=answer)
+    prompt = render("refine_fact", question=question, answer=answer)
+    return _call(backend, "refine_fact", prompt, _parse_short)
 
 
 def generate_tree_structure(
@@ -586,14 +539,19 @@ def generate_tree_structure(
     question: str,
     fact_base: FactBase,
     feedback: Optional[tuple[list[str], str]] = None,
-) -> str:
-    """Raw DSL text for the tree parser; callers own parsing and the reprompt."""
+) -> EntailmentTree:
+    """Structure-only tree whose leaves are all in the fact base.
+
+    ``feedback`` is (retrieved fact texts, predicted answer); it prefixes the
+    prompt with the feedback template and tags the request ``feedback``.
+    """
     if not len(fact_base):
         raise ValueError("fact base is empty")
     facts_block = "\n".join(
         f"{fact.id.render()}: {_one_line(fact.text)}" for fact in fact_base.facts
     )
-    prompt = get_template("tree_structure").render(
+    prompt = render(
+        "tree_structure",
         question_id=fact_base.question_id,
         hypothesis=question,
         facts_block=facts_block,
@@ -601,16 +559,22 @@ def generate_tree_structure(
     tag = "tree_structure"
     if feedback is not None:
         facts, answer = feedback
-        prefix = get_template("feedback").render(
+        prompt = render(
+            "feedback",
             n=str(FEEDBACK_WORD_BUDGET),
             f=FEEDBACK_FACT_SEP.join(facts),
             a=answer,
             q=question,
-        )
-        prompt = prefix + prompt
+        ) + prompt
         tag = "feedback"
-    request = BackendRequest(prompt=prompt, tag=tag)
-    return _parse_short(backend.complete(request))
+
+    def parser(response: str) -> EntailmentTree:
+        tree = parse_tree(_parse_short(response), hypothesis=question)
+        for leaf in tree.leaves:
+            lookup_text(fact_base, leaf)
+        return tree
+
+    return _call(backend, tag, prompt, parser)
 
 
 def infer_intermediate(backend: Backend, premise_texts: list[str]) -> str:
@@ -618,4 +582,5 @@ def infer_intermediate(backend: Backend, premise_texts: list[str]) -> str:
     if not premise_texts:
         raise ValueError("no premises to infer from")
     block = "\n".join(f"{i + 1}. {t}" for i, t in enumerate(premise_texts))
-    return _call(backend, "intermediate_infer", _parse_short, premises_block=block)
+    prompt = render("intermediate_infer", premises_block=block)
+    return _call(backend, "intermediate_infer", prompt, _parse_short)

@@ -22,7 +22,6 @@ marker for QA targets and greedy decoding.
 from __future__ import annotations
 
 import math
-import re
 import zlib
 from concurrent.futures import Executor
 from dataclasses import asdict, dataclass, field, replace
@@ -31,19 +30,13 @@ from typing import Iterable, Literal, Optional, Sequence
 import numpy as np
 
 from .errors import LengthMismatch, NonFiniteLoss, SequenceTooLong
-from .facts import FactBase
+from .facts import FactBase, tokenize
 
 GateId = Literal["A", "B"]
 GATE_A: GateId = "A"
 GATE_B: GateId = "B"
 
 EOS_ID = 0
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-
-
-def tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
 
 
 def _bucket(token_hash, vocab_size: int):

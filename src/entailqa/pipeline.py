@@ -19,8 +19,8 @@ import numpy as np
 
 from . import metrics
 from .dataset import QAExample, RunConfig
-from .errors import EmptyEvidence, EntailQAError, MoeError, ParseError, TreeError, UnknownFactId
-from .facts import IMAGE, TABLE, TEXT, FactBase, add_fact, linearize_table, lookup_text, retrieve_evidence
+from .errors import EmptyEvidence, EntailQAError, MoeError, TreeError
+from .facts import IMAGE, TABLE, FactBase, add_fact, linearize_table, lookup_text, retrieve_evidence
 from .llm import (
     Backend,
     decompose_atomic,
@@ -55,16 +55,6 @@ from .tree import EntailmentTree, leaf_preorder, parse_node_id, parse_tree, seri
 
 STOP_BUDGET = "budget"
 STOP_NO_IMPROVEMENT = "no_improvement"
-
-
-@dataclass(frozen=True)
-class IterationConfig:
-    budget: int = 2
-    min_delta: float = 0.0
-
-    def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("iteration budget must be >= 1")
 
 
 @dataclass
@@ -106,26 +96,6 @@ class PipelineState:
         }
 
 
-def _generate_and_parse(
-    backend: Backend,
-    question: str,
-    base: FactBase,
-    feedback: Optional[tuple[list[str], str]],
-) -> EntailmentTree:
-    """Generate structure DSL, parse, validate against the base; one reprompt."""
-    last_error: Optional[Exception] = None
-    for _ in range(2):
-        try:
-            dsl = generate_tree_structure(backend, question, base, feedback=feedback)
-            tree = parse_tree(dsl, hypothesis=question)
-            for leaf in tree.leaves:
-                lookup_text(base, leaf)
-            return tree
-        except (TreeError, UnknownFactId, ParseError) as exc:
-            last_error = exc
-    raise last_error
-
-
 def run_stage1(
     example: QAExample, backend: Backend, top_n: int = 4
 ) -> tuple[FactBase, EntailmentTree]:
@@ -133,29 +103,27 @@ def run_stage1(
     if not example.evidence:
         raise EmptyEvidence(f"example {example.id} has no evidence")
     retrieved = retrieve_evidence(example.question, list(example.evidence), top_n)
-    decomposition = decompose_question(backend, example.question, retrieved)
     by_id = {ev.id: ev for ev in retrieved}
 
     base = FactBase(example.id)
-    for sub in decomposition.sub_questions:
+    for sub in decompose_question(backend, example.question, retrieved):
         ev = by_id[sub.evidence_id]
         if ev.modality == IMAGE:
-            for atomic in decompose_atomic(backend, sub.question, ev):
-                vqa = vqa_answer(backend, atomic, ev)
-                text = refine_to_fact(backend, vqa.question, vqa.answer)
-                base = add_fact(base, text, IMAGE, ev.id, origin=(atomic, vqa.answer))
-        elif ev.modality == TABLE:
-            question, answer = table_qa(
-                backend, sub.question, linearize_table(ev.content)
+            # lazy: each atomic question is answered just before its fact is refined
+            pairs = (
+                (atomic, vqa_answer(backend, atomic, ev))
+                for atomic in decompose_atomic(backend, sub.question, ev)
             )
-            text = refine_to_fact(backend, question, answer)
-            base = add_fact(base, text, TABLE, ev.id, origin=(question, answer))
+        elif ev.modality == TABLE:
+            rows = linearize_table(ev.content)
+            pairs = [(sub.question, table_qa(backend, sub.question, rows))]
         else:
-            question, answer = text_qa(backend, sub.question, str(ev.content))
+            pairs = [(sub.question, text_qa(backend, sub.question, str(ev.content)))]
+        for question, answer in pairs:
             text = refine_to_fact(backend, question, answer)
-            base = add_fact(base, text, TEXT, ev.id, origin=(question, answer))
+            base = add_fact(base, text, ev.modality, ev.id, origin=(question, answer))
 
-    structure = _generate_and_parse(backend, example.question, base, feedback=None)
+    structure = generate_tree_structure(backend, example.question, base)
     return base, refine(structure, base, backend)
 
 
@@ -248,21 +216,21 @@ def run_feedback_iteration(
         [lookup_text(base, parse_node_id(fid)) for fid in retrieved],
         answer,
     )
-    structure = _generate_and_parse(backend, state.question, base, feedback)
+    structure = generate_tree_structure(backend, state.question, base, feedback)
     state.tree_versions.append(refine(structure, base, backend))
     state.iteration += 1
     return state
 
 
 def should_stop(
-    scores: Sequence[float], cfg: IterationConfig
+    scores: Sequence[float], budget: int, min_delta: float = 0.0
 ) -> tuple[bool, Optional[str]]:
     """Stop on a flat validation metric, else on the iteration budget."""
     if not scores:
         raise ValueError("need at least one validation score")
-    if len(scores) >= 2 and scores[-1] - scores[-2] <= cfg.min_delta:
+    if len(scores) >= 2 and scores[-1] - scores[-2] <= min_delta:
         return True, STOP_NO_IMPROVEMENT
-    if len(scores) >= cfg.budget:
+    if len(scores) >= budget:
         return True, STOP_BUDGET
     return False, None
 
@@ -415,10 +383,9 @@ def run_pipeline(
         )
     baseline_em = _validation_em(examples, states, val_ids)
 
-    iter_cfg = IterationConfig(budget=config.iteration_budget, min_delta=config.min_delta)
     history: list[float] = []
     iteration_summaries = []
-    for _ in range(iter_cfg.budget):
+    for _ in range(config.iteration_budget):
         for example in list(active):
             state = states[example.id]
             try:
@@ -435,7 +402,7 @@ def run_pipeline(
         iteration_summaries.append(
             {"iteration": len(history), "validation_em": history[-1]}
         )
-        stop, reason = should_stop(history, iter_cfg)
+        stop, reason = should_stop(history, config.iteration_budget, config.min_delta)
         if stop:
             for example in active:
                 states[example.id].stopped_reason = reason

@@ -7,7 +7,7 @@ from entailqa.moe import MoeConfig, MoeParams
 
 @pytest.fixture
 def mock_backend():
-    return MockBackend(seed=0)
+    return MockBackend()
 
 
 @pytest.fixture

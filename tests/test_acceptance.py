@@ -27,7 +27,6 @@ from entailqa.moe import (
     route,
 )
 from entailqa.pipeline import (
-    IterationConfig,
     PipelineState,
     build_train_items,
     predict_pending,
@@ -365,9 +364,9 @@ def test_criterion_7_feedback_efficacy(seeded_experiment):
 
 
 def test_criterion_8_stopping_rule(mock_backend):
-    flat = should_stop([0.5, 0.5], IterationConfig(budget=5))
-    improving = should_stop([0.5, 0.62], IterationConfig(budget=2))
-    single = should_stop([0.5], IterationConfig(budget=2))
+    flat = should_stop([0.5, 0.5], 5)
+    improving = should_stop([0.5, 0.62], 2)
+    single = should_stop([0.5], 2)
 
     examples = synthetic_examples(4, seed=40)
     config = run_config_from_dict(

@@ -201,6 +201,24 @@ class TestRunConfig:
                 assert getattr(part, f.name) != getattr(default, f.name), f.name
         assert run_config_from_dict(config.to_json_dict()) == config
 
+    def test_whole_float_coerced_to_nested_int(self):
+        config = run_config_from_dict({"moe": {"embed_dim": 8.0}, "seed": "7"})
+        assert config.moe.embed_dim == 8 and type(config.moe.embed_dim) is int
+        assert config.seed == 7 and config.moe.seed == 7
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"training": {"steps": 2.5}},
+            {"training": {"batch_size_qa": 2.5}},
+            {"moe": {"renormalize_topk": "false"}},
+            {"workers": 2.5},
+        ],
+    )
+    def test_nested_values_are_type_checked(self, data):
+        with pytest.raises(SchemaError):
+            run_config_from_dict(data)
+
     def test_dropped_validation_metric_key_is_ignored(self, tmp_path):
         path = tmp_path / "cfg.json"
         write_json(path, {"seed": 3, "validation_metric": "accuracy"})
@@ -251,6 +269,20 @@ class TestCli:
         ds, _, _ = small_run
         bad = tmp_path / "bad_cfg.json"
         bad.write_text('{"backend": "smoke-signals"}')
+        assert cli_dispatch(["run-pipeline", str(ds), "--config", str(bad)]) == 2
+
+    def test_non_object_config_is_data_error(self, small_run, tmp_path):
+        ds, _, _ = small_run
+        bad = tmp_path / "bad_cfg.json"
+        bad.write_text("[]")
+        assert cli_dispatch(["run-pipeline", str(ds), "--config", str(bad)]) == 2
+
+    def test_fractional_steps_is_data_error(self, small_run, tmp_path):
+        ds, cfg, _ = small_run
+        data = json.loads(cfg.read_text())
+        data["training"]["steps"] = 2.5
+        bad = tmp_path / "bad_cfg.json"
+        write_json(bad, data)
         assert cli_dispatch(["run-pipeline", str(ds), "--config", str(bad)]) == 2
 
     def test_run_pipeline_writes_artifacts(self, small_run):

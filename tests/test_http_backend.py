@@ -69,16 +69,14 @@ def stub_factory():
 def test_request_body_and_auth(stub_factory):
     stub = stub_factory([(200, "fact1 -> answer")])
     backend = HttpBackend(endpoint=stub.url, api_key="sk-test", model="m-1")
-    out = backend.complete(
-        BackendRequest(prompt="hello", tag="tree_structure", max_tokens=77)
-    )
+    out = backend.complete(BackendRequest(prompt="hello", tag="tree_structure"))
     assert out == "fact1 -> answer"
     body = stub.seen[0]["body"]
     assert body == {
         "model": "m-1",
         "messages": [{"role": "user", "content": "hello"}],
         "temperature": 0.0,
-        "max_tokens": 77,
+        "max_tokens": 512,
     }
     assert stub.seen[0]["auth"] == "Bearer sk-test"
 

@@ -1,12 +1,11 @@
 import pytest
 
-from entailqa.dataset import QAExample, run_config_from_dict
+from entailqa.dataset import QAExample, RunConfig, run_config_from_dict
 from entailqa.errors import EmptyEvidence
 from entailqa.facts import Evidence, Table
 from entailqa.llm import MockBackend
 from entailqa.moe import MoeParams
 from entailqa.pipeline import (
-    IterationConfig,
     PipelineState,
     STOP_BUDGET,
     STOP_NO_IMPROVEMENT,
@@ -105,6 +104,43 @@ class TestStage1:
         assert serialize_tree(tree, include_texts=False) == (
             "fact1 & fact3 -> int1; fact2 & int1 -> answer"
         )
+
+    def test_image_calls_interleave_per_atomic_question(self):
+        class TwoAtomicBackend(MockBackend):
+            def __init__(self):
+                super().__init__()
+                self.tags = []
+
+            def complete(self, request):
+                self.tags.append(request.tag)
+                return super().complete(request)
+
+            def _do_decompose_atomic(self, prompt):
+                return "1. what color is the horse?\n2. what is the horse doing?"
+
+        example = QAExample(
+            id="img2",
+            question="what color is the horse?",
+            evidence=(
+                Evidence(id="img1", modality="image", content="", caption="a racing brown horse"),
+            ),
+            gold_answer="brown",
+        )
+        backend = TwoAtomicBackend()
+        base, _ = run_stage1(example, backend)
+        assert backend.tags[:7] == [
+            "decompose_question",
+            "decompose_atomic",
+            "vqa",
+            "refine_fact",
+            "vqa",
+            "refine_fact",
+            "tree_structure",
+        ]
+        assert [f.origin for f in base.facts] == [
+            ("what color is the horse?", "brown"),
+            ("what is the horse doing?", "racing"),
+        ]
 
     def test_unknown_answer_still_stored_as_fact(self, mock_backend):
         example = QAExample(
@@ -211,32 +247,31 @@ class TestFeedbackIteration:
 
 class TestShouldStop:
     def test_flat_scores_stop(self):
-        assert should_stop([0.50, 0.50], IterationConfig()) == (
+        assert should_stop([0.50, 0.50], 2) == (
             True,
             STOP_NO_IMPROVEMENT,
         )
 
     def test_budget_stop_on_improvement(self):
-        assert should_stop([0.50, 0.62], IterationConfig(budget=2)) == (
+        assert should_stop([0.50, 0.62], 2) == (
             True,
             STOP_BUDGET,
         )
 
     def test_single_score_continues(self):
-        assert should_stop([0.50], IterationConfig()) == (False, None)
+        assert should_stop([0.50], 2) == (False, None)
 
     def test_min_delta(self):
-        cfg = IterationConfig(budget=5, min_delta=0.05)
-        assert should_stop([0.50, 0.54], cfg) == (True, STOP_NO_IMPROVEMENT)
-        assert should_stop([0.50, 0.60], cfg) == (False, None)
+        assert should_stop([0.50, 0.54], 5, 0.05) == (True, STOP_NO_IMPROVEMENT)
+        assert should_stop([0.50, 0.60], 5, 0.05) == (False, None)
 
     def test_needs_scores(self):
         with pytest.raises(ValueError):
-            should_stop([], IterationConfig())
+            should_stop([], 2)
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
-            IterationConfig(budget=0)
+            RunConfig(iteration_budget=0)
 
 
 class TestRunPipeline:
@@ -299,7 +334,7 @@ class TestRunPipeline:
         cfg_seq = self._config(steps=5)
         states_a, _, _ = run_pipeline(examples, cfg_seq, mock_backend)
         cfg_par = run_config_from_dict({**cfg_seq.to_json_dict(), "workers": 4})
-        states_b, _, _ = run_pipeline(examples, cfg_par, MockBackend(seed=0))
+        states_b, _, _ = run_pipeline(examples, cfg_par, MockBackend())
         for example in examples:
             assert (
                 states_a[example.id].to_json_dict()
