@@ -177,7 +177,10 @@ def _cmd_run_pipeline(args, config: RunConfig) -> int:
     write_json(out / "predictions.json", _stamp(config, {"predictions": predictions}))
     write_json(out / "manifest.json", _stamp(config, summary))
     if isinstance(backend, HttpBackend):
-        write_json(out / "exchanges.json", _stamp(config, {"log": backend.exchange_log}))
+        # calls complete in thread order; a stable sort keeps repeats of one
+        # (tag, prompt), such as parse retries, in the order they were logged
+        log = sorted(backend.exchange_log, key=lambda e: (e["tag"], e["prompt"]))
+        write_json(out / "exchanges.json", _stamp(config, {"log": log}))
     return 0
 
 

@@ -350,7 +350,9 @@ class HttpBackend:
 
     POSTs ``{"model", "messages", "temperature": 0.0, "max_tokens": 512}``
     with a bearer key and reads ``choices[0].message.content``. Retries server
-    errors and 429 (rate limited) up to ``max_retries`` times; every
+    errors and 429 (rate limited) up to ``max_retries`` times, waiting
+    ``retry_wait`` times the attempt number, or what a 429/503 response's
+    delta-seconds ``Retry-After`` asks for, capped at ``timeout``. Every
     request/response pair is appended to ``exchange_log`` tagged with the
     template name.
     """
@@ -397,6 +399,7 @@ class HttpBackend:
         )
         last_error: Optional[Exception] = None
         for attempt in range(self.max_retries + 1):
+            wait = self.retry_wait * (attempt + 1)
             try:
                 with self._in_flight:
                     with urllib.request.urlopen(req, timeout=self.timeout) as resp:
@@ -408,15 +411,26 @@ class HttpBackend:
                     )
                 return text
             except urllib.error.HTTPError as exc:
+                exc.close()  # the error holds the response's socket
                 if exc.code < 500 and exc.code != 429:
                     raise BackendError(f"HTTP {exc.code} from backend") from exc
                 last_error = exc
+                after = _retry_after(exc) if exc.code in (429, 503) else None
+                if after is not None:
+                    wait = min(after, self.timeout)
             except (urllib.error.URLError, TimeoutError, KeyError, IndexError,
                     json.JSONDecodeError) as exc:
                 last_error = exc
-            if attempt < self.max_retries and self.retry_wait:
-                time.sleep(self.retry_wait * (attempt + 1))
+            if attempt < self.max_retries and wait:
+                time.sleep(wait)
         raise BackendError(f"backend failed after retries: {last_error}") from last_error
+
+
+def _retry_after(exc: urllib.error.HTTPError) -> Optional[float]:
+    """Seconds a delta-seconds ``Retry-After`` header asks for; ``None`` for an
+    HTTP-date, an unparseable value or no header."""
+    value = (exc.headers.get("Retry-After") or "").strip() if exc.headers else ""
+    return float(value) if value.isascii() and value.isdigit() else None
 
 
 # --- shared call/parse plumbing ----------------------------------------------------

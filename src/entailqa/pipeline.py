@@ -11,9 +11,10 @@ malformed backend response marks that example failed and the batch continues.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -328,32 +329,51 @@ def _validation_em(
     return float(np.mean(scores)) if scores else 0.0
 
 
-def stage1_states(
-    examples: Sequence[QAExample], config: RunConfig, backend: Backend
-) -> tuple[dict[str, PipelineState], dict[str, FactBase]]:
-    """Stage 1 over a corpus; failures are recorded per example, not raised."""
+def _map_examples(
+    pool: Executor,
+    work: Callable[[QAExample, PipelineState], object],
+    examples: Sequence[QAExample],
+    states: dict[str, PipelineState],
+) -> list:
+    """``work(example, state)`` for every example on the pool, results in
+    example order. An ``EntailQAError`` becomes that example's ``state.error``
+    and its result ``None``; the other examples go on."""
 
-    def _one(example: QAExample) -> tuple[PipelineState, Optional[FactBase]]:
-        state = PipelineState(question_id=example.id, question=example.question)
+    def _one(example: QAExample):
+        state = states[example.id]
         try:
-            base, tree = run_stage1(example, backend, top_n=config.retrieval_top_n)
-            state.tree_versions.append(tree)
-            state.frg_targets, state.qa_targets = stage2_targets(
-                example, base, tree, config.moe.vocab_size
-            )
-            return state, base
+            return work(example, state)
         except EntailQAError as exc:
             state.error = f"{type(exc).__name__}: {exc}"
-            return state, None
+            return None
 
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        results = list(pool.map(_one, examples))
-    states: dict[str, PipelineState] = {}
-    bases: dict[str, FactBase] = {}
-    for example, (state, base) in zip(examples, results):
-        states[example.id] = state
-        if base is not None:
-            bases[example.id] = base
+    return list(pool.map(_one, examples))
+
+
+def stage1_states(
+    examples: Sequence[QAExample],
+    config: RunConfig,
+    backend: Backend,
+    pool: Optional[Executor] = None,
+) -> tuple[dict[str, PipelineState], dict[str, FactBase]]:
+    """Stage 1 over a corpus on ``pool`` (else ``config.workers`` threads);
+    failures are recorded per example, not raised."""
+
+    def _stage1(example: QAExample, state: PipelineState) -> FactBase:
+        base, tree = run_stage1(example, backend, top_n=config.retrieval_top_n)
+        state.tree_versions.append(tree)
+        state.frg_targets, state.qa_targets = stage2_targets(
+            example, base, tree, config.moe.vocab_size
+        )
+        return base
+
+    states = {
+        ex.id: PipelineState(question_id=ex.id, question=ex.question) for ex in examples
+    }
+    scope = ThreadPoolExecutor(config.workers) if pool is None else nullcontext(pool)
+    with scope as pool:
+        results = _map_examples(pool, _stage1, examples, states)
+    bases = {ex.id: base for ex, base in zip(examples, results) if base is not None}
     return states, bases
 
 
@@ -365,48 +385,51 @@ def run_pipeline(
 ) -> tuple[dict[str, PipelineState], dict[str, FactBase], dict]:
     """Stage 1 on every example, stage-2 training, then the feedback loop.
 
-    Returns (states by id, fact bases by id, run summary).
+    Stage 1, the first inference pass and each feedback iteration run across
+    examples on ``config.workers`` threads; an iteration ends at a barrier,
+    where the stopping rule reads the validation score. Returns (states by
+    id, fact bases by id, run summary).
     """
     if params is None:
         params = MoeParams.init(config.moe)
 
-    states, bases = stage1_states(examples, config, backend)
+    def _infer(example: QAExample, state: PipelineState) -> None:
+        predict_pending(state, bases[example.id], params, config.decode_answer_len)
 
-    items = build_train_items(examples, states, bases, config.moe)
-    curve = train(params, config, items)
-
-    val_ids = validation_ids(examples, config.validation_fraction)
-    active = [ex for ex in examples if not states[ex.id].failed]
-    for example in active:
-        predict_pending(
-            states[example.id], bases[example.id], params, config.decode_answer_len
+    def _iterate(example: QAExample, state: PipelineState) -> None:
+        run_feedback_iteration(
+            state, bases[example.id], params, backend, config.decode_answer_len
         )
-    baseline_em = _validation_em(examples, states, val_ids)
+        _infer(example, state)
 
-    history: list[float] = []
-    iteration_summaries = []
-    for _ in range(config.iteration_budget):
-        for example in list(active):
-            state = states[example.id]
-            try:
-                run_feedback_iteration(
-                    state, bases[example.id], params, backend, config.decode_answer_len
-                )
-                predict_pending(
-                    state, bases[example.id], params, config.decode_answer_len
-                )
-            except EntailQAError as exc:
-                state.error = f"{type(exc).__name__}: {exc}"
-                active.remove(example)
-        history.append(_validation_em(examples, states, val_ids))
-        iteration_summaries.append(
-            {"iteration": len(history), "validation_em": history[-1]}
-        )
-        stop, reason = should_stop(history, config.iteration_budget, config.min_delta)
-        if stop:
-            for example in active:
-                states[example.id].stopped_reason = reason
-            break
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        states, bases = stage1_states(examples, config, backend, pool)
+
+        items = build_train_items(examples, states, bases, config.moe)
+        curve = train(params, config, items)
+
+        val_ids = validation_ids(examples, config.validation_fraction)
+        active = [ex for ex in examples if not states[ex.id].failed]
+        _map_examples(pool, _infer, active, states)
+        active = [ex for ex in active if not states[ex.id].failed]
+        baseline_em = _validation_em(examples, states, val_ids)
+
+        history: list[float] = []
+        iteration_summaries = []
+        for _ in range(config.iteration_budget):
+            _map_examples(pool, _iterate, active, states)
+            active = [ex for ex in active if not states[ex.id].failed]
+            history.append(_validation_em(examples, states, val_ids))
+            iteration_summaries.append(
+                {"iteration": len(history), "validation_em": history[-1]}
+            )
+            stop, reason = should_stop(
+                history, config.iteration_budget, config.min_delta
+            )
+            if stop:
+                for example in active:
+                    states[example.id].stopped_reason = reason
+                break
 
     summary = {
         "examples": len(examples),

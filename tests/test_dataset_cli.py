@@ -1,5 +1,8 @@
+import importlib.util
 import json
+import threading
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,15 @@ from entailqa.llm import MockBackend
 from entailqa.moe import MoeConfig
 from entailqa.synth import synthetic_corpus
 from entailqa.tree import parse_tree, serialize_tree
+
+
+def _load_perfbench_server():
+    """``perfbench/server.py``, the benchmark's loopback chat-completion stand-in."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "server.py"
+    spec = importlib.util.spec_from_file_location("perfbench_server", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _fixture_dict():
@@ -331,6 +343,50 @@ class TestCli:
 
         state = self._run_with(small_run, strip)
         assert state["error"].startswith("EmptyEvidence:")
+
+    def _run_at(self, small_run, name, **overrides):
+        ds, cfg, tmp_path = small_run
+        config = tmp_path / f"{name}.json"
+        write_json(config, {**json.loads(cfg.read_text()), **overrides})
+        out = tmp_path / name
+        rc = cli_dispatch(["run-pipeline", str(ds), "--config", str(config), "--out", str(out)])
+        assert rc == 0
+        return out
+
+    def test_artifacts_do_not_depend_on_workers(self, small_run):
+        one = self._run_at(small_run, "w1", workers=1)
+        four = self._run_at(small_run, "w4", workers=4)
+        names = sorted(p.name for p in one.iterdir())
+        assert names == sorted(p.name for p in four.iterdir())
+        # the config hash covers ``workers``; every other byte must match
+        hash_one = json.loads((one / "manifest.json").read_text())["config_hash"]
+        hash_four = json.loads((four / "manifest.json").read_text())["config_hash"]
+        for name in names:
+            expected = (one / name).read_text().replace(hash_one, hash_four)
+            assert (four / name).read_text() == expected, name
+
+    def test_http_exchange_log_is_deterministic(self, small_run, monkeypatch):
+        server = _load_perfbench_server().make_server()
+        threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        ).start()
+        try:
+            url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
+            monkeypatch.setenv("ENTAIL_LLM_ENDPOINT", url)
+            runs = [
+                self._run_at(
+                    small_run, name, backend="http", workers=2, http_max_in_flight=2
+                )
+                for name in ("http1", "http2")
+            ]
+        finally:
+            server.shutdown()
+            server.server_close()
+        first, second = ((out / "exchanges.json").read_bytes() for out in runs)
+        assert first == second
+        log = json.loads(first)["log"]
+        assert log == sorted(log, key=lambda e: (e["tag"], e["prompt"]))
+        assert {e["tag"] for e in log} >= {"tree_structure", "feedback"}
 
     def test_build_factbase_and_trees(self, small_run):
         ds, cfg, tmp_path = small_run

@@ -6,13 +6,14 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from entailqa import llm
 from entailqa.errors import BackendError
 from entailqa.llm import BackendRequest, HttpBackend
 
 
 class _Stub:
     def __init__(self, script):
-        self.script = list(script)  # (status, content) pairs
+        self.script = list(script)  # (status, content[, headers]) tuples
         self.seen = []
 
         stub = self
@@ -26,9 +27,11 @@ class _Stub:
                         "auth": self.headers.get("Authorization"),
                     }
                 )
-                status, content = stub.script.pop(0)
+                status, content, *headers = stub.script.pop(0)
                 if status != 200:
                     self.send_response(status)
+                    for name, value in (headers[0] if headers else {}).items():
+                        self.send_header(name, value)
                     self.end_headers()
                     return
                 data = json.dumps(
@@ -45,7 +48,9 @@ class _Stub:
 
         self.server = HTTPServer(("127.0.0.1", 0), Handler)
         self.url = f"http://127.0.0.1:{self.server.server_address[1]}/v1/chat"
-        threading.Thread(target=self.server.serve_forever, daemon=True).start()
+        threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        ).start()
 
     def close(self):
         self.server.shutdown()
@@ -100,6 +105,52 @@ def test_retry_on_rate_limit(stub_factory):
     backend = HttpBackend(endpoint=stub.url, api_key="k", retry_wait=0.0)
     assert backend.complete(BackendRequest(prompt="p", tag="vqa")) == "ok"
     assert len(stub.seen) == 2
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    waits = []
+    monkeypatch.setattr(llm.time, "sleep", waits.append)
+    return waits
+
+
+@pytest.mark.parametrize("status", [429, 503])
+def test_retry_after_zero_means_no_wait(stub_factory, sleeps, status):
+    stub = stub_factory([(status, "", {"Retry-After": "0"}), (200, "ok")])
+    backend = HttpBackend(endpoint=stub.url, api_key="k", retry_wait=5.0)
+    assert backend.complete(BackendRequest(prompt="p", tag="vqa")) == "ok"
+    assert sleeps == []
+
+
+def test_retry_after_replaces_backoff(stub_factory, sleeps):
+    stub = stub_factory([(429, "", {"Retry-After": "3"}), (500, ""), (200, "ok")])
+    backend = HttpBackend(endpoint=stub.url, api_key="k", retry_wait=0.5)
+    assert backend.complete(BackendRequest(prompt="p", tag="vqa")) == "ok"
+    assert sleeps == [3.0, 1.0]  # the header, then the linear backoff of attempt 2
+
+
+def test_huge_retry_after_is_capped_at_timeout(stub_factory, sleeps):
+    stub = stub_factory([(503, "", {"Retry-After": "86400"}), (200, "ok")])
+    backend = HttpBackend(endpoint=stub.url, api_key="k", timeout=7.0, retry_wait=0.5)
+    assert backend.complete(BackendRequest(prompt="p", tag="vqa")) == "ok"
+    assert sleeps == [7.0]
+
+
+@pytest.mark.parametrize(
+    "value", ["Wed, 21 Oct 2015 07:28:00 GMT", "soon", "-1", "1.5", ""]
+)
+def test_unusable_retry_after_falls_back_to_backoff(stub_factory, sleeps, value):
+    stub = stub_factory([(429, "", {"Retry-After": value}), (200, "ok")])
+    backend = HttpBackend(endpoint=stub.url, api_key="k", retry_wait=0.5)
+    assert backend.complete(BackendRequest(prompt="p", tag="vqa")) == "ok"
+    assert sleeps == [0.5]
+
+
+def test_retry_after_on_other_server_errors_is_ignored(stub_factory, sleeps):
+    stub = stub_factory([(500, "", {"Retry-After": "3"}), (200, "ok")])
+    backend = HttpBackend(endpoint=stub.url, api_key="k", retry_wait=0.5)
+    assert backend.complete(BackendRequest(prompt="p", tag="vqa")) == "ok"
+    assert sleeps == [0.5]
 
 
 def test_client_error_is_immediate(stub_factory):

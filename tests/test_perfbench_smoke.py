@@ -8,9 +8,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_train_smoke_run_is_correct():
+def _smoke(workload: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "train", "--smoke", "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--smoke", "--trace", "0"],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -19,4 +19,13 @@ def test_train_smoke_run_is_correct():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"], proc.stdout
-    assert result["failed"] == 0
+    return result
+
+
+def test_train_smoke_run_is_correct():
+    assert _smoke("train")["failed"] == 0
+
+
+def test_http_mixed_smoke_run_is_correct():
+    # the real HttpBackend against the loopback stand-in server, two workers
+    assert _smoke("http_mixed")["failed"] == 0

@@ -1,7 +1,10 @@
+import sys
+
 import pytest
 
+from entailqa import pipeline
 from entailqa.dataset import QAExample, RunConfig, run_config_from_dict
-from entailqa.errors import EmptyEvidence
+from entailqa.errors import EmptyEvidence, NonFiniteLoss
 from entailqa.facts import Evidence, Table
 from entailqa.llm import MockBackend
 from entailqa.moe import MoeParams
@@ -274,6 +277,19 @@ class TestShouldStop:
             RunConfig(iteration_budget=0)
 
 
+class _GarbledFeedback(MockBackend):
+    """Answers every feedback prompt for one question id with a non-tree."""
+
+    def __init__(self, question_id, **kwargs):
+        super().__init__(**kwargs)
+        self.marker = f"question id: {question_id}\n"
+
+    def _do_feedback(self, prompt):
+        if self.marker in prompt:
+            return "not a tree at all"
+        return super()._do_feedback(prompt)
+
+
 class TestRunPipeline:
     def _config(self, steps=25):
         return run_config_from_dict(
@@ -329,17 +345,60 @@ class TestRunPipeline:
         others = [ex.id for ex in examples if ex.id != bad.id]
         assert all(not states[i].failed for i in others)
 
-    def test_worker_pool_matches_sequential(self, mock_backend):
-        examples = synthetic_examples(5, seed=8)
-        cfg_seq = self._config(steps=5)
-        states_a, _, _ = run_pipeline(examples, cfg_seq, mock_backend)
-        cfg_par = run_config_from_dict({**cfg_seq.to_json_dict(), "workers": 4})
-        states_b, _, _ = run_pipeline(examples, cfg_par, MockBackend())
+    def test_worker_pool_matches_sequential(self):
+        examples = synthetic_examples(6, seed=8)
+        stage1_bad, feedback_bad = examples[1], examples[3]
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: more interleavings
+        try:
+            for workers in (1, 2, 4):
+                config = run_config_from_dict(
+                    {**self._config(steps=5).to_json_dict(), "workers": workers}
+                )
+                backend = _GarbledFeedback(
+                    feedback_bad.id, scripted_trees={stage1_bad.id: "not a tree at all"}
+                )
+                states, _, summary = run_pipeline(examples, config, backend)
+                runs.append(({i: s.to_json_dict() for i, s in states.items()}, summary))
+        finally:
+            sys.setswitchinterval(interval)
+
+        states, summary = runs[0]
+        assert summary["failed"] == sorted([stage1_bad.id, feedback_bad.id])
+        assert summary["iterations"]
+        assert states[stage1_bad.id]["error"].startswith("TreeSyntaxError:")
+        failed_in_loop = states[feedback_bad.id]
+        assert failed_in_loop["error"].startswith("TreeSyntaxError:")
+        assert failed_in_loop["iteration"] == 0
+        assert len(failed_in_loop["predicted_answers"]) == 1  # the first pass ran
+        for other_states, other_summary in runs[1:]:
+            assert other_summary == summary
+            assert other_states == states
+
+    def test_first_inference_fault_fails_alone(self, monkeypatch):
+        examples = synthetic_examples(4, seed=5)
+        bad = examples[2]
+        faulted = []
+
+        def flaky(state, *args, **kwargs):
+            if state.question_id == bad.id and not faulted:
+                faulted.append(state.question_id)
+                raise NonFiniteLoss("non-finite loss nan")
+            return predict_pending(state, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "predict_pending", flaky)
+        states, _, summary = run_pipeline(examples, self._config(steps=5), MockBackend())
+        assert summary["failed"] == [bad.id]
+        assert states[bad.id].error == "NonFiniteLoss: non-finite loss nan"
+        assert states[bad.id].predicted_answers == []
         for example in examples:
-            assert (
-                states_a[example.id].to_json_dict()
-                == states_b[example.id].to_json_dict()
-            )
+            if example is bad:
+                continue
+            state = states[example.id]
+            assert not state.failed
+            assert state.stopped_reason in (STOP_BUDGET, STOP_NO_IMPROVEMENT)
+            assert len(state.predicted_answers) == len(state.tree_versions)
 
     def test_validation_slice(self):
         examples = synthetic_examples(8, seed=2)
