@@ -18,8 +18,8 @@ from .dataset import (
     RunConfig,
     canonical_json,
     load_dataset,
+    load_predictions,
     load_run_config,
-    read_json,
     run_config_from_dict,
     write_json,
 )
@@ -185,15 +185,7 @@ def _cmd_run_pipeline(args, config: RunConfig) -> int:
 
 
 def _cmd_eval(args, config: RunConfig) -> int:
-    examples = load_dataset(args.gold)
-    pred_data = read_json(args.pred)
-    if isinstance(pred_data, dict):
-        predictions = pred_data.get("predictions")
-    else:
-        predictions = pred_data
-    if not isinstance(predictions, list):
-        raise SchemaError("predictions file needs a predictions list", "/predictions")
-    report = evaluate_predictions(examples, predictions)
+    report = evaluate_predictions(load_dataset(args.gold), load_predictions(args.pred))
     sys.stdout.write(canonical_json(report))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -59,6 +59,9 @@ class TrainingConfig:
             raise ValueError("batch sizes must be >= 1")
 
 
+_UNHASHED = ("workers", "http_timeout", "http_max_retries", "http_max_in_flight")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     backend: str = "mock"
@@ -97,7 +100,10 @@ class RunConfig:
         return asdict(self)
 
     def config_hash(self) -> str:
-        return hashlib.sha256(canonical_json(self.to_json_dict()).encode()).hexdigest()[:12]
+        """Hash of the fields that can change a result: all but the thread
+        count and the HTTP client's timeout, retries and concurrency."""
+        data = {k: v for k, v in self.to_json_dict().items() if k not in _UNHASHED}
+        return hashlib.sha256(canonical_json(data).encode()).hexdigest()[:12]
 
 
 def _coerced(defaults, data: dict) -> dict:
@@ -142,8 +148,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
 
 
 def load_run_config(path: Union[str, Path]) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        return run_config_from_dict(json.load(fh))
+    return run_config_from_dict(read_json(path))
 
 
 # --- dataset loading -----------------------------------------------------------------
@@ -302,50 +307,27 @@ def dataset_from_dict(data: dict) -> list[QAExample]:
 
 
 def load_dataset(path: Union[str, Path]) -> list[QAExample]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
-    return dataset_from_dict(data)
+    return dataset_from_dict(read_json(path))
 
 
-def _evidence_to_dict(ev: Evidence) -> dict:
-    out: dict = {"id": ev.id, "modality": ev.modality}
-    if isinstance(ev.content, Table):
-        out["content"] = {
-            "header": list(ev.content.header),
-            "rows": [list(row) for row in ev.content.rows],
-        }
-    else:
-        out["content"] = ev.content
-    if ev.caption is not None:
-        out["caption"] = ev.caption
-    if ev.is_gold is not None:
-        out["gold"] = ev.is_gold
-    return out
-
-
-def example_to_dict(example: QAExample) -> dict:
-    out: dict = {
-        "id": example.id,
-        "question": example.question,
-        "answer": (
-            example.gold_answer
-            if isinstance(example.gold_answer, str)
-            else list(example.gold_answer)
-        ),
-        "evidence": [_evidence_to_dict(ev) for ev in example.evidence],
-    }
-    if example.gold_support_ids is not None:
-        out["gold_support_ids"] = list(example.gold_support_ids)
-    if example.gold_tree is not None:
-        out["gold_tree"] = example.gold_tree
-    return out
-
-
-def dataset_to_dict(examples: list[QAExample]) -> dict:
-    return {"examples": [example_to_dict(ex) for ex in examples]}
+def load_predictions(path: Union[str, Path]) -> list[dict]:
+    """The entries of a predictions file, ``{"predictions": [...]}`` or a bare
+    list, each ``{"id", "answer", "retrieved_evidence_ids"?, "tree"?}``."""
+    data = read_json(path)
+    predictions = data.get("predictions") if isinstance(data, dict) else data
+    _expect(isinstance(predictions, list), "predictions file needs a predictions list", "/predictions")
+    for i, pred in enumerate(predictions):
+        pointer = f"/predictions/{i}"
+        _expect(isinstance(pred, dict), "prediction must be an object", pointer)
+        for key in ("id", "answer", "tree"):
+            _expect(isinstance(pred.get(key, ""), str), f"{key} must be a string", f"{pointer}/{key}")
+        ids = pred.get("retrieved_evidence_ids", [])
+        _expect(
+            isinstance(ids, list) and all(isinstance(e, str) for e in ids),
+            "retrieved_evidence_ids must be a list of strings",
+            f"{pointer}/retrieved_evidence_ids",
+        )
+    return predictions
 
 
 # --- canonical persistence -------------------------------------------------------------
@@ -360,4 +342,9 @@ def write_json(path: Union[str, Path], obj) -> None:
 
 
 def read_json(path: Union[str, Path]):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """The JSON value in the file at ``path``; a file that is not UTF-8 JSON
+    is a ``SchemaError``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise SchemaError(f"not valid JSON: {exc}") from exc

@@ -1,8 +1,7 @@
 """Answer and retrieval metrics: exact match, word-level F1, set F1.
 
 Normalization follows the usual reading-comprehension convention: lowercase,
-strip punctuation, collapse whitespace, drop articles. It can be relaxed via
-``drop_articles`` where a dataset's official protocol differs.
+strip punctuation, collapse whitespace, drop articles.
 """
 
 from __future__ import annotations
@@ -19,24 +18,15 @@ GoldAnswers = Union[str, Iterable[str]]
 
 
 @dataclass(frozen=True)
-class AnswerScore:
-    em: int
-    f1: float
-
-
-@dataclass(frozen=True)
 class RetrievalScore:
     precision: float
     recall: float
     f1: float
 
 
-def normalize_answer(text: str, drop_articles: bool = True) -> str:
-    text = text.lower().translate(_PUNCT_TABLE)
-    tokens = text.split()
-    if drop_articles:
-        tokens = [t for t in tokens if t not in _ARTICLES]
-    return " ".join(tokens)
+def normalize_answer(text: str) -> str:
+    tokens = text.lower().translate(_PUNCT_TABLE).split()
+    return " ".join(t for t in tokens if t not in _ARTICLES)
 
 
 def _golds(gold: GoldAnswers) -> list[str]:
@@ -66,10 +56,6 @@ def _f1_single(pred: str, gold: str) -> float:
 
 def word_f1(pred: str, gold: GoldAnswers) -> float:
     return max(_f1_single(pred, g) for g in _golds(gold))
-
-
-def answer_score(pred: str, gold: GoldAnswers) -> AnswerScore:
-    return AnswerScore(em=em(pred, gold), f1=word_f1(pred, gold))
 
 
 def retrieval_f1(pred_ids: Iterable, gold_ids: Iterable) -> RetrievalScore:

@@ -194,11 +194,6 @@ class MoeParams:
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {name: np.zeros_like(arr) for name, arr in self.blocks()}
 
-    def copy(self) -> "MoeParams":
-        return MoeParams(
-            self.config, {name: arr.copy() for name, arr in self.blocks()}
-        )
-
     def to_state_dict(self) -> dict:
         return {
             "format": "entailqa-checkpoint-v1",
@@ -943,14 +938,14 @@ def backward_and_step(
     return params, loss
 
 
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 def _adamw_step(
     params: MoeParams,
     grads: dict[str, np.ndarray],
     lr: float,
     weight_decay: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     if params.opt_state is None:
         params.opt_state = {
@@ -965,13 +960,13 @@ def _adamw_step(
         g = grads[name]
         m = state["m"][name]
         v = state["v"][name]
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * g * g
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        arr -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * arr)
+        m *= _ADAM_BETA1
+        m += (1 - _ADAM_BETA1) * g
+        v *= _ADAM_BETA2
+        v += (1 - _ADAM_BETA2) * g * g
+        m_hat = m / (1 - _ADAM_BETA1**t)
+        v_hat = v / (1 - _ADAM_BETA2**t)
+        arr -= lr * (m_hat / (np.sqrt(v_hat) + _ADAM_EPS) + weight_decay * arr)
 
 
 def greedy_answer_ids(qa_logits: np.ndarray) -> list[int]:

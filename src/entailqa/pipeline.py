@@ -11,8 +11,7 @@ malformed backend response marks that example failed and the batch continues.
 from __future__ import annotations
 
 import os
-from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -330,14 +329,14 @@ def _validation_em(
 
 
 def _map_examples(
-    pool: Executor,
+    workers: int,
     work: Callable[[QAExample, PipelineState], object],
     examples: Sequence[QAExample],
     states: dict[str, PipelineState],
 ) -> list:
-    """``work(example, state)`` for every example on the pool, results in
-    example order. An ``EntailQAError`` becomes that example's ``state.error``
-    and its result ``None``; the other examples go on."""
+    """``work(example, state)`` for every example on ``workers`` threads,
+    results in example order. An ``EntailQAError`` becomes that example's
+    ``state.error`` and its result ``None``; the other examples go on."""
 
     def _one(example: QAExample):
         state = states[example.id]
@@ -347,17 +346,17 @@ def _map_examples(
             state.error = f"{type(exc).__name__}: {exc}"
             return None
 
-    return list(pool.map(_one, examples))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_one, examples))
 
 
 def stage1_states(
     examples: Sequence[QAExample],
     config: RunConfig,
     backend: Backend,
-    pool: Optional[Executor] = None,
 ) -> tuple[dict[str, PipelineState], dict[str, FactBase]]:
-    """Stage 1 over a corpus on ``pool`` (else ``config.workers`` threads);
-    failures are recorded per example, not raised."""
+    """Stage 1 over a corpus on ``config.workers`` threads; failures are
+    recorded per example, not raised."""
 
     def _stage1(example: QAExample, state: PipelineState) -> FactBase:
         base, tree = run_stage1(example, backend, top_n=config.retrieval_top_n)
@@ -370,9 +369,7 @@ def stage1_states(
     states = {
         ex.id: PipelineState(question_id=ex.id, question=ex.question) for ex in examples
     }
-    scope = ThreadPoolExecutor(config.workers) if pool is None else nullcontext(pool)
-    with scope as pool:
-        results = _map_examples(pool, _stage1, examples, states)
+    results = _map_examples(config.workers, _stage1, examples, states)
     bases = {ex.id: base for ex, base in zip(examples, results) if base is not None}
     return states, bases
 
@@ -402,34 +399,33 @@ def run_pipeline(
         )
         _infer(example, state)
 
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        states, bases = stage1_states(examples, config, backend, pool)
+    states, bases = stage1_states(examples, config, backend)
 
-        items = build_train_items(examples, states, bases, config.moe)
-        curve = train(params, config, items)
+    items = build_train_items(examples, states, bases, config.moe)
+    curve = train(params, config, items)
 
-        val_ids = validation_ids(examples, config.validation_fraction)
-        active = [ex for ex in examples if not states[ex.id].failed]
-        _map_examples(pool, _infer, active, states)
+    val_ids = validation_ids(examples, config.validation_fraction)
+    active = [ex for ex in examples if not states[ex.id].failed]
+    _map_examples(config.workers, _infer, active, states)
+    active = [ex for ex in active if not states[ex.id].failed]
+    baseline_em = _validation_em(examples, states, val_ids)
+
+    history: list[float] = []
+    iteration_summaries = []
+    for _ in range(config.iteration_budget):
+        _map_examples(config.workers, _iterate, active, states)
         active = [ex for ex in active if not states[ex.id].failed]
-        baseline_em = _validation_em(examples, states, val_ids)
-
-        history: list[float] = []
-        iteration_summaries = []
-        for _ in range(config.iteration_budget):
-            _map_examples(pool, _iterate, active, states)
-            active = [ex for ex in active if not states[ex.id].failed]
-            history.append(_validation_em(examples, states, val_ids))
-            iteration_summaries.append(
-                {"iteration": len(history), "validation_em": history[-1]}
-            )
-            stop, reason = should_stop(
-                history, config.iteration_budget, config.min_delta
-            )
-            if stop:
-                for example in active:
-                    states[example.id].stopped_reason = reason
-                break
+        history.append(_validation_em(examples, states, val_ids))
+        iteration_summaries.append(
+            {"iteration": len(history), "validation_em": history[-1]}
+        )
+        stop, reason = should_stop(
+            history, config.iteration_budget, config.min_delta
+        )
+        if stop:
+            for example in active:
+                states[example.id].stopped_reason = reason
+            break
 
     summary = {
         "examples": len(examples),

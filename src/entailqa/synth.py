@@ -115,13 +115,11 @@ def random_tree(
 # --- synthetic QA corpus --------------------------------------------------------------
 
 
-def synthetic_corpus(
-    n_examples: int,
-    seed: int = 0,
-    n_distractors: int = 3,
-    two_hop_fraction: float = 0.5,
-    retrieval_top_n: int = 4,
-) -> dict:
+_DISTRACTORS = 3  # distractor sentences per example
+_TWO_HOP_FRACTION = 0.5
+
+
+def synthetic_corpus(n_examples: int, seed: int = 0, retrieval_top_n: int = 4) -> dict:
     """Dataset-JSON dict of attribute-lookup questions with gold trees.
 
     Gold trees reference the fact ids that the deterministic retrieval order
@@ -130,7 +128,7 @@ def synthetic_corpus(
     rng = random.Random(seed)
     examples = []
     for i in range(n_examples):
-        two_hop = rng.random() < two_hop_fraction
+        two_hop = rng.random() < _TWO_HOP_FRACTION
         entity = rng.choice(_ENTITIES)
         attr1 = rng.choice(_ATTRIBUTES)
         used_attrs = {attr1}
@@ -149,7 +147,7 @@ def synthetic_corpus(
             question = f"what is the {attr1} of the {entity}?"
 
         sentences = list(gold_sentences)
-        for _ in range(n_distractors):
+        for _ in range(_DISTRACTORS):
             attr_d = rng.choice([a for a in _ATTRIBUTES if a not in used_attrs])
             entity_d = rng.choice([e for e in _ENTITIES if e != entity])
             value_d = rng.choice(_VALUES)
@@ -201,18 +199,8 @@ def synthetic_corpus(
     return {"examples": examples}
 
 
-def synthetic_examples(
-    n_examples: int,
-    seed: int = 0,
-    n_distractors: int = 3,
-    two_hop_fraction: float = 0.5,
-    retrieval_top_n: int = 4,
-) -> list[QAExample]:
-    return dataset_from_dict(
-        synthetic_corpus(
-            n_examples, seed, n_distractors, two_hop_fraction, retrieval_top_n
-        )
-    )
+def synthetic_examples(n_examples: int, seed: int = 0) -> list[QAExample]:
+    return dataset_from_dict(synthetic_corpus(n_examples, seed))
 
 
 def corrupted_tree_scripts(

@@ -124,14 +124,6 @@ class TreeScore:
     intermediates_correct: int
     all_correct: int
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (
-            self.leaves_correct,
-            self.steps_correct,
-            self.intermediates_correct,
-            self.all_correct,
-        )
-
 
 @dataclass(frozen=True)
 class EntailmentTree:
@@ -193,26 +185,6 @@ class EntailmentTree:
 
     # -- accessors -----------------------------------------------------------
 
-    @property
-    def root(self) -> NodeId:
-        return ANSWER
-
-    @property
-    def root_step(self) -> EntailmentStep:
-        return next(s for s in self.steps if s.conclusion.kind == ROOT)
-
-    @property
-    def root_text(self) -> Optional[str]:
-        return self.root_step.conclusion_text
-
-    @property
-    def intermediates(self) -> dict[NodeId, Optional[str]]:
-        return {
-            s.conclusion: s.conclusion_text
-            for s in self.steps
-            if s.conclusion.kind == INTERMEDIATE
-        }
-
     def step_for(self, conclusion: NodeId) -> EntailmentStep:
         for s in self.steps:
             if s.conclusion == conclusion:
@@ -227,8 +199,8 @@ class EntailmentTree:
     def depths(self) -> dict[NodeId, int]:
         """Distance from the root (root = 0)."""
         by_conclusion = {s.conclusion: s for s in self.steps}
-        out = {self.root: 0}
-        stack = [self.root]
+        out = {ANSWER: 0}
+        stack = [ANSWER]
         while stack:
             node = stack.pop()
             step = by_conclusion.get(node)
@@ -273,29 +245,6 @@ class EntailmentTree:
                 for leaf, text in sorted(self.leaves.items())
             },
         }
-
-
-def tree_from_json_dict(data: dict) -> EntailmentTree:
-    steps = tuple(
-        EntailmentStep(
-            premises=tuple(parse_node_id(p) for p in item["premises"]),
-            conclusion=parse_node_id(item["conclusion"]),
-            conclusion_text=item.get("text"),
-        )
-        for item in data["steps"]
-    )
-    leaves: dict[NodeId, Optional[str]] = {}
-    for step in steps:
-        for p in step.premises:
-            if p.kind == LEAF:
-                leaves.setdefault(p, None)
-    for ident, text in data.get("leaf_texts", {}).items():
-        node = parse_node_id(ident)
-        if node in leaves:
-            leaves[node] = text
-    return EntailmentTree(
-        hypothesis=data.get("hypothesis", ""), leaves=leaves, steps=steps
-    )
 
 
 # --- parsing ------------------------------------------------------------------
@@ -426,12 +375,12 @@ def score_tree(pred: EntailmentTree, gold: EntailmentTree) -> TreeScore:
     leaves_correct = int(pred_leaf_ids == set(gold.leaves))
 
     steps_correct = int(
-        _signature(pred, pred.root, align) == _signature(gold, gold.root, {})
+        _signature(pred, ANSWER, align) == _signature(gold, ANSWER, {})
     )
     intermediates_correct = int(
         steps_correct
-        and _signature(pred, pred.root, align, with_texts=True)
-        == _signature(gold, gold.root, {}, with_texts=True)
+        and _signature(pred, ANSWER, align, with_texts=True)
+        == _signature(gold, ANSWER, {}, with_texts=True)
     )
     all_correct = int(leaves_correct and steps_correct and intermediates_correct)
     return TreeScore(leaves_correct, steps_correct, intermediates_correct, all_correct)
@@ -448,5 +397,5 @@ def leaf_preorder(tree: EntailmentTree) -> list[NodeId]:
         for p in tree.step_for(node).premises:
             visit(p)
 
-    visit(tree.root)
+    visit(ANSWER)
     return out

@@ -12,7 +12,6 @@ from entailqa.dataset import (
     TrainingConfig,
     canonical_json,
     dataset_from_dict,
-    dataset_to_dict,
     load_dataset,
     load_run_config,
     run_config_from_dict,
@@ -131,16 +130,6 @@ class TestLoadDataset:
         with pytest.raises(SchemaError):
             load_dataset(path)
 
-    def test_byte_stable_roundtrip(self, tmp_path):
-        # one load pass normalizes (table cells to strings); after that,
-        # load -> serialize is byte-stable
-        path = tmp_path / "ds.json"
-        write_json(path, _fixture_dict())
-        write_json(path, dataset_to_dict(load_dataset(path)))
-        normalized = path.read_bytes()
-        write_json(path, dataset_to_dict(load_dataset(path)))
-        assert path.read_bytes() == normalized
-
 
 class TestRunConfig:
     def test_defaults(self):
@@ -161,6 +150,10 @@ class TestRunConfig:
         c = run_config_from_dict({"seed": 2})
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+        client = {"workers": 4, "http_timeout": 5.0, "http_max_retries": 0, "http_max_in_flight": 1}
+        assert run_config_from_dict({"seed": 1, **client}).config_hash() == a.config_hash()
+        model = run_config_from_dict({"seed": 1, "http_model": "m-1"})
+        assert model.config_hash() != a.config_hash()
 
     def test_invalid_values_are_schema_errors(self):
         with pytest.raises(SchemaError):
@@ -283,6 +276,18 @@ class TestCli:
         bad.write_text('{"backend": "smoke-signals"}')
         assert cli_dispatch(["run-pipeline", str(ds), "--config", str(bad)]) == 2
 
+    def test_invalid_json_config_is_data_error(self, small_run, tmp_path):
+        ds, _, _ = small_run
+        bad = tmp_path / "bad_cfg.json"
+        bad.write_text("{not json")
+        assert cli_dispatch(["run-pipeline", str(ds), "--config", str(bad)]) == 2
+
+    def test_non_utf8_dataset_is_data_error(self, tmp_path, capsys):
+        ds = tmp_path / "ds.json"
+        ds.write_bytes(b"\xff\xfe" + json.dumps(synthetic_corpus(1)).encode("utf-16-le"))
+        assert cli_dispatch(["run-pipeline", str(ds), "--out", str(tmp_path / "run")]) == 2
+        assert "data error" in capsys.readouterr().err
+
     def test_non_object_config_is_data_error(self, small_run, tmp_path):
         ds, _, _ = small_run
         bad = tmp_path / "bad_cfg.json"
@@ -358,12 +363,8 @@ class TestCli:
         four = self._run_at(small_run, "w4", workers=4)
         names = sorted(p.name for p in one.iterdir())
         assert names == sorted(p.name for p in four.iterdir())
-        # the config hash covers ``workers``; every other byte must match
-        hash_one = json.loads((one / "manifest.json").read_text())["config_hash"]
-        hash_four = json.loads((four / "manifest.json").read_text())["config_hash"]
         for name in names:
-            expected = (one / name).read_text().replace(hash_one, hash_four)
-            assert (four / name).read_text() == expected, name
+            assert (four / name).read_bytes() == (one / name).read_bytes(), name
 
     def test_http_exchange_log_is_deterministic(self, small_run, monkeypatch):
         server = _load_perfbench_server().make_server()
@@ -451,6 +452,32 @@ class TestCli:
         report = json.loads((tmp_path / "eval" / "metrics.json").read_text())
         for key in ("em", "f1", "retrieval", "tree", "count"):
             assert key in report
+
+    def _eval(self, small_run, pred_text):
+        ds, _, tmp_path = small_run
+        pred = tmp_path / "pred.json"
+        pred.write_text(pred_text)
+        return cli_dispatch(
+            ["eval", "--pred", str(pred), "--gold", str(ds), "--out", str(tmp_path / "eval")]
+        )
+
+    def test_eval_invalid_json_is_data_error(self, small_run):
+        assert self._eval(small_run, "{nope") == 2
+
+    @pytest.mark.parametrize(
+        "entry, pointer",
+        [
+            ("x", "/predictions/0"),
+            ({"id": "syn0000", "answer": 5}, "/predictions/0/answer"),
+            (
+                {"id": "syn0000", "answer": "a", "retrieved_evidence_ids": 3},
+                "/predictions/0/retrieved_evidence_ids",
+            ),
+        ],
+    )
+    def test_eval_malformed_prediction_is_data_error(self, small_run, capsys, entry, pointer):
+        assert self._eval(small_run, json.dumps({"predictions": [entry]})) == 2
+        assert f"(at {pointer})" in capsys.readouterr().err
 
     def test_route_demo(self, small_run, capsys):
         _, cfg, _ = small_run

@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from entailqa.metrics import (
-    answer_score,
     em,
     normalize_answer,
     retrieval_f1,
@@ -20,9 +19,6 @@ class TestNormalize:
 
     def test_whitespace_collapse(self):
         assert normalize_answer("A  brown   Horse") == "brown horse"
-
-    def test_articles_can_be_kept(self):
-        assert normalize_answer("the horse", drop_articles=False) == "the horse"
 
     def test_idempotent(self):
         text = "The  Quick, Brown Fox!"
@@ -107,8 +103,7 @@ class TestRetrieval:
 def test_em_implies_f1(pred, gold):
     if em(pred, gold):
         assert word_f1(pred, gold) == 1.0
-    score = answer_score(pred, gold)
-    assert 0.0 <= score.f1 <= 1.0
+    assert 0.0 <= word_f1(pred, gold) <= 1.0
 
 
 @given(st.text(max_size=30), st.lists(st.text(max_size=30), min_size=1, max_size=4))

@@ -8,9 +8,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _smoke(workload: str) -> dict:
+def _smoke(workload: str, trace: int = 0) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--smoke", "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--smoke", "--trace", str(trace)],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -29,3 +29,11 @@ def test_train_smoke_run_is_correct():
 def test_http_mixed_smoke_run_is_correct():
     # the real HttpBackend against the loopback stand-in server, two workers
     assert _smoke("http_mixed")["failed"] == 0
+
+
+def test_traced_smoke_run_measures_every_layer():
+    # the tracer wraps entailqa functions by name; a renamed or deleted one
+    # breaks only the traced run
+    metrics = _smoke("train", trace=1)["metrics"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert sorted(metrics) == sorted(m["name"] for m in spec)

@@ -6,7 +6,7 @@ from entailqa.errors import MissingText, UnknownFactId
 from entailqa.facts import FactBase, add_fact, lookup_text
 from entailqa.refine import refine, tree_to_text
 from entailqa.synth import random_sentence, random_tree
-from entailqa.tree import EntailmentTree, parse_tree, serialize_tree
+from entailqa.tree import ANSWER, EntailmentTree, intermediate_id, parse_tree, serialize_tree
 
 
 def oracle_fill(tree: EntailmentTree, base: FactBase) -> dict:
@@ -40,14 +40,14 @@ class TestRefine:
         filled = refine(structure, base, mock_backend)
         assert filled.leaves == {leaf: text for leaf, text in
                                  zip(sorted(structure.leaves), ["A.", "B."])}
-        assert filled.root_text == "A.; therefore B."
+        assert filled.node_text(ANSWER) == "A.; therefore B."
 
     def test_fill_order_feeds_parents(self, mock_backend, small_base):
         structure = parse_tree("fact1 & fact2 -> int1; int1 & fact3 -> answer")
         filled = refine(structure, small_base, mock_backend)
         int1_text = "the falcon is fast.; therefore the harbor is deep."
-        assert list(filled.intermediates.values()) == [int1_text]
-        assert filled.root_text == f"{int1_text}; therefore the mill is old."
+        assert filled.node_text(intermediate_id(1)) == int1_text
+        assert filled.node_text(ANSWER) == f"{int1_text}; therefore the mill is old."
 
     def test_unknown_leaf(self, mock_backend, small_base):
         structure = parse_tree("fact1 & fact9 -> answer")
@@ -58,7 +58,7 @@ class TestRefine:
         structure = parse_tree("fact1 & fact2 -> answer")
         refine(structure, small_base, mock_backend)
         assert structure.leaves[sorted(structure.leaves)[0]] is None
-        assert structure.root_text is None
+        assert structure.node_text(ANSWER) is None
 
     def test_matches_recursive_oracle_on_random_trees(self, mock_backend):
         rng = random.Random(8)

@@ -11,6 +11,7 @@ from entailqa.tree import (
     EntailmentStep,
     EntailmentTree,
     NodeId,
+    TreeScore,
     intermediate_id,
     leaf_id,
     leaf_preorder,
@@ -18,7 +19,6 @@ from entailqa.tree import (
     score_tree,
     serialize_tree,
     split_subtrees,
-    tree_from_json_dict,
 )
 
 
@@ -26,13 +26,13 @@ class TestParse:
     def test_minimal_two_premise_tree(self):
         tree = parse_tree("fact1 & fact2 -> answer")
         assert set(tree.leaves) == {leaf_id(1), leaf_id(2)}
-        assert tree.intermediates == {}
+        assert [s.conclusion for s in tree.steps] == [ANSWER]
         assert len(tree.steps) == 1
 
     def test_two_step_tree_with_text(self):
         tree = parse_tree("fact1 & fact2 -> int1: X; int1 & fact3 -> answer")
         assert set(tree.leaves) == {leaf_id(1), leaf_id(2), leaf_id(3)}
-        assert tree.intermediates == {intermediate_id(1): "X"}
+        assert tree.node_text(intermediate_id(1)) == "X"
         assert len(tree.steps) == 2
         # steps arrive in a valid topological order
         assert tree.steps[0].conclusion == intermediate_id(1)
@@ -47,7 +47,7 @@ class TestParse:
 
     def test_whitespace_tolerated(self):
         tree = parse_tree("  fact1   &  fact2  ->  int1 :  padded text ; int1 -> answer")
-        assert tree.intermediates[intermediate_id(1)] == "padded text"
+        assert tree.node_text(intermediate_id(1)) == "padded text"
 
     def test_trailing_semicolon_tolerated(self):
         tree = parse_tree("fact1 -> answer;")
@@ -144,14 +144,6 @@ class TestSerialize:
         with pytest.raises(StructureError):
             EntailmentStep((leaf_id(1),), ANSWER, "x; fact2 -> int9 y")
 
-    def test_json_roundtrip_with_leaf_texts(self):
-        tree = EntailmentTree(
-            hypothesis="h?",
-            leaves={leaf_id(1): "a.", leaf_id(2): "b."},
-            steps=(EntailmentStep((leaf_id(1), leaf_id(2)), ANSWER, "c."),),
-        )
-        assert tree_from_json_dict(tree.to_json_dict()).structurally_equal(tree)
-
 
 class TestSplit:
     def test_single_subtree(self):
@@ -193,7 +185,7 @@ class TestSplit:
 class TestScore:
     def test_identical_trees(self):
         tree = parse_tree("fact1 & fact2 -> int1: X; int1 & fact3 -> answer")
-        assert score_tree(tree, tree).as_tuple() == (1, 1, 1, 1)
+        assert score_tree(tree, tree) == TreeScore(1, 1, 1, 1)
 
     def test_leaf_set_mismatch(self):
         pred = parse_tree("fact1 & fact2 -> answer")
@@ -205,12 +197,12 @@ class TestScore:
     def test_intermediate_text_mismatch(self):
         pred = parse_tree("fact1 & fact2 -> int1: one thing; int1 & fact3 -> answer")
         gold = parse_tree("fact1 & fact2 -> int1: another; int1 & fact3 -> answer")
-        assert score_tree(pred, gold).as_tuple() == (1, 1, 0, 0)
+        assert score_tree(pred, gold) == TreeScore(1, 1, 0, 0)
 
     def test_intermediate_relabeling_is_structural(self):
         pred = parse_tree("fact3 & fact4 -> int7: X; fact1 & int7 -> answer")
         gold = parse_tree("fact3 & fact4 -> int1: X; fact1 & int1 -> answer")
-        assert score_tree(pred, gold).as_tuple() == (1, 1, 1, 1)
+        assert score_tree(pred, gold) == TreeScore(1, 1, 1, 1)
 
     def test_text_normalization_applies(self):
         pred = parse_tree("fact1 -> int1: The Brown Horse.; int1 -> answer")
@@ -235,31 +227,23 @@ class TestScore:
             "fact1 -> int1: P; int1 -> int4: X; fact2 -> int2: Q; "
             "int2 -> int3: X; int3 & int4 -> answer"
         )
-        assert score_tree(pred, gold).as_tuple() == (1, 1, 1, 1)
+        assert score_tree(pred, gold) == TreeScore(1, 1, 1, 1)
         crossed = parse_tree(
             "fact1 -> int1: P; int1 -> int3: X; fact2 -> int2: WRONG; "
             "int2 -> int4: X; int3 & int4 -> answer"
         )
-        assert score_tree(crossed, gold).as_tuple() == (1, 1, 0, 0)
+        assert score_tree(crossed, gold) == TreeScore(1, 1, 0, 0)
 
     def test_leaf_text_alignment_maps_ids(self):
-        pred = tree_from_json_dict(
-            {
-                "hypothesis": "",
-                "steps": [
-                    {"premises": ["fact5", "fact6"], "conclusion": "answer", "text": None}
-                ],
-                "leaf_texts": {"fact5": "a.", "fact6": "b."},
-            }
+        pred = EntailmentTree(
+            hypothesis="",
+            leaves={leaf_id(5): "a.", leaf_id(6): "b."},
+            steps=(EntailmentStep((leaf_id(5), leaf_id(6)), ANSWER),),
         )
-        gold = tree_from_json_dict(
-            {
-                "hypothesis": "",
-                "steps": [
-                    {"premises": ["fact1", "fact2"], "conclusion": "answer", "text": None}
-                ],
-                "leaf_texts": {"fact1": "a.", "fact2": "b."},
-            }
+        gold = EntailmentTree(
+            hypothesis="",
+            leaves={leaf_id(1): "a.", leaf_id(2): "b."},
+            steps=(EntailmentStep((leaf_id(1), leaf_id(2)), ANSWER),),
         )
         assert score_tree(pred, gold).leaves_correct == 1
 
