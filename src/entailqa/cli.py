@@ -8,6 +8,7 @@ error. Every artifact file embeds the config hash and seed that produced it.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -219,7 +220,29 @@ _COMMANDS = {
 }
 
 
+def _keep_freed_heap() -> None:
+    """Let glibc keep freed memory in the process instead of returning it.
+
+    A training micro-batch frees multi-MB numpy temporaries that the next one
+    allocates again. By default glibc unmaps such blocks or trims them off the
+    heap, so every micro-batch faults their pages in anew. Both thresholds are
+    raised: setting either one alone also freezes glibc's dynamic mmap
+    threshold, and the other path still hands the memory back. No result
+    changes. Off Linux, or where libc has no ``mallopt``, this does nothing.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, glibc's 64-bit maximum
+
+
 def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
+    _keep_freed_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -316,11 +316,15 @@ def load_predictions(path: Union[str, Path]) -> list[dict]:
     data = read_json(path)
     predictions = data.get("predictions") if isinstance(data, dict) else data
     _expect(isinstance(predictions, list), "predictions file needs a predictions list", "/predictions")
+    seen = set()
     for i, pred in enumerate(predictions):
         pointer = f"/predictions/{i}"
         _expect(isinstance(pred, dict), "prediction must be an object", pointer)
         for key in ("id", "answer", "tree"):
             _expect(isinstance(pred.get(key, ""), str), f"{key} must be a string", f"{pointer}/{key}")
+        if "id" in pred:
+            _expect(pred["id"] not in seen, f"duplicate prediction id {pred['id']!r}", f"{pointer}/id")
+            seen.add(pred["id"])
         ids = pred.get("retrieved_evidence_ids", [])
         _expect(
             isinstance(ids, list) and all(isinstance(e, str) for e in ids),

@@ -336,15 +336,17 @@ class _Ragged:
     (item, position) layout."""
 
     def __init__(self, lengths: Sequence[int]):
-        lengths = np.asarray(lengths, dtype=np.intp)
-        self.mask = np.arange(lengths.max()) < lengths[:, None]
-        self.full = bool(self.mask.all())  # equal lengths: padding is a reshape
-        self.index = np.nonzero(self.mask)  # (item, position) of each row, in order
+        longest = max(lengths)
+        self.shape = (len(lengths), longest)
+        self.full = min(lengths) == longest  # equal lengths: padding is a reshape
+        if not self.full:
+            self.mask = np.arange(longest) < np.asarray(lengths)[:, None]
+            self.index = np.nonzero(self.mask)  # (item, position) of each row, in order
 
     def pad(self, rows: np.ndarray) -> np.ndarray:
         if self.full:
-            return rows.reshape(self.mask.shape + rows.shape[1:])
-        out = np.zeros(self.mask.shape + rows.shape[1:])
+            return rows.reshape(self.shape + rows.shape[1:])
+        out = np.zeros(self.shape + rows.shape[1:])
         out[self.index] = rows
         return out
 
@@ -709,6 +711,8 @@ def _encoder_bwd(
 # and drops its activations before it takes the next, which bounds the
 # activations held at once. 8 items give each numpy call enough work for two
 # threads to overlap; 2-item micro-batches are bound by the interpreter lock.
+# Larger ones are no faster and raise the `train` benchmark run's peak RSS
+# (62.5 MB at 8 items, 69.0 at 12, 76.4 at 16; its bound is 10%).
 MICRO_BATCH = 8
 
 

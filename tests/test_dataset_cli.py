@@ -479,6 +479,12 @@ class TestCli:
         assert self._eval(small_run, json.dumps({"predictions": [entry]})) == 2
         assert f"(at {pointer})" in capsys.readouterr().err
 
+    def test_eval_duplicate_prediction_id_is_data_error(self, small_run, capsys):
+        right = {"id": "syn0000", "answer": "a"}
+        wrong = {"id": "syn0001", "answer": "b"}
+        assert self._eval(small_run, json.dumps([right, wrong, right, right])) == 2
+        assert "duplicate prediction id 'syn0000' (at /predictions/2/id)" in capsys.readouterr().err
+
     def test_route_demo(self, small_run, capsys):
         _, cfg, _ = small_run
         assert cli_dispatch(["route-demo", "--config", str(cfg)]) == 0
