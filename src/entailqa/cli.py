@@ -28,7 +28,7 @@ from .errors import EntailQAError, GatewayError, SchemaError
 from .llm import HttpBackend, MockBackend
 from .moe import GATE_A, GATE_B, MoeParams, route
 from .pipeline import evaluate_predictions, run_pipeline, run_stage1
-from .tree import serialize_tree
+from .tree import parse_node_id, serialize_tree
 
 
 class UsageError(Exception):
@@ -75,7 +75,6 @@ def _load_config(args) -> RunConfig:
     data = config.to_json_dict()
     if args.seed is not None:
         data["seed"] = args.seed
-        data["moe"]["seed"] = args.seed
     if args.backend is not None:
         data["backend"] = args.backend
     return run_config_from_dict(data)
@@ -87,7 +86,6 @@ def _make_backend(config: RunConfig):
             model=config.http_model,
             timeout=config.http_timeout,
             max_retries=config.http_max_retries,
-            max_in_flight=config.http_max_in_flight,
         )
     return MockBackend()
 
@@ -136,7 +134,7 @@ def _cmd_train(args, config: RunConfig) -> int:
     backend = _make_backend(config)
     states, bases = stage1_states(examples, config, backend)
     items = build_train_items(examples, states, bases, config.moe)
-    params = MoeParams.init(config.moe)
+    params = MoeParams.init(config.moe, config.seed)
     curve = train(params, config, items)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -164,7 +162,7 @@ def _cmd_run_pipeline(args, config: RunConfig) -> int:
         base = bases[example.id]
         retrieved_evidence = []
         for fid in state.retrieved_fact_ids[-1]:
-            fact = base.facts[int(fid[4:]) - 1]
+            fact = base.facts[parse_node_id(fid).index - 1]
             if fact.source_evidence_id not in retrieved_evidence:
                 retrieved_evidence.append(fact.source_evidence_id)
         predictions.append(
@@ -195,7 +193,7 @@ def _cmd_eval(args, config: RunConfig) -> int:
 
 
 def _cmd_route_demo(args, config: RunConfig) -> int:
-    params = MoeParams.init(config.moe)
+    params = MoeParams.init(config.moe, config.seed)
     rng = np.random.default_rng(config.seed)
     tokens = rng.normal(size=(8, config.moe.embed_dim))
     for gate in (GATE_A, GATE_B):

@@ -59,7 +59,7 @@ class TrainingConfig:
             raise ValueError("batch sizes must be >= 1")
 
 
-_UNHASHED = ("workers", "http_timeout", "http_max_retries", "http_max_in_flight")
+_UNHASHED = ("workers", "http_timeout", "http_max_retries")
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,6 @@ class RunConfig:
     http_model: str = "gpt-3.5-turbo"
     http_timeout: float = 60.0
     http_max_retries: int = 2
-    http_max_in_flight: int = 4
     moe: MoeConfig = field(
         default_factory=lambda: MoeConfig(
             embed_dim=16,
@@ -95,13 +94,23 @@ class RunConfig:
             raise ValueError("iteration budget must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.retrieval_top_n < 1:
+            raise ValueError("retrieval_top_n must be >= 1")
+        if not 1 <= self.decode_answer_len <= self.moe.max_seq_len:
+            raise ValueError("decode_answer_len must be in [1, moe.max_seq_len]")
+        if not 0 < self.validation_fraction <= 1:
+            raise ValueError("validation_fraction must be in (0, 1]")
+        if not self.http_timeout > 0:
+            raise ValueError("http_timeout must be > 0")
+        if self.http_max_retries < 0:
+            raise ValueError("http_max_retries must be >= 0")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
 
     def config_hash(self) -> str:
         """Hash of the fields that can change a result: all but the thread
-        count and the HTTP client's timeout, retries and concurrency."""
+        count and the HTTP client's timeout and retries."""
         data = {k: v for k, v in self.to_json_dict().items() if k not in _UNHASHED}
         return hashlib.sha256(canonical_json(data).encode()).hexdigest()[:12]
 
@@ -123,7 +132,7 @@ def _coerced(defaults, data: dict) -> dict:
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    """Build a RunConfig from loose JSON; the top-level seed feeds every component.
+    """Build a RunConfig from loose JSON.
 
     Every value, top-level or in ``moe``/``training``, is coerced to the type
     of its default. Unknown top-level keys are ignored; unknown nested keys
@@ -136,7 +145,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
         top = _coerced(
             defaults, {k: v for k, v in data.items() if k not in ("moe", "training")}
         )
-        moe = {**asdict(defaults.moe), "seed": top.get("seed", 0), **data.get("moe", {})}
+        moe = {**asdict(defaults.moe), **data.get("moe", {})}
         training = data.get("training", {})
         return RunConfig(
             **top,

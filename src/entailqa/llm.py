@@ -365,7 +365,6 @@ class HttpBackend:
         timeout: float = 60.0,
         max_retries: int = 2,
         retry_wait: float = 1.0,
-        max_in_flight: int = 4,
     ):
         self.endpoint = endpoint or os.environ.get("ENTAIL_LLM_ENDPOINT", "")
         self.api_key = api_key or os.environ.get("ENTAIL_LLM_KEY", "")
@@ -377,7 +376,6 @@ class HttpBackend:
         self.retry_wait = retry_wait
         self.exchange_log: list[dict] = []
         self._log_lock = threading.Lock()
-        self._in_flight = threading.Semaphore(max_in_flight)
 
     def complete(self, request: BackendRequest) -> str:
         body = json.dumps(
@@ -401,9 +399,8 @@ class HttpBackend:
         for attempt in range(self.max_retries + 1):
             wait = self.retry_wait * (attempt + 1)
             try:
-                with self._in_flight:
-                    with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                        payload = json.loads(resp.read().decode("utf-8"))
+                with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+                    payload = json.loads(resp.read().decode("utf-8"))
                 text = payload["choices"][0]["message"]["content"]
                 with self._log_lock:
                     self.exchange_log.append(

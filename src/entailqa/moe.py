@@ -96,7 +96,6 @@ class MoeConfig:
     n_shared_experts: int
     top_k: int = 2
     max_seq_len: int = 128
-    seed: int = 0
     renormalize_topk: bool = False
 
     def __post_init__(self):
@@ -152,8 +151,8 @@ class MoeParams:
         self.opt_state: Optional[dict] = None
 
     @classmethod
-    def init(cls, config: MoeConfig) -> "MoeParams":
-        rng = np.random.default_rng(config.seed)
+    def init(cls, config: MoeConfig, seed: int) -> "MoeParams":
+        rng = np.random.default_rng(seed)
         d, v = config.embed_dim, config.vocab_size
         h = 2 * d
         n_e = config.n_experts

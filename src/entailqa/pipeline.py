@@ -19,7 +19,7 @@ import numpy as np
 
 from . import metrics
 from .dataset import QAExample, RunConfig
-from .errors import EmptyEvidence, EntailQAError, MoeError, TreeError
+from .errors import EmptyEvidence, EntailQAError, MoeError, SchemaError, TreeError
 from .facts import IMAGE, TABLE, FactBase, add_fact, linearize_table, lookup_text, retrieve_evidence
 from .llm import (
     Backend,
@@ -51,7 +51,7 @@ from .moe import (
     qa_forward,
 )
 from .refine import refine, tree_to_text
-from .tree import EntailmentTree, leaf_preorder, parse_node_id, parse_tree, serialize_tree
+from .tree import EntailmentTree, leaf_id, leaf_preorder, parse_node_id, parse_tree, score_tree, serialize_tree
 
 STOP_BUDGET = "budget"
 STOP_NO_IMPROVEMENT = "no_improvement"
@@ -179,7 +179,7 @@ def predict_pending(
             idx = int(np.argmax(row))
             if idx not in picks:
                 picks.append(idx)
-        retrieved = [f"fact{i + 1}" for i in picks]
+        retrieved = [leaf_id(i + 1).render() for i in picks]
 
         out_b = moe_forward(params, config, enc, GATE_B)
         logits = qa_forward(params, out_b, qa_len)
@@ -388,7 +388,7 @@ def run_pipeline(
     id, fact bases by id, run summary).
     """
     if params is None:
-        params = MoeParams.init(config.moe)
+        params = MoeParams.init(config.moe, config.seed)
 
     def _infer(example: QAExample, state: PipelineState) -> None:
         predict_pending(state, bases[example.id], params, config.decode_answer_len)
@@ -446,18 +446,21 @@ def run_pipeline(
 def evaluate_predictions(
     examples: Sequence[QAExample], predictions: Sequence[dict]
 ) -> dict:
-    """Aggregate EM / word F1 / retrieval F1 / tree scores over predictions.
+    """Aggregate EM / word F1 / retrieval F1 / tree scores over the gold set.
 
     Prediction entries: {"id", "answer", "retrieved_evidence_ids"?, "tree"?}.
+    A gold example without a prediction scores as an empty answer that
+    retrieved nothing; a prediction whose id is missing or not in the gold
+    set is a ``SchemaError``.
     """
-    from .tree import score_tree  # local import keeps module load light
-
-    by_id = {ex.id: ex for ex in examples}
+    gold_ids = {ex.id for ex in examples}
+    for i, pred in enumerate(predictions):
+        if pred.get("id") not in gold_ids:
+            raise SchemaError(f"prediction id {pred.get('id')!r} is not in the gold set", f"/predictions/{i}/id")
+    by_id = {pred["id"]: pred for pred in predictions}
     em_scores, f1_scores, retrieval, tree_scores = [], [], [], []
-    for pred in predictions:
-        example = by_id.get(pred.get("id"))
-        if example is None:
-            continue
+    for example in examples:
+        pred = by_id.get(example.id, {"answer": "", "retrieved_evidence_ids": []})
         answer = pred.get("answer", "")
         em_scores.append(metrics.em(answer, example.gold_answers()))
         f1_scores.append(metrics.word_f1(answer, example.gold_answers()))

@@ -20,13 +20,12 @@ def tiny_config():
         n_shared_experts=2,
         top_k=2,
         max_seq_len=64,
-        seed=3,
     )
 
 
 @pytest.fixture
 def tiny_params(tiny_config):
-    return MoeParams.init(tiny_config)
+    return MoeParams.init(tiny_config, 3)
 
 
 @pytest.fixture

@@ -110,7 +110,7 @@ def seeded_experiment():
         gold[example.id] = parse_tree(example.gold_tree)
 
     items = build_train_items(examples, states, bases, config.moe)
-    params = MoeParams.init(config.moe)
+    params = MoeParams.init(config.moe, config.seed)
     t0 = time.monotonic()
     curve = train(params, config, items)
     train_seconds = time.monotonic() - t0
@@ -183,9 +183,8 @@ def test_criterion_3_routing_invariants():
         n_qa_experts=2,
         n_shared_experts=2,
         top_k=2,
-        seed=31,
     )
-    params = MoeParams.init(config)
+    params = MoeParams.init(config, 31)
     rng = np.random.default_rng(31)
     tokens = rng.normal(size=(10_000, config.embed_dim))
     checked = 0
@@ -223,9 +222,8 @@ def test_criterion_4_gradient_check():
         n_shared_experts=2,
         top_k=2,
         max_seq_len=16,
-        seed=3,
     )
-    params = MoeParams.init(config)
+    params = MoeParams.init(config, 3)
     batch = [
         TrainItem(
             "the falcon is fast",

@@ -4,6 +4,7 @@ import threading
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from entailqa.cli import cli_dispatch
@@ -19,7 +20,7 @@ from entailqa.dataset import (
 )
 from entailqa.errors import SchemaError
 from entailqa.llm import MockBackend
-from entailqa.moe import MoeConfig
+from entailqa.moe import MoeConfig, MoeParams
 from entailqa.synth import synthetic_corpus
 from entailqa.tree import parse_tree, serialize_tree
 
@@ -140,9 +141,16 @@ class TestRunConfig:
         assert config.iteration_budget == 2
         assert config.moe.top_k == 2
 
-    def test_seed_propagates_to_moe(self):
-        config = run_config_from_dict({"seed": 99})
-        assert config.moe.seed == 99
+    def test_file_seed_matches_library_seed(self):
+        config, library = run_config_from_dict({"seed": 5}), RunConfig(seed=5)
+        assert config == library
+        a = MoeParams.init(config.moe, config.seed)
+        b = MoeParams.init(library.moe, library.seed)
+        for (name, x), (_, y) in zip(a.blocks(), b.blocks()):
+            assert np.array_equal(x, y), name
+
+    def test_deleted_http_max_in_flight_is_ignored(self):
+        assert run_config_from_dict({"http_max_in_flight": 0}) == RunConfig()
 
     def test_hash_is_stable_and_sensitive(self):
         a = run_config_from_dict({"seed": 1})
@@ -150,18 +158,30 @@ class TestRunConfig:
         c = run_config_from_dict({"seed": 2})
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
-        client = {"workers": 4, "http_timeout": 5.0, "http_max_retries": 0, "http_max_in_flight": 1}
+        client = {"workers": 4, "http_timeout": 5.0, "http_max_retries": 0}
         assert run_config_from_dict({"seed": 1, **client}).config_hash() == a.config_hash()
         model = run_config_from_dict({"seed": 1, "http_model": "m-1"})
         assert model.config_hash() != a.config_hash()
 
     def test_invalid_values_are_schema_errors(self):
-        with pytest.raises(SchemaError):
-            run_config_from_dict({"backend": "carrier-pigeon"})
-        with pytest.raises(SchemaError):
-            run_config_from_dict({"moe": {"embed_dim": 0}})
-        with pytest.raises(SchemaError):
-            run_config_from_dict({"moe": {"top_k": 10}})
+        for data in (
+            {"backend": "carrier-pigeon"},
+            {"moe": {"embed_dim": 0}},
+            {"moe": {"top_k": 10}},
+            {"moe": {"seed": 3}},
+            {"retrieval_top_n": 0},
+            {"decode_answer_len": 0},
+            {"decode_answer_len": 600},
+            {"decode_answer_len": 65, "moe": {"max_seq_len": 64}},
+            {"validation_fraction": 0},
+            {"validation_fraction": 1.5},
+            {"http_timeout": 0},
+            {"http_max_retries": -1},
+        ):
+            with pytest.raises(SchemaError):
+                run_config_from_dict(data)
+        assert run_config_from_dict({"decode_answer_len": 512}).decode_answer_len == 512
+        assert run_config_from_dict({"validation_fraction": 1}).validation_fraction == 1
 
     def test_round_trip_of_every_field(self):
         config = RunConfig(
@@ -176,7 +196,6 @@ class TestRunConfig:
             http_model="m-1",
             http_timeout=5.0,
             http_max_retries=4,
-            http_max_in_flight=1,
             moe=MoeConfig(
                 embed_dim=12,
                 vocab_size=300,
@@ -185,7 +204,6 @@ class TestRunConfig:
                 n_shared_experts=1,
                 top_k=1,
                 max_seq_len=64,
-                seed=4,
                 renormalize_topk=True,
             ),
             training=TrainingConfig(
@@ -209,7 +227,7 @@ class TestRunConfig:
     def test_whole_float_coerced_to_nested_int(self):
         config = run_config_from_dict({"moe": {"embed_dim": 8.0}, "seed": "7"})
         assert config.moe.embed_dim == 8 and type(config.moe.embed_dim) is int
-        assert config.seed == 7 and config.moe.seed == 7
+        assert config.seed == 7
 
     @pytest.mark.parametrize(
         "data",
@@ -302,6 +320,15 @@ class TestCli:
         write_json(bad, data)
         assert cli_dispatch(["run-pipeline", str(ds), "--config", str(bad)]) == 2
 
+    def test_out_of_range_setting_is_data_error(self, small_run, tmp_path, capsys):
+        ds, cfg, _ = small_run
+        data = json.loads(cfg.read_text())
+        data["retrieval_top_n"] = 0
+        bad = tmp_path / "bad_cfg.json"
+        write_json(bad, data)
+        assert cli_dispatch(["run-pipeline", str(ds), "--config", str(bad)]) == 2
+        assert "retrieval_top_n" in capsys.readouterr().err
+
     def test_run_pipeline_writes_artifacts(self, small_run):
         ds, cfg, tmp_path = small_run
         out = tmp_path / "run"
@@ -375,9 +402,7 @@ class TestCli:
             url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
             monkeypatch.setenv("ENTAIL_LLM_ENDPOINT", url)
             runs = [
-                self._run_at(
-                    small_run, name, backend="http", workers=2, http_max_in_flight=2
-                )
+                self._run_at(small_run, name, backend="http", workers=2)
                 for name in ("http1", "http2")
             ]
         finally:
@@ -473,6 +498,8 @@ class TestCli:
                 {"id": "syn0000", "answer": "a", "retrieved_evidence_ids": 3},
                 "/predictions/0/retrieved_evidence_ids",
             ),
+            ({"answer": "a"}, "/predictions/0/id"),
+            ({"id": "nope", "answer": "a"}, "/predictions/0/id"),
         ],
     )
     def test_eval_malformed_prediction_is_data_error(self, small_run, capsys, entry, pointer):
@@ -507,3 +534,18 @@ def test_canonical_json_sorted_and_newline():
     text = canonical_json({"b": 1, "a": [1.5, 2]})
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("\n")
+
+
+def _readme_json_after(heading: str):
+    """The first JSON code block after ``heading`` in the README."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text[text.index(heading):].split("```json\n", 1)[1].split("```", 1)[0]
+    return json.loads(block)
+
+
+def test_readme_examples_load():
+    assert len(dataset_from_dict(_readme_json_after("### Dataset format"))) == 1
+    data = _readme_json_after("### Config format")
+    run_config_from_dict(data)
+    # the loader ignores unknown top-level keys; the example must name none
+    assert set(data) <= {f.name for f in fields(RunConfig)}

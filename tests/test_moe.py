@@ -103,8 +103,8 @@ class TestEncode:
             encode(tiny_params, "word " * 100, "")
 
     def test_qa_decoder_weights_isolated(self, tiny_config):
-        a = MoeParams.init(tiny_config)
-        b = MoeParams.init(tiny_config)
+        a = MoeParams.init(tiny_config, 3)
+        b = MoeParams.init(tiny_config, 3)
         b.vocab_out[:] = np.random.default_rng(0).normal(size=b.vocab_out.shape)
         b.qa_q[:] = 0.0
         ea = encode(a, "tree", "question?")
@@ -171,9 +171,8 @@ class TestRoute:
             n_shared_experts=2,
             top_k=4,
             max_seq_len=64,
-            seed=3,
         )
-        params = MoeParams.init(config)
+        params = MoeParams.init(config, 3)
         x = np.random.default_rng(1).normal(size=(5, 8))
         decision = route(params, config, x, GATE_A)
         assert np.allclose(decision.values.sum(axis=1), 1.0)
@@ -193,9 +192,8 @@ class TestRoute:
             n_qa_experts=2,
             n_shared_experts=2,
             renormalize_topk=True,
-            seed=3,
         )
-        params = MoeParams.init(config)
+        params = MoeParams.init(config, 3)
         x = np.random.default_rng(3).normal(size=(4, 8))
         decision = route(params, config, x, GATE_A)
         assert np.allclose(decision.values.sum(axis=1), 1.0)
@@ -220,9 +218,8 @@ class TestMoeForward:
             n_frg_experts=2,
             n_qa_experts=1,
             n_shared_experts=1,
-            seed=5,
         )
-        params = MoeParams.init(config)
+        params = MoeParams.init(config, 5)
         _make_identity_experts(params, range(config.n_experts))
         # pool A = (0, 1, 3); force softmax (0.6, 0.3, 0.1) via a one-hot token
         params.gate_a[:] = 0.0
@@ -255,9 +252,8 @@ class TestMoeForward:
             n_frg_experts=2,
             n_qa_experts=2,
             n_shared_experts=2,
-            seed=6,
         )
-        params = MoeParams.init(config)
+        params = MoeParams.init(config, 6)
         x = np.zeros((1, 8))
         x[0, 0] = 1.0
         # task experts dominate: disjoint selections, different outputs
@@ -443,10 +439,9 @@ class TestBackward:
             n_qa_experts=2,
             n_shared_experts=2,
             max_seq_len=16,
-            seed=3,
             renormalize_topk=True,
         )
-        params = MoeParams.init(config)
+        params = MoeParams.init(config, 3)
         batch = small_batch()[:1]
         _, grads = batch_gradients(params, config, batch)
         eps = 1e-5
@@ -487,7 +482,7 @@ class TestBackward:
                 backward_and_step(tiny_params, tiny_config, small_batch(), 1e-3)
 
     def test_unselected_experts_receive_zero_gradient(self, tiny_config):
-        params = MoeParams.init(tiny_config)
+        params = MoeParams.init(tiny_config, 3)
         # pin every token to pool positions 0 and 1 of each gate
         params.gate_a[:] = 0.0
         params.gate_b[:] = 0.0
@@ -554,7 +549,6 @@ def step_config():
         n_qa_experts=2,
         n_shared_experts=2,
         max_seq_len=64,
-        seed=4,
     )
 
 
@@ -563,7 +557,7 @@ class TestBatchedStep:
     def test_batch_equals_sum_of_single_items(self, step_config, n_frg):
         """Padding, masking and grouped dispatch over 44 items give the
         weighted sum of the items' own gradients."""
-        params = MoeParams.init(step_config)
+        params = MoeParams.init(step_config, 4)
         batch = split_batch(seeded_items(44, 64, seed=n_frg), n_frg)
         assert len(batch) > MICRO_BATCH
         loss, grads = batch_gradients(params, step_config, batch)
@@ -580,7 +574,7 @@ class TestBatchedStep:
             np.testing.assert_allclose(g, expected[name], rtol=0, atol=1e-12, err_msg=name)
 
     def test_bit_identical_for_any_thread_count(self, step_config):
-        params = MoeParams.init(step_config)
+        params = MoeParams.init(step_config, 4)
         batch = split_batch(seeded_items(44, 64, seed=1), 32)
         ref_loss, ref = batch_gradients(params, step_config, batch)
         interval = sys.getswitchinterval()
@@ -604,16 +598,15 @@ class TestBatchedStep:
             n_qa_experts=2,
             n_shared_experts=2,
             max_seq_len=64,
-            seed=5,
             renormalize_topk=renormalize,
         )
-        params = MoeParams.init(config)
+        params = MoeParams.init(config, 5)
         batch = seeded_items(MICRO_BATCH + 3, 64, seed=7)
         _, grads = batch_gradients(params, config, batch)
         assert relative_errors(params, config, batch, grads, per_block=10) < 1e-4
 
     def test_errors_raised_from_the_batched_path(self, step_config):
-        params = MoeParams.init(step_config)
+        params = MoeParams.init(step_config, 4)
         items = seeded_items(MICRO_BATCH + 2, 64, seed=2)
         too_long = TrainItem("word " * 80, "why?", ("a fact.",), (0,), None)
         bad_fact = TrainItem("tree", "why?", ("a fact.",), (1,), None)
@@ -655,7 +648,7 @@ class TestBatchedStep:
         items = build_train_items(examples, states, bases, config.moe)
         batch = [i.without_qa() for i in items if i.frg_targets][:32]
         batch += [i.without_frg() for i in items if i.qa_targets][:12]
-        params = MoeParams.init(config.moe)
+        params = MoeParams.init(config.moe, config.seed)
         with ThreadPoolExecutor(max_workers=2) as pool:
             for _ in range(3):
                 batch_gradients(params, config.moe, batch, pool)

@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from entailqa import pipeline
-from entailqa.dataset import QAExample, RunConfig, run_config_from_dict
+from entailqa.dataset import QAExample, RunConfig, dataset_from_dict, run_config_from_dict
 from entailqa.errors import EmptyEvidence, NonFiniteLoss
 from entailqa.facts import Evidence, Table
 from entailqa.llm import MockBackend
@@ -13,6 +13,7 @@ from entailqa.pipeline import (
     STOP_BUDGET,
     STOP_NO_IMPROVEMENT,
     build_train_items,
+    evaluate_predictions,
     predict_pending,
     run_feedback_iteration,
     run_pipeline,
@@ -22,7 +23,7 @@ from entailqa.pipeline import (
     train,
     validation_ids,
 )
-from entailqa.synth import synthetic_examples
+from entailqa.synth import synthetic_corpus, synthetic_examples
 from entailqa.tree import leaf_id, parse_tree, serialize_tree
 
 
@@ -213,7 +214,7 @@ class TestFeedbackIteration:
                              "batch_size_retrieval": 2, "batch_size_qa": 2},
             }
         )
-        params = MoeParams.init(config.moe)
+        params = MoeParams.init(config.moe, config.seed)
         if trained:
             items = build_train_items(
                 [example], {example.id: state}, {example.id: base}, config.moe
@@ -415,7 +416,7 @@ class TestPredictPending:
             {"moe": {"embed_dim": 8, "vocab_size": 128, "n_frg_experts": 2,
                       "n_qa_experts": 2, "n_shared_experts": 2, "max_seq_len": 512}}
         )
-        params = MoeParams.init(config.moe)
+        params = MoeParams.init(config.moe, config.seed)
         state = PipelineState(question_id=example.id, question=example.question)
         state.tree_versions.append(tree)
         predict_pending(state, base, params)
@@ -423,3 +424,15 @@ class TestPredictPending:
         assert len(state.predicted_answers) == 1
         assert len(state.retrieved_fact_ids) == 1
         assert len(state.losses) == 1
+
+
+class TestEvaluatePredictions:
+    def test_scores_the_whole_gold_set(self):
+        examples = dataset_from_dict(synthetic_corpus(4, seed=1))
+        gold = examples[0]
+        right = {"id": gold.id, "answer": gold.gold_answers()[0],
+                 "retrieved_evidence_ids": list(gold.gold_support_ids)}
+        report = evaluate_predictions(examples, [right])
+        assert report["count"] == 4
+        assert report["em"] == 0.25
+        assert report["retrieval"]["f1"] == 0.25
