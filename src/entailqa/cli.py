@@ -132,16 +132,17 @@ def _cmd_train(args, config: RunConfig) -> int:
 
     examples = load_dataset(args.dataset)
     backend = _make_backend(config)
-    states, bases = stage1_states(examples, config, backend)
-    items = build_train_items(examples, states, bases, config.moe)
+    states = stage1_states(examples, config, backend)
+    items = build_train_items(examples, states, config.moe)
     params = MoeParams.init(config.moe, config.seed)
     curve = train(params, config, items)
+    failed = sorted(ex.id for ex in examples if states[ex.id].failed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "checkpoint.json", _stamp(config, params.to_state_dict()))
     write_json(
         out / "training.json",
-        _stamp(config, {"steps": len(curve), "loss_curve": curve}),
+        _stamp(config, {"steps": len(curve), "loss_curve": curve, "failed": failed}),
     )
     return 0
 
@@ -149,7 +150,7 @@ def _cmd_train(args, config: RunConfig) -> int:
 def _cmd_run_pipeline(args, config: RunConfig) -> int:
     examples = load_dataset(args.dataset)
     backend = _make_backend(config)
-    states, bases, summary = run_pipeline(examples, config, backend)
+    states, summary = run_pipeline(examples, config, backend)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -159,10 +160,9 @@ def _cmd_run_pipeline(args, config: RunConfig) -> int:
         write_json(out / f"{example.id}.state.json", _stamp(config, state.to_json_dict()))
         if state.failed or not state.predicted_answers:
             continue
-        base = bases[example.id]
         retrieved_evidence = []
         for fid in state.retrieved_fact_ids[-1]:
-            fact = base.facts[parse_node_id(fid).index - 1]
+            fact = state.base.facts[parse_node_id(fid).index - 1]
             if fact.source_evidence_id not in retrieved_evidence:
                 retrieved_evidence.append(fact.source_evidence_id)
         predictions.append(

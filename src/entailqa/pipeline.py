@@ -1,11 +1,12 @@
 """End-to-end orchestration: stage-1 tree initialization, stage-2 joint
 training, and the iterative feedback loop with its stopping rule.
 
-Per example the loop keeps a ``PipelineState``: every tree version, the fact
-ids retrieved from each version, the decoded answer per version, and the
-joint loss when gold targets are known. Examples are independent; iterations
-within one example are strictly sequential. Failures are per-example: a
-malformed backend response marks that example failed and the batch continues.
+Per example the loop keeps a ``PipelineState``: its fact base, every tree
+version, the fact ids retrieved from each version, the decoded answer per
+version, and the joint loss when gold targets are known. Examples are
+independent; iterations within one example are strictly sequential. Failures
+are per-example: a malformed backend response marks that example failed, and
+every later pass skips it while the batch continues.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class PipelineState:
 
     question_id: str
     question: str
-    iteration: int = 0
+    base: Optional[FactBase] = None
     tree_versions: list[EntailmentTree] = field(default_factory=list)
     retrieved_fact_ids: list[list[str]] = field(default_factory=list)
     predicted_answers: list[str] = field(default_factory=list)
@@ -76,6 +77,10 @@ class PipelineState:
     @property
     def failed(self) -> bool:
         return self.error is not None
+
+    @property
+    def iteration(self) -> int:
+        return max(len(self.tree_versions) - 1, 0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -149,18 +154,15 @@ def stage2_targets(
 
 
 def predict_pending(
-    state: PipelineState,
-    base: FactBase,
-    params: MoeParams,
-    decode_answer_len: int = 8,
+    state: PipelineState, params: MoeParams, decode_answer_len: int = 8
 ) -> None:
     """Run stage-2 inference for every tree version not yet decoded."""
     pending = state.tree_versions[len(state.predicted_answers) :]
     if not pending:
         return
     config = params.config
-    lexicon = build_lexicon(base.texts() + [state.question], config.vocab_size)
-    ff = fact_features(params, base)
+    lexicon = build_lexicon(state.base.texts() + [state.question], config.vocab_size)
+    ff = fact_features(params, state.base)
     scored = bool(state.frg_targets and state.qa_targets)
     for tree in pending:
         enc = encode(params, tree_to_text(tree), state.question)
@@ -200,16 +202,13 @@ def predict_pending(
 
 
 def run_feedback_iteration(
-    state: PipelineState,
-    base: FactBase,
-    params: MoeParams,
-    backend: Backend,
-    decode_answer_len: int = 8,
+    state: PipelineState, params: MoeParams, backend: Backend, decode_answer_len: int = 8
 ) -> PipelineState:
     """Retrieve + answer from the current tree, feed both back, regenerate."""
     if not state.tree_versions:
         raise ValueError("state has no current tree")
-    predict_pending(state, base, params, decode_answer_len)
+    predict_pending(state, params, decode_answer_len)
+    base = state.base
     retrieved = state.retrieved_fact_ids[-1]
     answer = state.predicted_answers[-1]
     feedback = (
@@ -218,7 +217,6 @@ def run_feedback_iteration(
     )
     structure = generate_tree_structure(backend, state.question, base, feedback)
     state.tree_versions.append(refine(structure, base, backend))
-    state.iteration += 1
     return state
 
 
@@ -241,7 +239,6 @@ def should_stop(
 def build_train_items(
     examples: Sequence[QAExample],
     states: dict[str, PipelineState],
-    bases: dict[str, FactBase],
     config: MoeConfig,
 ) -> list[TrainItem]:
     """Tokenized training items, one per example that passed stage 1.
@@ -257,7 +254,7 @@ def build_train_items(
         item = TrainItem(
             tree_text=tree_to_text(state.tree_versions[0]),
             question=example.question,
-            fact_texts=tuple(bases[example.id].texts()),
+            fact_texts=tuple(state.base.texts()),
             frg_targets=state.frg_targets,
             qa_targets=state.qa_targets,
         )
@@ -330,101 +327,91 @@ def _validation_em(
 
 def _map_examples(
     workers: int,
-    work: Callable[[QAExample, PipelineState], object],
+    work: Callable[[QAExample, PipelineState], None],
     examples: Sequence[QAExample],
     states: dict[str, PipelineState],
-) -> list:
-    """``work(example, state)`` for every example on ``workers`` threads,
-    results in example order. An ``EntailQAError`` becomes that example's
-    ``state.error`` and its result ``None``; the other examples go on."""
+) -> None:
+    """``work(example, state)`` for every example that has not failed, on
+    ``workers`` threads. An ``EntailQAError`` becomes that example's
+    ``state.error``; the other examples go on."""
 
-    def _one(example: QAExample):
+    def _one(example: QAExample) -> None:
         state = states[example.id]
+        if state.failed:
+            return
         try:
-            return work(example, state)
+            work(example, state)
         except EntailQAError as exc:
             state.error = f"{type(exc).__name__}: {exc}"
-            return None
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_one, examples))
+        list(pool.map(_one, examples))
 
 
 def stage1_states(
     examples: Sequence[QAExample],
     config: RunConfig,
     backend: Backend,
-) -> tuple[dict[str, PipelineState], dict[str, FactBase]]:
+) -> dict[str, PipelineState]:
     """Stage 1 over a corpus on ``config.workers`` threads; failures are
     recorded per example, not raised."""
 
-    def _stage1(example: QAExample, state: PipelineState) -> FactBase:
+    def _stage1(example: QAExample, state: PipelineState) -> None:
         base, tree = run_stage1(example, backend, top_n=config.retrieval_top_n)
         state.tree_versions.append(tree)
         state.frg_targets, state.qa_targets = stage2_targets(
             example, base, tree, config.moe.vocab_size
         )
-        return base
+        state.base = base
 
     states = {
         ex.id: PipelineState(question_id=ex.id, question=ex.question) for ex in examples
     }
-    results = _map_examples(config.workers, _stage1, examples, states)
-    bases = {ex.id: base for ex, base in zip(examples, results) if base is not None}
-    return states, bases
+    _map_examples(config.workers, _stage1, examples, states)
+    return states
 
 
 def run_pipeline(
     examples: Sequence[QAExample],
     config: RunConfig,
     backend: Backend,
-    params: Optional[MoeParams] = None,
-) -> tuple[dict[str, PipelineState], dict[str, FactBase], dict]:
+) -> tuple[dict[str, PipelineState], dict]:
     """Stage 1 on every example, stage-2 training, then the feedback loop.
 
     Stage 1, the first inference pass and each feedback iteration run across
     examples on ``config.workers`` threads; an iteration ends at a barrier,
     where the stopping rule reads the validation score. Returns (states by
-    id, fact bases by id, run summary).
+    id, run summary).
     """
-    if params is None:
-        params = MoeParams.init(config.moe, config.seed)
+    params = MoeParams.init(config.moe, config.seed)
 
     def _infer(example: QAExample, state: PipelineState) -> None:
-        predict_pending(state, bases[example.id], params, config.decode_answer_len)
+        predict_pending(state, params, config.decode_answer_len)
 
     def _iterate(example: QAExample, state: PipelineState) -> None:
-        run_feedback_iteration(
-            state, bases[example.id], params, backend, config.decode_answer_len
-        )
+        run_feedback_iteration(state, params, backend, config.decode_answer_len)
         _infer(example, state)
 
-    states, bases = stage1_states(examples, config, backend)
+    states = stage1_states(examples, config, backend)
 
-    items = build_train_items(examples, states, bases, config.moe)
+    items = build_train_items(examples, states, config.moe)
     curve = train(params, config, items)
 
     val_ids = validation_ids(examples, config.validation_fraction)
-    active = [ex for ex in examples if not states[ex.id].failed]
-    _map_examples(config.workers, _infer, active, states)
-    active = [ex for ex in active if not states[ex.id].failed]
+    _map_examples(config.workers, _infer, examples, states)
     baseline_em = _validation_em(examples, states, val_ids)
 
     history: list[float] = []
-    iteration_summaries = []
     for _ in range(config.iteration_budget):
-        _map_examples(config.workers, _iterate, active, states)
-        active = [ex for ex in active if not states[ex.id].failed]
+        _map_examples(config.workers, _iterate, examples, states)
         history.append(_validation_em(examples, states, val_ids))
-        iteration_summaries.append(
-            {"iteration": len(history), "validation_em": history[-1]}
-        )
         stop, reason = should_stop(
             history, config.iteration_budget, config.min_delta
         )
         if stop:
-            for example in active:
-                states[example.id].stopped_reason = reason
+            for state in states.values():
+                if not state.failed:
+                    state.stopped_reason = reason
             break
 
     summary = {
@@ -434,10 +421,12 @@ def run_pipeline(
         "initial_loss": curve[0] if curve else None,
         "final_loss": curve[-1] if curve else None,
         "baseline_validation_em": baseline_em,
-        "iterations": iteration_summaries,
+        "iterations": [
+            {"iteration": i, "validation_em": em} for i, em in enumerate(history, 1)
+        ],
         "validation_ids": sorted(val_ids),
     }
-    return states, bases, summary
+    return states, summary
 
 
 # --- prediction evaluation -----------------------------------------------------------

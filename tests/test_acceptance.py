@@ -97,19 +97,18 @@ def seeded_experiment():
             },
         }
     )
-    states, bases, gold = {}, {}, {}
+    states, gold = {}, {}
     for example in examples:
-        state = PipelineState(question_id=example.id, question=example.question)
         base, tree = run_stage1(example, backend, top_n=config.retrieval_top_n)
+        state = PipelineState(question_id=example.id, question=example.question, base=base)
         state.tree_versions.append(tree)
         state.frg_targets, state.qa_targets = stage2_targets(
             example, base, tree, config.moe.vocab_size
         )
         states[example.id] = state
-        bases[example.id] = base
         gold[example.id] = parse_tree(example.gold_tree)
 
-    items = build_train_items(examples, states, bases, config.moe)
+    items = build_train_items(examples, states, config.moe)
     params = MoeParams.init(config.moe, config.seed)
     t0 = time.monotonic()
     curve = train(params, config, items)
@@ -117,7 +116,6 @@ def seeded_experiment():
     return {
         "examples": examples,
         "states": states,
-        "bases": bases,
         "gold": gold,
         "backend": backend,
         "config": config,
@@ -305,7 +303,6 @@ def test_criterion_6_training_sanity(seeded_experiment):
 def test_criterion_7_feedback_efficacy(seeded_experiment):
     examples = seeded_experiment["examples"]
     states = seeded_experiment["states"]
-    bases = seeded_experiment["bases"]
     gold = seeded_experiment["gold"]
     params = seeded_experiment["params"]
     backend = seeded_experiment["backend"]
@@ -337,13 +334,11 @@ def test_criterion_7_feedback_efficacy(seeded_experiment):
         )
 
     for ex in examples:
-        predict_pending(states[ex.id], bases[ex.id], params, config.decode_answer_len)
+        predict_pending(states[ex.id], params, config.decode_answer_len)
     before_leaf, before_em = leaf_rate(0), val_em(0)
     for ex in examples:
-        run_feedback_iteration(
-            states[ex.id], bases[ex.id], params, backend, config.decode_answer_len
-        )
-        predict_pending(states[ex.id], bases[ex.id], params, config.decode_answer_len)
+        run_feedback_iteration(states[ex.id], params, backend, config.decode_answer_len)
+        predict_pending(states[ex.id], params, config.decode_answer_len)
     after_leaf, after_em = leaf_rate(1), val_em(1)
 
     anchors_hold = (
@@ -383,7 +378,7 @@ def test_criterion_8_stopping_rule(mock_backend):
                          "batch_size_retrieval": 4, "batch_size_qa": 2},
         }
     )
-    states, _, _ = run_pipeline(examples, config, mock_backend)
+    states, _ = run_pipeline(examples, config, mock_backend)
     max_iter = max(states[ex.id].iteration for ex in examples)
     reasons = {states[ex.id].stopped_reason for ex in examples}
     _record(

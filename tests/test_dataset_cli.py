@@ -458,6 +458,23 @@ class TestCli:
         curve = json.loads((out / "training.json").read_text())["loss_curve"]
         assert len(curve) == 15
 
+    def test_train_lists_failed_examples(self, small_run):
+        ds, cfg, tmp_path = small_run
+        data = json.loads(ds.read_text())
+        no_evidence, too_long = data["examples"][1], data["examples"][3]
+        no_evidence["evidence"] = []  # fails stage 1
+        del no_evidence["gold_support_ids"]
+        del no_evidence["gold_tree"]
+        too_long["question"] = "why " * 600 + too_long["question"]  # fails its train item
+        write_json(ds, data)
+        failed = {}
+        for command, artifact in (("train", "training.json"), ("run-pipeline", "manifest.json")):
+            out = tmp_path / command
+            rc = cli_dispatch([command, str(ds), "--config", str(cfg), "--out", str(out)])
+            assert rc == 0
+            failed[command] = json.loads((out / artifact).read_text())["failed"]
+        assert failed["train"] == failed["run-pipeline"] == [no_evidence["id"], too_long["id"]]
+
     def test_eval_consumes_run_output(self, small_run, capsys):
         ds, cfg, tmp_path = small_run
         out = tmp_path / "run"

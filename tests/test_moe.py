@@ -644,8 +644,8 @@ class TestBatchedStep:
         config = RunConfig()
         config = replace(config, moe=replace(config.moe, vocab_size=512))
         examples = synthetic_examples(200, seed=11)
-        states, bases = stage1_states(examples, config, MockBackend())
-        items = build_train_items(examples, states, bases, config.moe)
+        states = stage1_states(examples, config, MockBackend())
+        items = build_train_items(examples, states, config.moe)
         batch = [i.without_qa() for i in items if i.frg_targets][:32]
         batch += [i.without_frg() for i in items if i.qa_targets][:12]
         params = MoeParams.init(config.moe, config.seed)

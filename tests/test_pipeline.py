@@ -19,6 +19,7 @@ from entailqa.pipeline import (
     run_pipeline,
     run_stage1,
     should_stop,
+    stage1_states,
     stage2_targets,
     train,
     validation_ids,
@@ -196,7 +197,7 @@ class TestFeedbackIteration:
     def _ready_state(self, mock_backend, trained=False):
         example = _text_example()
         base, tree = run_stage1(example, mock_backend)
-        state = PipelineState(question_id=example.id, question=example.question)
+        state = PipelineState(question_id=example.id, question=example.question, base=base)
         state.tree_versions.append(tree)
         state.frg_targets, state.qa_targets = stage2_targets(example, base, tree, 256)
         config = run_config_from_dict(
@@ -216,37 +217,35 @@ class TestFeedbackIteration:
         )
         params = MoeParams.init(config.moe, config.seed)
         if trained:
-            items = build_train_items(
-                [example], {example.id: state}, {example.id: base}, config.moe
-            )
+            items = build_train_items([example], {example.id: state}, config.moe)
             train(params, config, items)
-        return example, base, state, params
+        return example, state, params
 
     def test_appends_a_version_and_counts(self, mock_backend):
-        _, base, state, params = self._ready_state(mock_backend)
-        run_feedback_iteration(state, base, params, mock_backend)
+        _, state, params = self._ready_state(mock_backend)
+        run_feedback_iteration(state, params, mock_backend)
         assert state.iteration == 1
         assert len(state.tree_versions) == 2
         assert len(state.retrieved_fact_ids) == 1
         assert all(fid.startswith("fact") for fid in state.retrieved_fact_ids[0])
 
     def test_fixed_point_when_feedback_matches(self, mock_backend):
-        _, base, state, params = self._ready_state(mock_backend, trained=True)
-        run_feedback_iteration(state, base, params, mock_backend)
+        _, state, params = self._ready_state(mock_backend, trained=True)
+        run_feedback_iteration(state, params, mock_backend)
         first = state.tree_versions[1]
-        run_feedback_iteration(state, base, params, mock_backend)
+        run_feedback_iteration(state, params, mock_backend)
         second = state.tree_versions[2]
         assert first.structurally_equal(second)
 
     def test_losses_recorded_with_targets(self, mock_backend):
-        _, base, state, params = self._ready_state(mock_backend)
-        run_feedback_iteration(state, base, params, mock_backend)
+        _, state, params = self._ready_state(mock_backend)
+        run_feedback_iteration(state, params, mock_backend)
         assert state.losses[0] is not None and state.losses[0] > 0
 
     def test_requires_a_tree(self, mock_backend, small_base, tiny_params):
-        state = PipelineState(question_id="q", question="q?")
+        state = PipelineState(question_id="q", question="q?", base=small_base)
         with pytest.raises(ValueError):
-            run_feedback_iteration(state, small_base, tiny_params, mock_backend)
+            run_feedback_iteration(state, tiny_params, mock_backend)
 
 
 class TestShouldStop:
@@ -316,7 +315,7 @@ class TestRunPipeline:
 
     def test_end_to_end_states_are_consistent(self, mock_backend):
         examples = synthetic_examples(6, seed=3)
-        states, bases, summary = run_pipeline(examples, self._config(), mock_backend)
+        states, summary = run_pipeline(examples, self._config(), mock_backend)
         assert summary["examples"] == 6
         assert summary["failed"] == []
         for example in examples:
@@ -325,14 +324,14 @@ class TestRunPipeline:
             assert len(state.tree_versions) == state.iteration + 1
             assert state.stopped_reason in (STOP_BUDGET, STOP_NO_IMPROVEMENT)
             assert len(state.predicted_answers) == len(state.tree_versions)
-            base = bases[example.id]
+            base = state.base
             for per_version in state.retrieved_fact_ids:
                 for fid in per_version:
                     assert 1 <= int(fid[4:]) <= len(base)
 
     def test_single_stopped_reason_recorded(self, mock_backend):
         examples = synthetic_examples(4, seed=5)
-        states, _, _ = run_pipeline(examples, self._config(), mock_backend)
+        states, _ = run_pipeline(examples, self._config(), mock_backend)
         reasons = {states[ex.id].stopped_reason for ex in examples}
         assert len(reasons) == 1
 
@@ -340,11 +339,33 @@ class TestRunPipeline:
         examples = synthetic_examples(3, seed=6)
         bad = examples[1]
         backend = MockBackend(scripted_trees={bad.id: "not a tree at all"})
-        states, _, summary = run_pipeline(examples, self._config(steps=5), backend)
+        states, summary = run_pipeline(examples, self._config(steps=5), backend)
         assert summary["failed"] == [bad.id]
         assert states[bad.id].failed
         others = [ex.id for ex in examples if ex.id != bad.id]
         assert all(not states[i].failed for i in others)
+
+    def test_passes_skip_failed_states(self):
+        examples = synthetic_examples(3, seed=4)
+        states = {
+            ex.id: PipelineState(question_id=ex.id, question=ex.question) for ex in examples
+        }
+        states[examples[1].id].error = "TreeSyntaxError: an earlier pass"
+        seen = []
+        pipeline._map_examples(2, lambda ex, state: seen.append(ex.id), examples, states)
+        assert sorted(seen) == [examples[0].id, examples[2].id]
+        assert states[examples[1].id].error == "TreeSyntaxError: an earlier pass"
+
+    def test_stage1_stores_each_fact_base(self):
+        examples = synthetic_examples(4, seed=6)
+        bad = examples[1]
+        backend = MockBackend(scripted_trees={bad.id: "not a tree at all"})
+        states = stage1_states(examples, self._config(), backend)
+        assert states[bad.id].failed
+        assert states[bad.id].base is None
+        for example in examples:
+            if example is not bad:
+                assert states[example.id].base == run_stage1(example, backend)[0]
 
     def test_worker_pool_matches_sequential(self):
         examples = synthetic_examples(6, seed=8)
@@ -360,7 +381,7 @@ class TestRunPipeline:
                 backend = _GarbledFeedback(
                     feedback_bad.id, scripted_trees={stage1_bad.id: "not a tree at all"}
                 )
-                states, _, summary = run_pipeline(examples, config, backend)
+                states, summary = run_pipeline(examples, config, backend)
                 runs.append(({i: s.to_json_dict() for i, s in states.items()}, summary))
         finally:
             sys.setswitchinterval(interval)
@@ -389,7 +410,7 @@ class TestRunPipeline:
             return predict_pending(state, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "predict_pending", flaky)
-        states, _, summary = run_pipeline(examples, self._config(steps=5), MockBackend())
+        states, summary = run_pipeline(examples, self._config(steps=5), MockBackend())
         assert summary["failed"] == [bad.id]
         assert states[bad.id].error == "NonFiniteLoss: non-finite loss nan"
         assert states[bad.id].predicted_answers == []
@@ -417,10 +438,10 @@ class TestPredictPending:
                       "n_qa_experts": 2, "n_shared_experts": 2, "max_seq_len": 512}}
         )
         params = MoeParams.init(config.moe, config.seed)
-        state = PipelineState(question_id=example.id, question=example.question)
+        state = PipelineState(question_id=example.id, question=example.question, base=base)
         state.tree_versions.append(tree)
-        predict_pending(state, base, params)
-        predict_pending(state, base, params)  # idempotent
+        predict_pending(state, params)
+        predict_pending(state, params)  # idempotent
         assert len(state.predicted_answers) == 1
         assert len(state.retrieved_fact_ids) == 1
         assert len(state.losses) == 1
