@@ -139,11 +139,14 @@ def _cmd_train(args, config: RunConfig) -> int:
     failed = sorted(ex.id for ex in examples if states[ex.id].failed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "checkpoint.json", _stamp(config, params.to_state_dict()))
     write_json(
         out / "training.json",
         _stamp(config, {"steps": len(curve), "loss_curve": curve, "failed": failed}),
     )
+    if not items:  # parameters that never trained are no checkpoint
+        sys.stderr.write("data error: no example is left to train on\n")
+        return 2
+    write_json(out / "checkpoint.json", _stamp(config, params.to_state_dict()))
     return 0
 
 

@@ -384,16 +384,25 @@ def _encode_ids(params: MoeParams, ids) -> np.ndarray:
     return np.tanh(_mm(x, params.enc_w.T) + params.enc_b)
 
 
-def encode(params: MoeParams, tree_text: str, question: str) -> np.ndarray:
+def _encode_distinct(params: MoeParams, ids) -> tuple[np.ndarray, np.ndarray]:
+    """Encoder rows of the distinct ``ids``, and per id the index of its row."""
+    distinct, inverse = np.unique(np.asarray(ids, dtype=np.intp), return_inverse=True)
+    return _encode_ids(params, distinct), inverse
+
+
+def encode(
+    params: MoeParams, tree_text: str, question: str
+) -> tuple[np.ndarray, np.ndarray]:
     """Hashed-embedding + single projection + tanh over tree text then
-    question; one row per token."""
+    question. A row depends on its token id alone, so it is computed once per
+    distinct id: returns those rows and, per token, the index of its row."""
     vocab = params.config.vocab_size
     ids = token_ids(tree_text, vocab) + token_ids(question, vocab)
     if len(ids) > params.config.max_seq_len:
         raise SequenceTooLong(
             f"{len(ids)} tokens exceed max_seq_len={params.config.max_seq_len}"
         )
-    return _encode_ids(params, ids)
+    return _encode_distinct(params, ids)
 
 
 def fact_features(params: MoeParams, base: FactBase) -> np.ndarray:
@@ -401,8 +410,8 @@ def fact_features(params: MoeParams, base: FactBase) -> np.ndarray:
     if not len(base):
         raise ValueError("fact base is empty")
     ids = [token_ids(fact.text, params.config.vocab_size) for fact in base.facts]
-    enc = _encode_ids(params, [t for fact_ids in ids for t in fact_ids])
-    return _segment_means(enc, np.array([len(i) for i in ids]))
+    rows, inverse = _encode_distinct(params, [t for fact_ids in ids for t in fact_ids])
+    return _segment_means(rows[inverse], np.array([len(i) for i in ids]))
 
 
 def _gate_matrix(params: MoeParams, gate: GateId) -> np.ndarray:
@@ -490,7 +499,9 @@ def _moe_fwd(
 def moe_forward(
     params: MoeParams, config: MoeConfig, seq: np.ndarray, gate: GateId
 ) -> np.ndarray:
-    """Per-token top-K expert mix plus the residual input row."""
+    """Top-K expert mix plus the residual input, row by row. An output row
+    depends on its input row alone, so callers pass one row per distinct
+    token id (the rows ``encode`` returns) and gather positions afterwards."""
     out, _ = _moe_fwd(params, config, seq, gate)
     return out
 
@@ -694,25 +705,34 @@ def _encoder_bwd(
     enc_out: np.ndarray,
     d_out: np.ndarray,
 ) -> None:
+    """Accumulates the encoder gradients of rows whose ``ids`` are distinct."""
     d_z = d_out * (1.0 - enc_out * enc_out)
     grads["enc_w"] += _mm_t(d_z, params.embedding[ids])
     grads["enc_b"] += d_z.sum(axis=0)
-    vocab, d = params.embedding.shape
-    cells = (ids[:, None] * d + np.arange(d)).ravel()
-    grads["embedding"] += np.bincount(
-        cells, weights=_mm(d_z, params.enc_w).ravel(), minlength=vocab * d
-    ).reshape(vocab, d)
+    grads["embedding"][ids] += _mm(d_z, params.enc_w)
+
+
+def _sum_rows_by(index: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """(count, d) sums of ``rows`` grouped by ``index``: the gradient of the
+    gather ``distinct_rows[index]``."""
+    d = rows.shape[1]
+    cells = (index[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(cells, weights=rows.ravel(), minlength=count * d).reshape(
+        count, d
+    )
 
 
 # --- batched training step ----------------------------------------------------------
 
 # Items per micro-batch. A thread runs one micro-batch forward then backward
 # and drops its activations before it takes the next, which bounds the
-# activations held at once. 8 items give each numpy call enough work for two
-# threads to overlap; 2-item micro-batches are bound by the interpreter lock.
-# Larger ones are no faster and raise the `train` benchmark run's peak RSS
-# (62.5 MB at 8 items, 69.0 at 12, 76.4 at 16; its bound is 10%).
-MICRO_BATCH = 8
+# activations held at once. 2-item micro-batches are bound by the interpreter
+# lock. The encoder and MoE layer run once per distinct token id of a
+# micro-batch, so a larger one shares those rows across more positions: the
+# `train` benchmark run took 2.46 s at 8 items, 2.14 at 12 and 1.94 at 16
+# (medians of five alternating rounds on 2 vCPUs), and its peak RSS was 52.8,
+# 54.8 and 56.4 MB.
+MICRO_BATCH = 16
 
 
 def _pad_targets(
@@ -751,9 +771,12 @@ def _micro_forward(
 ) -> tuple[float, dict]:
     """Weighted joint loss of one micro-batch and what its backward needs.
 
-    One encode covers the sequences of the retrieval items, then those of the
-    answer items (an item carrying both targets appears in each), then every
-    fact of the retrieval items; each gate routes its task's rows once.
+    The token ids are the sequences of the retrieval items, then those of
+    the answer items (an item carrying both targets appears in each), then
+    every fact of the retrieval items. A token's encoder and MoE rows depend
+    on its id alone, so the encoder and each gate's MoE layer run once over
+    the distinct ids; the heads and the fact means read per-position rows
+    gathered through the inverse index.
     """
     for item in items:
         check_train_item(item, config)
@@ -764,21 +787,23 @@ def _micro_forward(
     ids = _bucket(
         np.concatenate(hashes) if hashes else np.zeros(0, np.int64), config.vocab_size
     )
-    enc = _encode_ids(params, ids)
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    enc = _encode_ids(params, distinct)
     n_frg = sum(len(item.seq_hashes) for item in frg)
     n_seq = n_frg + sum(len(item.seq_hashes) for item in qa)
-    cache: dict = {"ids": ids, "enc": enc}
+    cache: dict = {"ids": distinct, "enc": enc}
     loss = 0.0
     if frg:
-        rows = slice(0, n_frg)
+        rows = inverse[:n_frg]
         layout = _Ragged([len(item.seq_hashes) for item in frg])
-        seq_moe, moe = _moe_fwd(params, config, enc[rows], GATE_A)
+        moe_out, moe = _moe_fwd(params, config, enc, GATE_A)
+        seq_moe = moe_out[rows]
         targets, step_weights = _pad_targets(
             [item.frg_targets for item in frg], frg_weight
         )
         fact_layout = _Ragged([len(item.fact_hashes) for item in frg])
         fact_lengths = np.array([len(h) for h in fact_hashes], dtype=np.intp)
-        fact_feats = _segment_means(enc[n_seq:], fact_lengths)
+        fact_feats = _segment_means(enc[inverse[n_seq:]], fact_lengths)
         scores, head = _frg_fwd(
             params, seq_moe, layout, fact_feats, fact_layout, targets.shape[1]
         )
@@ -789,7 +814,7 @@ def _micro_forward(
             "layout": layout,
             "seq_moe": seq_moe,
             "moe": moe,
-            "facts": slice(n_seq, None),
+            "facts": inverse[n_seq:],
             "fact_layout": fact_layout,
             "fact_lengths": fact_lengths,
             "fact_feats": fact_feats,
@@ -797,9 +822,10 @@ def _micro_forward(
             "d_scores": d_scores,
         }
     if qa:
-        rows = slice(n_frg, n_seq)
+        rows = inverse[n_frg:n_seq]
         layout = _Ragged([len(item.seq_hashes) for item in qa])
-        seq_moe, moe = _moe_fwd(params, config, enc[rows], GATE_B)
+        moe_out, moe = _moe_fwd(params, config, enc, GATE_B)
+        seq_moe = moe_out[rows]
         targets, step_weights = _pad_targets(
             [item.qa_targets for item in qa], qa_weight
         )
@@ -843,11 +869,10 @@ def _micro_backward(
             frg["layout"],
             grads,
         )
-        rows = frg["rows"]
-        d_enc[rows] = _moe_bwd(params, config, enc[rows], frg["moe"], d_seq, grads)
-        d_enc[frg["facts"]] = _segment_means_bwd(
-            d_k2 @ params.frg_k2.T, frg["fact_lengths"]
-        )
+        d_moe = _sum_rows_by(frg["rows"], d_seq, len(enc))
+        d_enc += _moe_bwd(params, config, enc, frg["moe"], d_moe, grads)
+        d_facts = _segment_means_bwd(d_k2 @ params.frg_k2.T, frg["fact_lengths"])
+        d_enc += _sum_rows_by(frg["facts"], d_facts, len(enc))
 
     qa = cache.get("qa")
     if qa is not None:
@@ -865,8 +890,8 @@ def _micro_backward(
             qa["layout"],
             grads,
         )
-        rows = qa["rows"]
-        d_enc[rows] = _moe_bwd(params, config, enc[rows], qa["moe"], d_seq, grads)
+        d_moe = _sum_rows_by(qa["rows"], d_seq, len(enc))
+        d_enc += _moe_bwd(params, config, enc, qa["moe"], d_moe, grads)
 
     _encoder_bwd(params, grads, cache["ids"], enc, d_enc)
     return grads

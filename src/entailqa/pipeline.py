@@ -56,6 +56,7 @@ from .tree import EntailmentTree, leaf_id, leaf_preorder, parse_node_id, parse_t
 
 STOP_BUDGET = "budget"
 STOP_NO_IMPROVEMENT = "no_improvement"
+STOP_NO_VALIDATION = "no_validation"  # every validation example failed
 
 
 @dataclass
@@ -165,7 +166,8 @@ def predict_pending(
     ff = fact_features(params, state.base)
     scored = bool(state.frg_targets and state.qa_targets)
     for tree in pending:
-        enc = encode(params, tree_to_text(tree), state.question)
+        # one encoder and MoE row per distinct token id, gathered per position
+        rows, inverse = encode(params, tree_to_text(tree), state.question)
         step_count = len(leaf_preorder(tree))
         # query rows are independent: one forward per head at the longer
         # length serves both the decode and the loss
@@ -174,7 +176,7 @@ def predict_pending(
             frg_steps = max(frg_steps, len(state.frg_targets))
             qa_len = max(qa_len, len(state.qa_targets))
 
-        out_a = moe_forward(params, config, enc, GATE_A)
+        out_a = moe_forward(params, config, rows, GATE_A)[inverse]
         scores = frg_forward(params, out_a, ff, frg_steps)
         picks = []
         for row in scores[:step_count]:
@@ -183,7 +185,7 @@ def predict_pending(
                 picks.append(idx)
         retrieved = [leaf_id(i + 1).render() for i in picks]
 
-        out_b = moe_forward(params, config, enc, GATE_B)
+        out_b = moe_forward(params, config, rows, GATE_B)[inverse]
         logits = qa_forward(params, out_b, qa_len)
         answer = decode_answer(greedy_answer_ids(logits[:decode_answer_len]), lexicon)
 
@@ -316,13 +318,15 @@ def _validation_em(
     examples: Sequence[QAExample],
     states: dict[str, PipelineState],
     val_ids: set[str],
-) -> float:
+) -> Optional[float]:
+    """Mean EM over the validation examples that have not failed; None when
+    none is left."""
     scores = [
         metrics.em(states[ex.id].predicted_answers[-1], ex.gold_answers())
         for ex in examples
         if ex.id in val_ids and not states[ex.id].failed
     ]
-    return float(np.mean(scores)) if scores else 0.0
+    return float(np.mean(scores)) if scores else None
 
 
 def _map_examples(
@@ -380,8 +384,9 @@ def run_pipeline(
 
     Stage 1, the first inference pass and each feedback iteration run across
     examples on ``config.workers`` threads; an iteration ends at a barrier,
-    where the stopping rule reads the validation score. Returns (states by
-    id, run summary).
+    where the stopping rule reads the validation score. Once every
+    validation example has failed there is no score, and the loop stops with
+    ``STOP_NO_VALIDATION``. Returns (states by id, run summary).
     """
     params = MoeParams.init(config.moe, config.seed)
 
@@ -401,18 +406,19 @@ def run_pipeline(
     _map_examples(config.workers, _infer, examples, states)
     baseline_em = _validation_em(examples, states, val_ids)
 
-    history: list[float] = []
-    for _ in range(config.iteration_budget):
+    history: list[Optional[float]] = []
+    reason = STOP_NO_VALIDATION if baseline_em is None else None
+    while reason is None and len(history) < config.iteration_budget:
         _map_examples(config.workers, _iterate, examples, states)
-        history.append(_validation_em(examples, states, val_ids))
-        stop, reason = should_stop(
-            history, config.iteration_budget, config.min_delta
-        )
-        if stop:
-            for state in states.values():
-                if not state.failed:
-                    state.stopped_reason = reason
-            break
+        em = _validation_em(examples, states, val_ids)
+        history.append(em)
+        if em is None:
+            reason = STOP_NO_VALIDATION
+        else:
+            _, reason = should_stop(history, config.iteration_budget, config.min_delta)
+    for state in states.values():
+        if not state.failed:
+            state.stopped_reason = reason
 
     summary = {
         "examples": len(examples),

@@ -475,6 +475,23 @@ class TestCli:
             failed[command] = json.loads((out / artifact).read_text())["failed"]
         assert failed["train"] == failed["run-pipeline"] == [no_evidence["id"], too_long["id"]]
 
+    def test_train_with_no_item_left_is_data_error(self, small_run, capsys):
+        ds, cfg, tmp_path = small_run
+        data = synthetic_corpus(3, seed=1)
+        for example in data["examples"]:
+            example["evidence"] = []
+            del example["gold_support_ids"]
+            del example["gold_tree"]
+        write_json(ds, data)
+        out = tmp_path / "train-none"
+        rc = cli_dispatch(["train", str(ds), "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "data error" in capsys.readouterr().err
+        assert not (out / "checkpoint.json").exists()
+        training = json.loads((out / "training.json").read_text())
+        assert training["steps"] == 0
+        assert training["failed"] == sorted(ex["id"] for ex in data["examples"])
+
     def test_eval_consumes_run_output(self, small_run, capsys):
         ds, cfg, tmp_path = small_run
         out = tmp_path / "run"

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from entailqa import moe as core
 from entailqa.cli import _keep_freed_heap
 from entailqa.dataset import RunConfig
 from entailqa.errors import LengthMismatch, NonFiniteLoss, SequenceTooLong
@@ -84,19 +85,37 @@ class TestTokens:
         assert decode_answer(ids, lexicon) == "falcon fast"
 
 
+def _per_position(params, tree_text, question):
+    """``encode``'s rows gathered to one per token position."""
+    rows, inverse = encode(params, tree_text, question)
+    return rows[inverse]
+
+
 class TestEncode:
     def test_single_token_shape(self, tiny_params):
-        enc = encode(tiny_params, "falcon", "")
-        assert enc.shape == (1, 8)
+        rows, inverse = encode(tiny_params, "falcon", "")
+        assert rows.shape == (1, 8)
+        assert inverse.tolist() == [0]
 
     def test_deterministic(self, tiny_params):
         a = encode(tiny_params, "tree text here", "and a question?")
         b = encode(tiny_params, "tree text here", "and a question?")
-        assert np.array_equal(a, b)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_concatenates_tree_then_question(self, tiny_params):
-        enc = encode(tiny_params, "one two", "three?")
-        assert len(enc) == 3
+        rows, inverse = encode(tiny_params, "one two", "three?")
+        assert len(inverse) == 3
+        ids = token_ids("one two", 32) + token_ids("three?", 32)
+        assert len(rows) == len(set(ids))
+
+    def test_one_row_per_distinct_id(self, tiny_params):
+        tree_text, question = "the falcon and the falcon", "the falcon?"
+        rows, inverse = encode(tiny_params, tree_text, question)
+        ids = token_ids(tree_text, 32) + token_ids(question, 32)
+        assert len(rows) == len(set(ids)) < len(ids)
+        assert np.array_equal(np.equal.outer(inverse, inverse), np.equal.outer(ids, ids))
+        falcon = _per_position(tiny_params, "falcon", "")[0]
+        assert np.allclose(rows[inverse[1]], falcon, rtol=0, atol=1e-15)
 
     def test_too_long(self, tiny_params):
         with pytest.raises(SequenceTooLong):
@@ -107,8 +126,8 @@ class TestEncode:
         b = MoeParams.init(tiny_config, 3)
         b.vocab_out[:] = np.random.default_rng(0).normal(size=b.vocab_out.shape)
         b.qa_q[:] = 0.0
-        ea = encode(a, "tree", "question?")
-        eb = encode(b, "tree", "question?")
+        ea = _per_position(a, "tree", "question?")
+        eb = _per_position(b, "tree", "question?")
         assert np.array_equal(ea, eb)
 
 
@@ -116,14 +135,20 @@ class TestFactFeatures:
     def test_single_token_fact_equals_token_encoding(self, tiny_params):
         base = add_fact(FactBase("q"), "falcon", "text", "e1")
         ff = fact_features(tiny_params, base)
-        enc = encode(tiny_params, "falcon", "")
+        enc = _per_position(tiny_params, "falcon", "")
         assert np.allclose(ff[0], enc[0])
 
     def test_mean_of_two_tokens(self, tiny_params):
         base = add_fact(FactBase("q"), "falcon harbor", "text", "e1")
         ff = fact_features(tiny_params, base)
-        enc = encode(tiny_params, "falcon harbor", "")
+        enc = _per_position(tiny_params, "falcon harbor", "")
         assert np.allclose(ff[0], enc.mean(axis=0))
+
+    def test_repeated_token_weighs_once_per_position(self, tiny_params):
+        base = add_fact(FactBase("q"), "falcon falcon harbor", "text", "e1")
+        ff = fact_features(tiny_params, base)
+        enc = _per_position(tiny_params, "falcon falcon harbor", "")
+        assert np.allclose(ff[0], enc.mean(axis=0), rtol=0, atol=1e-15)
 
     def test_row_per_fact(self, tiny_params, small_base):
         assert fact_features(tiny_params, small_base).shape == (3, 8)
@@ -657,3 +682,117 @@ class TestBatchedStep:
                 batch_gradients(params, config.moe, batch, pool)
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults / 5 < 1000
+
+
+# --- the per-position step, kept as the reference of the distinct-id step ----------
+
+
+def _per_position_micro(params, config, items, frg_weight, qa_weight):
+    """Loss and gradients of one micro-batch with the encoder and each gate's
+    MoE layer run once per token position."""
+    frg = [item for item in items if item.frg_targets is not None]
+    qa = [item for item in items if item.qa_targets is not None]
+    fact_hashes = [h for item in frg for h in item.fact_hashes]
+    hashes = [item.seq_hashes for item in frg + qa] + fact_hashes
+    ids = core._bucket(np.concatenate(hashes), config.vocab_size)
+    enc = core._encode_ids(params, ids)
+    n_frg = sum(len(item.seq_hashes) for item in frg)
+    n_seq = n_frg + sum(len(item.seq_hashes) for item in qa)
+    d = config.embed_dim
+    loss, grads, d_enc = 0.0, params.zero_grads(), np.zeros_like(enc)
+    if frg:
+        rows = slice(0, n_frg)
+        layout = core._Ragged([len(item.seq_hashes) for item in frg])
+        seq_moe, cache = core._moe_fwd(params, config, enc[rows], GATE_A)
+        targets, weights = core._pad_targets([item.frg_targets for item in frg], frg_weight)
+        fact_layout = core._Ragged([len(item.fact_hashes) for item in frg])
+        lengths = np.array([len(h) for h in fact_hashes], dtype=np.intp)
+        fact_feats = core._segment_means(enc[n_seq:], lengths)
+        scores, head = core._frg_fwd(
+            params, seq_moe, layout, fact_feats, fact_layout, targets.shape[1]
+        )
+        part, d_scores = core._weighted_cross_entropy(scores, targets, weights)
+        loss += part
+        d_q2 = d_scores @ head["k2"] * head["scale"]
+        d_k2 = fact_layout.unpad(d_scores.transpose(0, 2, 1) @ head["q2"] * head["scale"])
+        grads["frg_q2"] += head["ctx"].reshape(-1, d).T @ d_q2.reshape(-1, d)
+        grads["frg_k2"] += fact_feats.T @ d_k2
+        d_seq = core._attention_bwd(
+            params, "frg", d_q2 @ params.frg_q2.T, head["attn"], seq_moe, layout, grads
+        )
+        d_enc[rows] = core._moe_bwd(params, config, enc[rows], cache, d_seq, grads)
+        d_enc[n_seq:] = core._segment_means_bwd(d_k2 @ params.frg_k2.T, lengths)
+    if qa:
+        rows = slice(n_frg, n_seq)
+        layout = core._Ragged([len(item.seq_hashes) for item in qa])
+        seq_moe, cache = core._moe_fwd(params, config, enc[rows], GATE_B)
+        targets, weights = core._pad_targets([item.qa_targets for item in qa], qa_weight)
+        logits, head = core._qa_fwd(params, seq_moe, layout, targets.shape[1])
+        part, d_logits = core._weighted_cross_entropy(logits, targets, weights)
+        loss += part
+        grads["vocab_out"] += d_logits.reshape(-1, config.vocab_size).T @ head["ctx"].reshape(-1, d)
+        d_seq = core._attention_bwd(
+            params, "qa", d_logits @ params.vocab_out, head["attn"], seq_moe, layout, grads
+        )
+        d_enc[rows] = core._moe_bwd(params, config, enc[rows], cache, d_seq, grads)
+    d_z = d_enc * (1.0 - enc * enc)
+    grads["enc_w"] += d_z.T @ params.embedding[ids]
+    grads["enc_b"] += d_z.sum(axis=0)
+    np.add.at(grads["embedding"], ids, d_z @ params.enc_w)
+    return loss, grads
+
+
+def per_position_gradients(params, config, batch):
+    chunks, frg_weight, qa_weight = core._micro_batches(batch)
+    total, grads = 0.0, params.zero_grads()
+    for chunk in chunks:
+        loss, chunk_grads = _per_position_micro(params, config, chunk, frg_weight, qa_weight)
+        total += loss
+        for name, g in chunk_grads.items():
+            grads[name] += g
+    return total, grads
+
+
+class TestDistinctIdStep:
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_matches_per_position_step(self, renormalize):
+        config = MoeConfig(
+            embed_dim=8,
+            vocab_size=64,
+            n_frg_experts=2,
+            n_qa_experts=2,
+            n_shared_experts=2,
+            max_seq_len=64,
+            renormalize_topk=renormalize,
+        )
+        params = MoeParams.init(config, 6)
+        items = seeded_items(2 * MICRO_BATCH + 6, 64, seed=9)
+        # retrieval-only, answer-only and two-target items; one micro-batch mixes them
+        batch = split_batch(items[: 2 * MICRO_BATCH], MICRO_BATCH + 3) + items[2 * MICRO_BATCH :]
+        ids = core._bucket(np.concatenate([item.seq_hashes for item in batch]), 64)
+        assert len(np.unique(ids)) < len(ids) / 4  # words repeat
+        loss, grads = batch_gradients(params, config, batch)
+        expected_loss, expected = per_position_gradients(params, config, batch)
+        assert loss == pytest.approx(expected_loss, rel=0, abs=1e-12)
+        for name, g in grads.items():
+            assert np.any(g), name
+            np.testing.assert_allclose(g, expected[name], rtol=0, atol=1e-12, err_msg=name)
+
+    def test_route_sees_each_distinct_id_once_per_gate(self, step_config, monkeypatch):
+        params = MoeParams.init(step_config, 4)
+        chunk = seeded_items(MICRO_BATCH, 64, seed=8)  # one micro-batch, both targets
+        seen = []
+        route_rows = core.route
+
+        def counting(params, config, feats, gate):
+            seen.append((gate, len(feats)))
+            return route_rows(params, config, feats, gate)
+
+        monkeypatch.setattr(core, "route", counting)
+        batch_gradients(params, step_config, chunk)
+        hashes = [item.seq_hashes for item in chunk] * 2
+        hashes += [h for item in chunk for h in item.fact_hashes]
+        ids = core._bucket(np.concatenate(hashes), 64)
+        distinct = len(np.unique(ids))
+        assert distinct < len(ids)
+        assert seen == [(GATE_A, distinct), (GATE_B, distinct)]

@@ -1,17 +1,28 @@
 import sys
 
+import numpy as np
 import pytest
 
-from entailqa import pipeline
+from entailqa import moe, pipeline
 from entailqa.dataset import QAExample, RunConfig, dataset_from_dict, run_config_from_dict
 from entailqa.errors import EmptyEvidence, NonFiniteLoss
 from entailqa.facts import Evidence, Table
 from entailqa.llm import MockBackend
-from entailqa.moe import MoeParams
+from entailqa.moe import (
+    GATE_A,
+    GATE_B,
+    MoeConfig,
+    MoeParams,
+    frg_forward,
+    moe_forward,
+    qa_forward,
+    token_ids,
+)
 from entailqa.pipeline import (
     PipelineState,
     STOP_BUDGET,
     STOP_NO_IMPROVEMENT,
+    STOP_NO_VALIDATION,
     build_train_items,
     evaluate_predictions,
     predict_pending,
@@ -25,6 +36,7 @@ from entailqa.pipeline import (
     validation_ids,
 )
 from entailqa.synth import synthetic_corpus, synthetic_examples
+from entailqa.refine import tree_to_text
 from entailqa.tree import leaf_id, parse_tree, serialize_tree
 
 
@@ -345,6 +357,36 @@ class TestRunPipeline:
         others = [ex.id for ex in examples if ex.id != bad.id]
         assert all(not states[i].failed for i in others)
 
+    def test_no_validation_example_left_runs_no_iteration(self):
+        examples = synthetic_examples(4, seed=6)
+        val_ids = validation_ids(examples, self._config().validation_fraction)
+        backend = MockBackend(scripted_trees={i: "not a tree at all" for i in val_ids})
+        states, summary = run_pipeline(examples, self._config(steps=5), backend)
+        assert summary["failed"] == sorted(val_ids)
+        assert summary["baseline_validation_em"] is None
+        assert summary["iterations"] == []
+        for example in examples:
+            state = states[example.id]
+            if example.id in val_ids:
+                assert state.stopped_reason is None
+                continue
+            assert state.stopped_reason == STOP_NO_VALIDATION
+            assert len(state.tree_versions) == len(state.predicted_answers) == 1
+
+    def test_validation_failing_in_the_loop_stops_it(self):
+        examples = synthetic_examples(4, seed=6)
+        (val_id,) = validation_ids(examples, self._config().validation_fraction)
+        states, summary = run_pipeline(
+            examples, self._config(steps=5), _GarbledFeedback(val_id)
+        )
+        assert summary["failed"] == [val_id]
+        assert summary["baseline_validation_em"] is not None
+        assert summary["iterations"] == [{"iteration": 1, "validation_em": None}]
+        for example in examples:
+            if example.id != val_id:
+                assert states[example.id].stopped_reason == STOP_NO_VALIDATION
+                assert len(states[example.id].tree_versions) == 2
+
     def test_passes_skip_failed_states(self):
         examples = synthetic_examples(3, seed=4)
         states = {
@@ -445,6 +487,40 @@ class TestPredictPending:
         assert len(state.predicted_answers) == 1
         assert len(state.retrieved_fact_ids) == 1
         assert len(state.losses) == 1
+
+
+    def test_scores_and_logits_match_per_position_forward(self, monkeypatch):
+        """Inference runs the encoder and MoE layer once per distinct token id;
+        the heads see what a per-position forward gives them."""
+        example = synthetic_examples(1, seed=4)[0]
+        base, tree = run_stage1(example, MockBackend())
+        config = MoeConfig(embed_dim=8, vocab_size=64, n_frg_experts=2, n_qa_experts=2,
+                           n_shared_experts=2, max_seq_len=512)
+        params = MoeParams.init(config, 3)
+        state = PipelineState(question_id=example.id, question=example.question, base=base)
+        state.tree_versions.append(tree)
+        seen = {}
+        for name in ("frg_forward", "qa_forward"):
+            head = getattr(pipeline, name)
+            monkeypatch.setattr(
+                pipeline, name,
+                lambda *args, head=head, name=name: seen.setdefault(name, head(*args)),
+            )
+        predict_pending(state, params)
+
+        ids = token_ids(tree_to_text(tree), 64) + token_ids(example.question, 64)
+        assert len(set(ids)) < len(ids)
+        enc = moe._encode_ids(params, ids)
+        fact_ids = [token_ids(text, 64) for text in base.texts()]
+        fact_feats = moe._segment_means(
+            moe._encode_ids(params, [t for f in fact_ids for t in f]),
+            np.array([len(f) for f in fact_ids]),
+        )
+        steps, answer_len = len(seen["frg_forward"]), len(seen["qa_forward"])
+        scores = frg_forward(params, moe_forward(params, config, enc, GATE_A), fact_feats, steps)
+        logits = qa_forward(params, moe_forward(params, config, enc, GATE_B), answer_len)
+        np.testing.assert_allclose(seen["frg_forward"], scores, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(seen["qa_forward"], logits, rtol=0, atol=1e-12)
 
 
 class TestEvaluatePredictions:
