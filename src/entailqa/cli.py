@@ -176,13 +176,16 @@ def _cmd_run_pipeline(args, config: RunConfig) -> int:
                 "tree": serialize_tree(state.tree_versions[-1]),
             }
         )
-    write_json(out / "predictions.json", _stamp(config, {"predictions": predictions}))
     write_json(out / "manifest.json", _stamp(config, summary))
     if isinstance(backend, HttpBackend):
         # calls complete in thread order; a stable sort keeps repeats of one
         # (tag, prompt), such as parse retries, in the order they were logged
         log = sorted(backend.exchange_log, key=lambda e: (e["tag"], e["prompt"]))
         write_json(out / "exchanges.json", _stamp(config, {"log": log}))
+    if not predictions:  # every example failed: there is nothing to predict with
+        sys.stderr.write("data error: no example is left to predict\n")
+        return 2
+    write_json(out / "predictions.json", _stamp(config, {"predictions": predictions}))
     return 0
 
 
@@ -224,9 +227,9 @@ _COMMANDS = {
 def _keep_freed_heap() -> None:
     """Let glibc keep freed memory in the process instead of returning it.
 
-    A training micro-batch frees multi-MB numpy temporaries that the next one
+    A training step frees multi-MB numpy temporaries that the next one
     allocates again. By default glibc unmaps such blocks or trims them off the
-    heap, so every micro-batch faults their pages in anew. Both thresholds are
+    heap, so every step faults their pages in anew. Both thresholds are
     raised: setting either one alone also freezes glibc's dynamic mmap
     threshold, and the other path still hands the memory back. No result
     changes. Off Linux, or where libc has no ``mallopt``, this does nothing.

@@ -10,6 +10,11 @@ residual add, and two cross-attention decoder heads:
 * QA head: learned position queries attend over the routed sequence only (no
   access to fact features) and project to vocabulary logits.
 
+Nothing depends on a token's position, so the encoder and MoE layer run once
+per distinct token id, and the heads attend over a sequence's bag of distinct
+ids with the log of each id's count added to its score, which equals
+attention over the positions.
+
 Everything runs in float64 with handwritten analytic gradients so the whole
 parameter set can be checked against centered finite differences. Routing
 gradients flow through the selected experts and the selected softmax
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 import math
 import zlib
-from concurrent.futures import Executor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Literal, Optional, Sequence
 
@@ -231,8 +235,9 @@ class TrainItem:
     """One training example; either target may be absent.
 
     The texts are tokenized once, when the item is built: ``seq_hashes`` holds
-    the crc32 of every token of the tree text then the question, and
-    ``fact_hashes`` those of each fact (``replace`` carries both over). A
+    the crc32 of every token of the tree text then the question, ``bag_hashes``
+    and ``bag_counts`` its distinct hashes and how often each occurs, and
+    ``fact_hashes`` the crc32s of each fact (``replace`` carries them over). A
     training step only maps each hash to its vocabulary bucket, as
     ``token_bucket`` does.
     """
@@ -246,6 +251,8 @@ class TrainItem:
     fact_hashes: Optional[tuple[np.ndarray, ...]] = field(
         default=None, repr=False, compare=False
     )
+    bag_hashes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    bag_counts: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.seq_hashes is None:
@@ -253,8 +260,11 @@ class TrainItem:
                 [_token_hashes(self.tree_text), _token_hashes(self.question)]
             )
             facts = tuple(_token_hashes(text) for text in self.fact_texts)
+            bag, counts = np.unique(seq, return_counts=True)
             object.__setattr__(self, "seq_hashes", seq)
             object.__setattr__(self, "fact_hashes", facts)
+            object.__setattr__(self, "bag_hashes", bag)
+            object.__setattr__(self, "bag_counts", counts)
 
     def without_frg(self) -> "TrainItem":
         return replace(self, frg_targets=None)
@@ -307,7 +317,7 @@ def _log_softmax(x: np.ndarray) -> np.ndarray:
 # A float64 gemm of at most 512 rows against 16x32 weights stays under
 # OpenBLAS's threading cutoff (2.6e5 multiply-adds) and runs on the calling
 # thread. A larger one wakes OpenBLAS's own threads, which then compete with
-# the training threads for the same cores.
+# the inference worker threads for the same cores.
 _BLAS_ROWS = 512
 
 
@@ -332,20 +342,25 @@ def _mm_t(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class _Ragged:
     """Rows of several items laid end to end, and their zero-padded
-    (item, position) layout."""
+    (item, position) layout.
 
-    def __init__(self, lengths: Sequence[int]):
+    With ``counts``, row i stands for ``counts[i]`` equal rows of its item, as
+    in a bag of token ids: attention weighs it by its count.
+    """
+
+    def __init__(self, lengths: Sequence[int], counts: Optional[np.ndarray] = None):
         longest = max(lengths)
         self.shape = (len(lengths), longest)
         self.full = min(lengths) == longest  # equal lengths: padding is a reshape
         if not self.full:
             self.mask = np.arange(longest) < np.asarray(lengths)[:, None]
             self.index = np.nonzero(self.mask)  # (item, position) of each row, in order
+        self.log_counts = None if counts is None else self.pad(np.log(counts), -np.inf)
 
-    def pad(self, rows: np.ndarray) -> np.ndarray:
+    def pad(self, rows: np.ndarray, fill: float = 0.0) -> np.ndarray:
         if self.full:
             return rows.reshape(self.shape + rows.shape[1:])
-        out = np.zeros(self.shape + rows.shape[1:])
+        out = np.full(self.shape + rows.shape[1:], fill)
         out[self.index] = rows
         return out
 
@@ -355,7 +370,10 @@ class _Ragged:
         return padded[self.index]
 
     def mask_scores(self, scores: np.ndarray) -> np.ndarray:
-        """(items, queries, positions) scores with padding set to -inf."""
+        """(items, queries, positions) scores with each row's log count added
+        and padding set to -inf."""
+        if self.log_counts is not None:
+            return scores + self.log_counts[:, None, :]
         if self.full:
             return scores
         return np.where(self.mask[:, None, :], scores, -np.inf)
@@ -501,7 +519,7 @@ def moe_forward(
 ) -> np.ndarray:
     """Top-K expert mix plus the residual input, row by row. An output row
     depends on its input row alone, so callers pass one row per distinct
-    token id (the rows ``encode`` returns) and gather positions afterwards."""
+    token id (the rows ``encode`` returns)."""
     out, _ = _moe_fwd(params, config, seq, gate)
     return out
 
@@ -546,9 +564,14 @@ def _frg_fwd(
 
 
 def frg_forward(
-    params: MoeParams, seq_moe: np.ndarray, fact_feats: np.ndarray, step_count: int
+    params: MoeParams,
+    seq_moe: np.ndarray,
+    fact_feats: np.ndarray,
+    step_count: int,
+    counts: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Per-step score vectors over the facts (step_count x m)."""
+    """Per-step score vectors over the facts (step_count x m). Row i of
+    ``seq_moe`` stands for ``counts[i]`` token positions (default one each)."""
     if step_count < 1:
         raise ValueError("step_count must be >= 1")
     if step_count > params.frg_queries.shape[0]:
@@ -558,7 +581,7 @@ def frg_forward(
     scores, _ = _frg_fwd(
         params,
         seq_moe,
-        _Ragged([len(seq_moe)]),
+        _Ragged([len(seq_moe)], counts),
         fact_feats,
         _Ragged([len(fact_feats)]),
         step_count,
@@ -574,15 +597,22 @@ def _qa_fwd(
     return ctx @ params.vocab_out.T, {"ctx": ctx, "attn": attn}
 
 
-def qa_forward(params: MoeParams, seq_moe: np.ndarray, answer_len: int) -> np.ndarray:
-    """Vocabulary logits per answer position; independent of fact features."""
+def qa_forward(
+    params: MoeParams,
+    seq_moe: np.ndarray,
+    answer_len: int,
+    counts: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Vocabulary logits per answer position; independent of fact features.
+    Row i of ``seq_moe`` stands for ``counts[i]`` token positions (default one
+    each)."""
     if answer_len < 1:
         raise ValueError("answer_len must be >= 1")
     if answer_len > params.qa_queries.shape[0]:
         raise SequenceTooLong(
             f"{answer_len} positions exceed the {params.qa_queries.shape[0]} learned queries"
         )
-    logits, _ = _qa_fwd(params, seq_moe, _Ragged([len(seq_moe)]), answer_len)
+    logits, _ = _qa_fwd(params, seq_moe, _Ragged([len(seq_moe)], counts), answer_len)
     return logits[0]
 
 
@@ -724,15 +754,14 @@ def _sum_rows_by(index: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
 
 # --- batched training step ----------------------------------------------------------
 
-# Items per micro-batch. A thread runs one micro-batch forward then backward
-# and drops its activations before it takes the next, which bounds the
-# activations held at once. 2-item micro-batches are bound by the interpreter
-# lock. The encoder and MoE layer run once per distinct token id of a
-# micro-batch, so a larger one shares those rows across more positions: the
-# `train` benchmark run took 2.46 s at 8 items, 2.14 at 12 and 1.94 at 16
-# (medians of five alternating rounds on 2 vCPUs), and its peak RSS was 52.8,
-# 54.8 and 56.4 MB.
-MICRO_BATCH = 16
+# Items per micro-batch. A micro-batch runs forward then backward and drops its
+# activations before the next one starts, which bounds the activations held at
+# once. Its encoder and MoE layer run once per distinct token id, so a larger
+# micro-batch shares those rows across more items. The `train` benchmark's
+# 44-item step fits in one: on 2 vCPUs its median step took 8.2-8.5 ms at 8
+# items, 7.2 at 16 and 22, and 5.6-6.9 at 44 and 64, with a max RSS of
+# 45.6-46.8 MB at every size.
+MICRO_BATCH = 64
 
 
 def _pad_targets(
@@ -762,6 +791,14 @@ def _weighted_cross_entropy(
     return -float((picked * step_weights).sum()), d_scores
 
 
+def _bag_layout(items: Sequence[TrainItem]) -> _Ragged:
+    """The items' sequence bags end to end, each row weighted by its count."""
+    return _Ragged(
+        [len(item.bag_hashes) for item in items],
+        np.concatenate([item.bag_counts for item in items]),
+    )
+
+
 def _micro_forward(
     params: MoeParams,
     config: MoeConfig,
@@ -771,32 +808,33 @@ def _micro_forward(
 ) -> tuple[float, dict]:
     """Weighted joint loss of one micro-batch and what its backward needs.
 
-    The token ids are the sequences of the retrieval items, then those of
+    The token ids are the sequence bags of the retrieval items, then those of
     the answer items (an item carrying both targets appears in each), then
-    every fact of the retrieval items. A token's encoder and MoE rows depend
-    on its id alone, so the encoder and each gate's MoE layer run once over
-    the distinct ids; the heads and the fact means read per-position rows
-    gathered through the inverse index.
+    every token of the retrieval items' facts. A token's encoder and MoE rows
+    depend on its id alone, so the encoder runs once over the distinct ids,
+    and each gate's MoE layer once over the distinct ids of its own head's
+    bags; the heads read their bag rows, and the fact means their
+    per-position rows, through inverse indexes.
     """
     for item in items:
         check_train_item(item, config)
     frg = [item for item in items if item.frg_targets is not None]
     qa = [item for item in items if item.qa_targets is not None]
     fact_hashes = [h for item in frg for h in item.fact_hashes]
-    hashes = [item.seq_hashes for item in frg + qa] + fact_hashes
+    hashes = [item.bag_hashes for item in frg + qa] + fact_hashes
     ids = _bucket(
         np.concatenate(hashes) if hashes else np.zeros(0, np.int64), config.vocab_size
     )
     distinct, inverse = np.unique(ids, return_inverse=True)
     enc = _encode_ids(params, distinct)
-    n_frg = sum(len(item.seq_hashes) for item in frg)
-    n_seq = n_frg + sum(len(item.seq_hashes) for item in qa)
+    n_frg = sum(len(item.bag_hashes) for item in frg)
+    n_seq = n_frg + sum(len(item.bag_hashes) for item in qa)
     cache: dict = {"ids": distinct, "enc": enc}
     loss = 0.0
     if frg:
-        rows = inverse[:n_frg]
-        layout = _Ragged([len(item.seq_hashes) for item in frg])
-        moe_out, moe = _moe_fwd(params, config, enc, GATE_A)
+        gate_rows, rows = np.unique(inverse[:n_frg], return_inverse=True)
+        layout = _bag_layout(frg)
+        moe_out, moe = _moe_fwd(params, config, enc[gate_rows], GATE_A)
         seq_moe = moe_out[rows]
         targets, step_weights = _pad_targets(
             [item.frg_targets for item in frg], frg_weight
@@ -810,6 +848,7 @@ def _micro_forward(
         part, d_scores = _weighted_cross_entropy(scores, targets, step_weights)
         loss += part
         cache["frg"] = {
+            "gate_rows": gate_rows,
             "rows": rows,
             "layout": layout,
             "seq_moe": seq_moe,
@@ -822,9 +861,9 @@ def _micro_forward(
             "d_scores": d_scores,
         }
     if qa:
-        rows = inverse[n_frg:n_seq]
-        layout = _Ragged([len(item.seq_hashes) for item in qa])
-        moe_out, moe = _moe_fwd(params, config, enc, GATE_B)
+        gate_rows, rows = np.unique(inverse[n_frg:n_seq], return_inverse=True)
+        layout = _bag_layout(qa)
+        moe_out, moe = _moe_fwd(params, config, enc[gate_rows], GATE_B)
         seq_moe = moe_out[rows]
         targets, step_weights = _pad_targets(
             [item.qa_targets for item in qa], qa_weight
@@ -833,6 +872,7 @@ def _micro_forward(
         part, d_logits = _weighted_cross_entropy(logits, targets, step_weights)
         loss += part
         cache["qa"] = {
+            "gate_rows": gate_rows,
             "rows": rows,
             "layout": layout,
             "seq_moe": seq_moe,
@@ -844,9 +884,9 @@ def _micro_forward(
 
 
 def _micro_backward(
-    params: MoeParams, config: MoeConfig, cache: dict
-) -> dict[str, np.ndarray]:
-    grads = params.zero_grads()
+    params: MoeParams, config: MoeConfig, cache: dict, grads: dict[str, np.ndarray]
+) -> None:
+    """Adds one micro-batch's gradients to ``grads``."""
     enc = cache["enc"]
     d_enc = np.zeros_like(enc)
 
@@ -869,8 +909,9 @@ def _micro_backward(
             frg["layout"],
             grads,
         )
-        d_moe = _sum_rows_by(frg["rows"], d_seq, len(enc))
-        d_enc += _moe_bwd(params, config, enc, frg["moe"], d_moe, grads)
+        rows = frg["gate_rows"]
+        d_moe = _sum_rows_by(frg["rows"], d_seq, len(rows))
+        d_enc[rows] += _moe_bwd(params, config, enc[rows], frg["moe"], d_moe, grads)
         d_facts = _segment_means_bwd(d_k2 @ params.frg_k2.T, frg["fact_lengths"])
         d_enc += _sum_rows_by(frg["facts"], d_facts, len(enc))
 
@@ -890,11 +931,11 @@ def _micro_backward(
             qa["layout"],
             grads,
         )
-        d_moe = _sum_rows_by(qa["rows"], d_seq, len(enc))
-        d_enc += _moe_bwd(params, config, enc, qa["moe"], d_moe, grads)
+        rows = qa["gate_rows"]
+        d_moe = _sum_rows_by(qa["rows"], d_seq, len(rows))
+        d_enc[rows] += _moe_bwd(params, config, enc[rows], qa["moe"], d_moe, grads)
 
     _encoder_bwd(params, grads, cache["ids"], enc, d_enc)
-    return grads
 
 
 def _micro_batches(
@@ -925,28 +966,19 @@ def batch_loss(
 
 
 def batch_gradients(
-    params: MoeParams,
-    config: MoeConfig,
-    batch: Sequence[TrainItem],
-    pool: Optional[Executor] = None,
+    params: MoeParams, config: MoeConfig, batch: Sequence[TrainItem]
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Analytic gradients of the joint batch loss for every parameter block.
 
-    Each micro-batch of ``MICRO_BATCH`` items runs forward then backward, on
-    ``pool`` when one is given. Losses and gradients are summed in
-    micro-batch order, so the result is the same bits for any pool.
+    Each micro-batch of ``MICRO_BATCH`` items runs forward then backward, in
+    order, and adds its loss and gradients to the batch's.
     """
     chunks, frg_weight, qa_weight = _micro_batches(batch)
-
-    def one(chunk: Sequence[TrainItem]) -> tuple[float, dict[str, np.ndarray]]:
-        loss, cache = _micro_forward(params, config, chunk, frg_weight, qa_weight)
-        return loss, _micro_backward(params, config, cache)
-
     total, grads = 0.0, params.zero_grads()
-    for loss, chunk_grads in (pool.map if pool is not None else map)(one, chunks):
+    for chunk in chunks:
+        loss, cache = _micro_forward(params, config, chunk, frg_weight, qa_weight)
         total += loss
-        for name, g in chunk_grads.items():
-            grads[name] += g
+        _micro_backward(params, config, cache, grads)
     return total, grads
 
 
@@ -956,10 +988,9 @@ def backward_and_step(
     batch: Sequence[TrainItem],
     learning_rate: float,
     weight_decay: float = 0.01,
-    pool: Optional[Executor] = None,
 ) -> tuple[MoeParams, float]:
     """One AdamW step on the joint loss; params are updated in place."""
-    loss, grads = batch_gradients(params, config, batch, pool)
+    loss, grads = batch_gradients(params, config, batch)
     if not math.isfinite(loss):
         raise NonFiniteLoss(f"loss is {loss}")
     _adamw_step(params, grads, learning_rate, weight_decay)

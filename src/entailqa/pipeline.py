@@ -11,7 +11,6 @@ every later pass skips it while the batch continues.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -74,6 +73,10 @@ class PipelineState:
     error: Optional[str] = None
     frg_targets: Optional[tuple[int, ...]] = None
     qa_targets: Optional[tuple[int, ...]] = None
+    # (params, fact features, lexicon) of predict_pending; not serialized
+    decoding: Optional[tuple[MoeParams, np.ndarray, dict[int, str]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def failed(self) -> bool:
@@ -157,17 +160,28 @@ def stage2_targets(
 def predict_pending(
     state: PipelineState, params: MoeParams, decode_answer_len: int = 8
 ) -> None:
-    """Run stage-2 inference for every tree version not yet decoded."""
+    """Run stage-2 inference for every tree version not yet decoded.
+
+    The fact base does not change across versions, so its features and
+    lexicon are computed once per example and ``params``; ``params`` must not
+    be trained between calls.
+    """
     pending = state.tree_versions[len(state.predicted_answers) :]
     if not pending:
         return
     config = params.config
-    lexicon = build_lexicon(state.base.texts() + [state.question], config.vocab_size)
-    ff = fact_features(params, state.base)
+    if state.decoding is None or state.decoding[0] is not params:
+        state.decoding = (
+            params,
+            fact_features(params, state.base),
+            build_lexicon(state.base.texts() + [state.question], config.vocab_size),
+        )
+    _, ff, lexicon = state.decoding
     scored = bool(state.frg_targets and state.qa_targets)
     for tree in pending:
-        # one encoder and MoE row per distinct token id, gathered per position
+        # the heads attend over one row per distinct token id, weighted by count
         rows, inverse = encode(params, tree_to_text(tree), state.question)
+        counts = np.bincount(inverse)
         step_count = len(leaf_preorder(tree))
         # query rows are independent: one forward per head at the longer
         # length serves both the decode and the loss
@@ -176,8 +190,8 @@ def predict_pending(
             frg_steps = max(frg_steps, len(state.frg_targets))
             qa_len = max(qa_len, len(state.qa_targets))
 
-        out_a = moe_forward(params, config, rows, GATE_A)[inverse]
-        scores = frg_forward(params, out_a, ff, frg_steps)
+        out_a = moe_forward(params, config, rows, GATE_A)
+        scores = frg_forward(params, out_a, ff, frg_steps, counts)
         picks = []
         for row in scores[:step_count]:
             idx = int(np.argmax(row))
@@ -185,8 +199,8 @@ def predict_pending(
                 picks.append(idx)
         retrieved = [leaf_id(i + 1).render() for i in picks]
 
-        out_b = moe_forward(params, config, rows, GATE_B)[inverse]
-        logits = qa_forward(params, out_b, qa_len)
+        out_b = moe_forward(params, config, rows, GATE_B)
+        logits = qa_forward(params, out_b, qa_len, counts)
         answer = decode_answer(greedy_answer_ids(logits[:decode_answer_len]), lexicon)
 
         loss = None
@@ -272,37 +286,32 @@ def build_train_items(
 def train(
     params: MoeParams, config: RunConfig, items: Sequence[TrainItem]
 ) -> list[float]:
-    """Seeded training loop; each step draws a retrieval batch and a QA batch.
-
-    Each step's micro-batches run on one thread per core; the result does not
-    depend on the number of threads.
-    """
+    """Seeded training loop; each step draws a retrieval batch and a QA batch
+    and takes one AdamW step on the calling thread."""
     if not items:
         return []
     rng = np.random.default_rng(config.seed)
     frg_pool = [item.without_qa() for item in items if item.frg_targets]
     qa_pool = [item.without_frg() for item in items if item.qa_targets]
     curve = []
-    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-        for _ in range(config.training.steps):
-            batch: list[TrainItem] = []
-            if frg_pool:
-                size = min(config.training.batch_size_retrieval, len(frg_pool))
-                chosen = rng.choice(len(frg_pool), size=size, replace=False)
-                batch.extend(frg_pool[i] for i in chosen)
-            if qa_pool:
-                size = min(config.training.batch_size_qa, len(qa_pool))
-                chosen = rng.choice(len(qa_pool), size=size, replace=False)
-                batch.extend(qa_pool[i] for i in chosen)
-            params, loss = backward_and_step(
-                params,
-                params.config,
-                batch,
-                config.training.learning_rate,
-                weight_decay=config.training.weight_decay,
-                pool=pool,
-            )
-            curve.append(loss)
+    for _ in range(config.training.steps):
+        batch: list[TrainItem] = []
+        if frg_pool:
+            size = min(config.training.batch_size_retrieval, len(frg_pool))
+            chosen = rng.choice(len(frg_pool), size=size, replace=False)
+            batch.extend(frg_pool[i] for i in chosen)
+        if qa_pool:
+            size = min(config.training.batch_size_qa, len(qa_pool))
+            chosen = rng.choice(len(qa_pool), size=size, replace=False)
+            batch.extend(qa_pool[i] for i in chosen)
+        params, loss = backward_and_step(
+            params,
+            params.config,
+            batch,
+            config.training.learning_rate,
+            weight_decay=config.training.weight_decay,
+        )
+        curve.append(loss)
     return curve
 
 

@@ -492,6 +492,25 @@ class TestCli:
         assert training["steps"] == 0
         assert training["failed"] == sorted(ex["id"] for ex in data["examples"])
 
+    def test_run_pipeline_with_no_example_left_is_data_error(self, small_run, capsys):
+        ds, cfg, tmp_path = small_run
+        data = synthetic_corpus(3, seed=1)
+        for example in data["examples"]:
+            example["evidence"] = []
+            del example["gold_support_ids"]
+            del example["gold_tree"]
+        write_json(ds, data)
+        out = tmp_path / "run-none"
+        rc = cli_dispatch(["run-pipeline", str(ds), "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "data error: no example is left to predict" in capsys.readouterr().err
+        assert not (out / "predictions.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed"] == sorted(ex["id"] for ex in data["examples"])
+        for example in data["examples"]:
+            state = json.loads((out / f"{example['id']}.state.json").read_text())
+            assert state["error"].startswith("EmptyEvidence")
+
     def test_eval_consumes_run_output(self, small_run, capsys):
         ds, cfg, tmp_path = small_run
         out = tmp_path / "run"
