@@ -27,7 +27,7 @@ from .facts import Evidence, Fact, FactBase, Table, add_fact, linearize_table, l
 from .llm import BackendRequest, HttpBackend, MockBackend
 from .metrics import RetrievalScore, em, normalize_answer, retrieval_f1, word_f1
 from .moe import MoeConfig, MoeParams, RoutingDecision, TrainItem, backward_and_step, encode, fact_features, frg_forward, losses, moe_forward, qa_forward, route
-from .pipeline import PipelineState, run_feedback_iteration, run_pipeline, run_stage1, should_stop
+from .pipeline import PipelineState, predict_states, run_feedback_iteration, run_pipeline, run_stage1, should_stop
 from .refine import refine, tree_to_text
 from .tree import (
     EntailmentStep,

@@ -4,22 +4,25 @@ training, and the iterative feedback loop with its stopping rule.
 Per example the loop keeps a ``PipelineState``: its fact base, every tree
 version, the fact ids retrieved from each version, the decoded answer per
 version, and the joint loss when gold targets are known. Examples are
-independent; iterations within one example are strictly sequential. Failures
-are per-example: a malformed backend response marks that example failed, and
-every later pass skips it while the batch continues.
+independent; iterations within one example are strictly sequential. Backend
+work runs across examples on a thread pool; stage-2 inference runs at each
+barrier on the calling thread, as one pass that decodes every pending tree
+version of every example in micro-batches. Failures are per-example: a
+malformed backend response or a tree the MoE core cannot take marks that
+example failed, and every later pass skips it while the batch continues.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import metrics
 from .dataset import QAExample, RunConfig
-from .errors import EmptyEvidence, EntailQAError, MoeError, SchemaError, TreeError
+from .errors import EmptyEvidence, EntailQAError, MoeError, SchemaError, StructureError, TreeError
 from .facts import IMAGE, TABLE, FactBase, add_fact, linearize_table, lookup_text, retrieve_evidence
 from .llm import (
     Backend,
@@ -32,8 +35,7 @@ from .llm import (
     vqa_answer,
 )
 from .moe import (
-    GATE_A,
-    GATE_B,
+    DecodeItem,
     MoeConfig,
     MoeParams,
     TrainItem,
@@ -42,13 +44,11 @@ from .moe import (
     build_lexicon,
     check_train_item,
     decode_answer,
-    encode,
+    decode_item,
+    decode_items,
     fact_features,
-    frg_forward,
     greedy_answer_ids,
     losses,
-    moe_forward,
-    qa_forward,
 )
 from .refine import refine, tree_to_text
 from .tree import EntailmentTree, leaf_id, leaf_preorder, parse_node_id, parse_tree, score_tree, serialize_tree
@@ -73,7 +73,7 @@ class PipelineState:
     error: Optional[str] = None
     frg_targets: Optional[tuple[int, ...]] = None
     qa_targets: Optional[tuple[int, ...]] = None
-    # (params, fact features, lexicon) of predict_pending; not serialized
+    # (params, fact features, lexicon) of predict_states; not serialized
     decoding: Optional[tuple[MoeParams, np.ndarray, dict[int, str]]] = field(
         default=None, repr=False, compare=False
     )
@@ -81,6 +81,10 @@ class PipelineState:
     @property
     def failed(self) -> bool:
         return self.error is not None
+
+    def fail(self, exc: EntailQAError) -> None:
+        """Mark the example failed with the error's class and message."""
+        self.error = f"{type(exc).__name__}: {exc}"
 
     @property
     def iteration(self) -> int:
@@ -157,18 +161,19 @@ def stage2_targets(
     return tuple(frg), qa
 
 
-def predict_pending(
-    state: PipelineState, params: MoeParams, decode_answer_len: int = 8
-) -> None:
-    """Run stage-2 inference for every tree version not yet decoded.
+def _pending_items(
+    state: PipelineState, params: MoeParams, decode_answer_len: int
+) -> list[tuple[int, DecodeItem]]:
+    """(leaf count, checked decode item) of each tree version of ``state``
+    not yet decoded.
 
     The fact base does not change across versions, so its features and
     lexicon are computed once per example and ``params``; ``params`` must not
     be trained between calls.
     """
-    pending = state.tree_versions[len(state.predicted_answers) :]
-    if not pending:
-        return
+    trees = state.tree_versions[len(state.predicted_answers) :]
+    if not trees:
+        return []
     config = params.config
     if state.decoding is None or state.decoding[0] is not params:
         state.decoding = (
@@ -176,60 +181,101 @@ def predict_pending(
             fact_features(params, state.base),
             build_lexicon(state.base.texts() + [state.question], config.vocab_size),
         )
-    _, ff, lexicon = state.decoding
     scored = bool(state.frg_targets and state.qa_targets)
-    for tree in pending:
-        # the heads attend over one row per distinct token id, weighted by count
-        rows, inverse = encode(params, tree_to_text(tree), state.question)
-        counts = np.bincount(inverse)
+    pending = []
+    for tree in trees:
         step_count = len(leaf_preorder(tree))
+        if not step_count:
+            raise StructureError("tree has no leaves")
         # query rows are independent: one forward per head at the longer
         # length serves both the decode and the loss
         frg_steps, qa_len = step_count, decode_answer_len
         if scored:
             frg_steps = max(frg_steps, len(state.frg_targets))
             qa_len = max(qa_len, len(state.qa_targets))
-
-        out_a = moe_forward(params, config, rows, GATE_A)
-        scores = frg_forward(params, out_a, ff, frg_steps, counts)
-        picks = []
-        for row in scores[:step_count]:
-            idx = int(np.argmax(row))
-            if idx not in picks:
-                picks.append(idx)
-        retrieved = [leaf_id(i + 1).render() for i in picks]
-
-        out_b = moe_forward(params, config, rows, GATE_B)
-        logits = qa_forward(params, out_b, qa_len, counts)
-        answer = decode_answer(greedy_answer_ids(logits[:decode_answer_len]), lexicon)
-
-        loss = None
-        if scored:
-            _, _, loss = losses(
-                scores[: len(state.frg_targets)],
-                state.frg_targets,
-                logits[: len(state.qa_targets)],
-                state.qa_targets,
-            )
-
-        state.retrieved_fact_ids.append(retrieved)
-        state.predicted_answers.append(answer)
-        state.losses.append(loss)
+        item = decode_item(
+            config, tree_to_text(tree), state.question, state.decoding[1], frg_steps, qa_len
+        )
+        pending.append((step_count, item))
+    return pending
 
 
-def run_feedback_iteration(
-    state: PipelineState, params: MoeParams, backend: Backend, decode_answer_len: int = 8
-) -> PipelineState:
-    """Retrieve + answer from the current tree, feed both back, regenerate."""
+def _record_version(
+    state: PipelineState,
+    step_count: int,
+    scores: np.ndarray,
+    logits: np.ndarray,
+    decode_answer_len: int,
+) -> None:
+    """Append one decoded version's retrieved fact ids, answer and loss."""
+    picks = dict.fromkeys(np.argmax(scores[:step_count], axis=1).tolist())
+    answer_ids = greedy_answer_ids(logits[:decode_answer_len])
+    loss = None
+    if state.frg_targets and state.qa_targets:
+        _, _, loss = losses(
+            scores[: len(state.frg_targets)],
+            state.frg_targets,
+            logits[: len(state.qa_targets)],
+            state.qa_targets,
+        )
+    state.retrieved_fact_ids.append([leaf_id(i + 1).render() for i in picks])
+    state.predicted_answers.append(decode_answer(answer_ids, state.decoding[2]))
+    state.losses.append(loss)
+
+
+def predict_states(
+    states: Iterable[PipelineState], params: MoeParams, decode_answer_len: int = 8
+) -> None:
+    """Stage-2 inference for every tree version not yet decoded, over every
+    state that has not failed, on the calling thread.
+
+    Each pending version is checked first; a version that fails its check
+    fails its example, whose versions then stay out of the pass. The rest
+    are decoded together in micro-batches (``moe.decode_items``).
+    """
+    pending: list[tuple[PipelineState, int, DecodeItem]] = []
+    for state in states:
+        if state.failed:
+            continue
+        try:
+            versions = _pending_items(state, params, decode_answer_len)
+        except EntailQAError as exc:
+            state.fail(exc)
+            continue
+        pending.extend((state, step_count, item) for step_count, item in versions)
+
+    def _read(i: int, scores: np.ndarray, logits: np.ndarray) -> None:
+        state, step_count, _ = pending[i]
+        if state.failed:
+            return
+        try:
+            _record_version(state, step_count, scores, logits, decode_answer_len)
+        except EntailQAError as exc:
+            state.fail(exc)
+
+    decode_items(params, [item for _, _, item in pending], _read)
+
+
+def predict_pending(
+    state: PipelineState, params: MoeParams, decode_answer_len: int = 8
+) -> None:
+    """``predict_states`` for one state."""
+    predict_states([state], params, decode_answer_len)
+
+
+def run_feedback_iteration(state: PipelineState, backend: Backend) -> PipelineState:
+    """Feed the current tree's retrieved facts and answer back, regenerate.
+
+    The current tree must have been decoded (``predict_states``).
+    """
     if not state.tree_versions:
         raise ValueError("state has no current tree")
-    predict_pending(state, params, decode_answer_len)
+    if len(state.predicted_answers) != len(state.tree_versions):
+        raise ValueError("the current tree has not been decoded")
     base = state.base
-    retrieved = state.retrieved_fact_ids[-1]
-    answer = state.predicted_answers[-1]
     feedback = (
-        [lookup_text(base, parse_node_id(fid)) for fid in retrieved],
-        answer,
+        [lookup_text(base, parse_node_id(fid)) for fid in state.retrieved_fact_ids[-1]],
+        state.predicted_answers[-1],
     )
     structure = generate_tree_structure(backend, state.question, base, feedback)
     state.tree_versions.append(refine(structure, base, backend))
@@ -277,7 +323,7 @@ def build_train_items(
         try:
             check_train_item(item, config)
         except MoeError as exc:
-            state.error = f"{type(exc).__name__}: {exc}"
+            state.fail(exc)
             continue
         items.append(item)
     return items
@@ -355,7 +401,7 @@ def _map_examples(
         try:
             work(example, state)
         except EntailQAError as exc:
-            state.error = f"{type(exc).__name__}: {exc}"
+            state.fail(exc)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(_one, examples))
@@ -391,20 +437,18 @@ def run_pipeline(
 ) -> tuple[dict[str, PipelineState], dict]:
     """Stage 1 on every example, stage-2 training, then the feedback loop.
 
-    Stage 1, the first inference pass and each feedback iteration run across
-    examples on ``config.workers`` threads; an iteration ends at a barrier,
-    where the stopping rule reads the validation score. Once every
-    validation example has failed there is no score, and the loop stops with
+    Stage 1 and the backend half of each feedback iteration run across
+    examples on ``config.workers`` threads. Inference is its own pass on the
+    calling thread (``predict_states``): once after training, and once after
+    each feedback pass. An iteration ends there, at a barrier, where the
+    stopping rule reads the validation score. Once every validation example
+    has failed there is no score, and the loop stops with
     ``STOP_NO_VALIDATION``. Returns (states by id, run summary).
     """
     params = MoeParams.init(config.moe, config.seed)
 
-    def _infer(example: QAExample, state: PipelineState) -> None:
-        predict_pending(state, params, config.decode_answer_len)
-
     def _iterate(example: QAExample, state: PipelineState) -> None:
-        run_feedback_iteration(state, params, backend, config.decode_answer_len)
-        _infer(example, state)
+        run_feedback_iteration(state, backend)
 
     states = stage1_states(examples, config, backend)
 
@@ -412,13 +456,14 @@ def run_pipeline(
     curve = train(params, config, items)
 
     val_ids = validation_ids(examples, config.validation_fraction)
-    _map_examples(config.workers, _infer, examples, states)
+    predict_states(states.values(), params, config.decode_answer_len)
     baseline_em = _validation_em(examples, states, val_ids)
 
     history: list[Optional[float]] = []
     reason = STOP_NO_VALIDATION if baseline_em is None else None
     while reason is None and len(history) < config.iteration_budget:
         _map_examples(config.workers, _iterate, examples, states)
+        predict_states(states.values(), params, config.decode_answer_len)
         em = _validation_em(examples, states, val_ids)
         history.append(em)
         if em is None:

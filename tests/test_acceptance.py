@@ -337,7 +337,7 @@ def test_criterion_7_feedback_efficacy(seeded_experiment):
         predict_pending(states[ex.id], params, config.decode_answer_len)
     before_leaf, before_em = leaf_rate(0), val_em(0)
     for ex in examples:
-        run_feedback_iteration(states[ex.id], params, backend, config.decode_answer_len)
+        run_feedback_iteration(states[ex.id], backend)
         predict_pending(states[ex.id], params, config.decode_answer_len)
     after_leaf, after_em = leaf_rate(1), val_em(1)
 

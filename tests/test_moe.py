@@ -1,6 +1,7 @@
 import math
 import platform
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,8 @@ from entailqa.moe import (
     batch_loss,
     build_lexicon,
     decode_answer,
+    decode_item,
+    decode_items,
     encode,
     fact_features,
     frg_forward,
@@ -84,40 +87,44 @@ class TestTokens:
 
 
 def _per_position(params, tree_text, question):
-    """``encode``'s rows gathered to one per token position."""
-    rows, inverse = encode(params, tree_text, question)
-    return rows[inverse]
+    """Encoder rows of every token position of the tree text then question."""
+    vocab = params.config.vocab_size
+    return encode(params, token_ids(tree_text, vocab) + token_ids(question, vocab))
+
+
+def _decode_item(config, tree_text, question, steps=1, answer_len=1):
+    return decode_item(config, tree_text, question, np.zeros((1, 8)), steps, answer_len)
 
 
 class TestEncode:
     def test_single_token_shape(self, tiny_params):
-        rows, inverse = encode(tiny_params, "falcon", "")
-        assert rows.shape == (1, 8)
-        assert inverse.tolist() == [0]
+        assert encode(tiny_params, token_ids("falcon", 32)).shape == (1, 8)
 
     def test_deterministic(self, tiny_params):
-        a = encode(tiny_params, "tree text here", "and a question?")
-        b = encode(tiny_params, "tree text here", "and a question?")
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        a = _per_position(tiny_params, "tree text here", "and a question?")
+        b = _per_position(tiny_params, "tree text here", "and a question?")
+        assert np.array_equal(a, b)
 
-    def test_concatenates_tree_then_question(self, tiny_params):
-        rows, inverse = encode(tiny_params, "one two", "three?")
-        assert len(inverse) == 3
+    def test_concatenates_tree_then_question(self, tiny_config):
+        item = _decode_item(tiny_config, "one two", "three?")
         ids = token_ids("one two", 32) + token_ids("three?", 32)
-        assert len(rows) == len(set(ids))
+        assert item.bag_counts.sum() == 3
+        assert item.bag_ids.tolist() == sorted(set(ids))
 
-    def test_one_row_per_distinct_id(self, tiny_params):
+    def test_one_row_per_distinct_id(self, tiny_params, tiny_config):
         tree_text, question = "the falcon and the falcon", "the falcon?"
-        rows, inverse = encode(tiny_params, tree_text, question)
+        item = _decode_item(tiny_config, tree_text, question)
         ids = token_ids(tree_text, 32) + token_ids(question, 32)
-        assert len(rows) == len(set(ids)) < len(ids)
-        assert np.array_equal(np.equal.outer(inverse, inverse), np.equal.outer(ids, ids))
-        falcon = _per_position(tiny_params, "falcon", "")[0]
-        assert np.allclose(rows[inverse[1]], falcon, rtol=0, atol=1e-15)
+        assert len(item.bag_ids) == len(set(ids)) < len(ids)
+        assert dict(zip(item.bag_ids.tolist(), item.bag_counts.tolist())) == Counter(ids)
+        rows = encode(tiny_params, item.bag_ids)
+        (falcon,) = token_ids("falcon", 32)
+        row = rows[item.bag_ids.tolist().index(falcon)]
+        assert np.allclose(row, encode(tiny_params, [falcon])[0], rtol=0, atol=1e-15)
 
-    def test_too_long(self, tiny_params):
+    def test_too_long(self, tiny_config):
         with pytest.raises(SequenceTooLong):
-            encode(tiny_params, "word " * 100, "")
+            _decode_item(tiny_config, "word " * 100, "")
 
     def test_qa_decoder_weights_isolated(self, tiny_config):
         a = MoeParams.init(tiny_config, 3)
@@ -310,11 +317,22 @@ class TestMoeForward:
         assert np.allclose(out[0], expected, atol=1e-12)
 
 
+def _frg_one(params, seq, facts, steps):
+    """``frg_forward`` on one item whose rows are ``seq``."""
+    layout, fact_layout = core._Ragged([len(seq)]), core._Ragged([len(facts)])
+    return frg_forward(params, seq, layout, facts, fact_layout, steps)[0]
+
+
+def _qa_one(params, seq, answer_len):
+    """``qa_forward`` on one item whose rows are ``seq``."""
+    return qa_forward(params, seq, core._Ragged([len(seq)]), answer_len)[0]
+
+
 class TestHeads:
     def test_frg_shapes(self, tiny_params, tiny_config):
         seq = np.random.default_rng(7).normal(size=(4, 8))
         facts = np.random.default_rng(8).normal(size=(1, 8))
-        scores = frg_forward(tiny_params, seq, facts, 1)
+        scores = _frg_one(tiny_params, seq, facts, 1)
         assert scores.shape == (1, 1)
 
     def test_softmax_shift_invariance_in_loss(self, tiny_params):
@@ -327,44 +345,44 @@ class TestHeads:
         seq = np.random.default_rng(9).normal(size=(5, 8))
         tiny_params.frg_q2[:] = np.eye(8)
         tiny_params.frg_k2[:] = np.eye(8)
-        probe = frg_forward(tiny_params, seq, np.zeros((1, 8)), 1)
+        probe = _frg_one(tiny_params, seq, np.zeros((1, 8)), 1)
         # reconstruct ctx direction: score with identity projections is ctx @ ff.T
         rng = np.random.default_rng(10)
         ctx_dir = np.zeros(8)
         ctx_dir[:] = 0.0
         # recover ctx by probing with basis fact vectors
         basis = np.eye(8)
-        scores = frg_forward(tiny_params, seq, basis, 1) * math.sqrt(8)
+        scores = _frg_one(tiny_params, seq, basis, 1) * math.sqrt(8)
         ctx_dir = scores[0]
         facts = np.vstack([rng.normal(size=8) * 0.05, ctx_dir / np.linalg.norm(ctx_dir)])
-        out = frg_forward(tiny_params, seq, facts, 1)
+        out = _frg_one(tiny_params, seq, facts, 1)
         assert int(np.argmax(out[0])) == 1
 
     def test_qa_shapes(self, tiny_params, tiny_config):
         seq = np.random.default_rng(11).normal(size=(4, 8))
-        logits = qa_forward(tiny_params, seq, 1)
+        logits = _qa_one(tiny_params, seq, 1)
         assert logits.shape == (1, 32)
 
     def test_qa_ignores_fact_features(self, tiny_params):
         seq = np.random.default_rng(12).normal(size=(4, 8))
-        before = qa_forward(tiny_params, seq, 2)
+        before = _qa_one(tiny_params, seq, 2)
         tiny_params.frg_k2[:] = 123.0  # fact-side projection, QA must not care
-        after = qa_forward(tiny_params, seq, 2)
+        after = _qa_one(tiny_params, seq, 2)
         assert np.array_equal(before, after)
 
     def test_qa_sensitive_to_sequence(self, tiny_params):
         rng = np.random.default_rng(13)
         seq = rng.normal(size=(4, 8))
-        before = qa_forward(tiny_params, seq, 2)
-        after = qa_forward(tiny_params, seq + 0.1, 2)
+        before = _qa_one(tiny_params, seq, 2)
+        after = _qa_one(tiny_params, seq + 0.1, 2)
         assert not np.allclose(before, after)
 
     def test_step_count_bounds(self, tiny_params):
         seq = np.zeros((2, 8))
         with pytest.raises(ValueError):
-            frg_forward(tiny_params, seq, np.zeros((1, 8)), 0)
+            _frg_one(tiny_params, seq, np.zeros((1, 8)), 0)
         with pytest.raises(SequenceTooLong):
-            qa_forward(tiny_params, seq, 1000)
+            _qa_one(tiny_params, seq, 1000)
 
     @pytest.mark.parametrize("head", ["frg", "qa"])
     def test_bag_attention_matches_positions(self, tiny_params, head):
@@ -708,7 +726,7 @@ def _per_position_micro(params, config, items, frg_weight, qa_weight):
     fact_hashes = [h for item in frg for h in item.fact_hashes]
     hashes = [item.seq_hashes for item in frg + qa] + fact_hashes
     ids = core._bucket(np.concatenate(hashes), config.vocab_size)
-    enc = core._encode_ids(params, ids)
+    enc = encode(params, ids)
     n_frg = sum(len(item.seq_hashes) for item in frg)
     n_seq = n_frg + sum(len(item.seq_hashes) for item in qa)
     d = config.embed_dim
@@ -818,3 +836,77 @@ class TestDistinctIdStep:
         assert frg_ids < sum(len(item.seq_hashes) for item in chunk[:2])  # words repeat
         assert max(frg_ids, qa_ids) < every
         assert seen == [(GATE_A, frg_ids), (GATE_B, qa_ids)]
+
+
+class TestDecodeItems:
+    def _items(self, config, n, seed):
+        rng = random.Random(seed)
+        items = []
+        for _ in range(n):
+            tree = " ".join(random_sentence(rng) for _ in range(rng.randint(1, 3)))
+            facts = np.random.default_rng(rng.randrange(1000)).normal(
+                size=(rng.randint(1, 4), config.embed_dim)
+            )
+            items.append(
+                decode_item(config, tree, random_sentence(rng), facts,
+                            rng.randint(1, 3), rng.randint(1, 9))
+            )
+        return items
+
+    def test_routes_each_micro_batch_distinct_ids_once_per_gate(self, monkeypatch):
+        config = MoeConfig(embed_dim=8, vocab_size=4096, n_frg_experts=2,
+                           n_qa_experts=2, n_shared_experts=2, max_seq_len=64)
+        params = MoeParams.init(config, 4)
+        items = self._items(config, 11, seed=3)
+        size = core.DECODE_LOGITS // (max(i.answer_len for i in items) * 4096)
+        assert 1 < size < len(items)
+        seen, encoded = [], []
+        route_rows, encode_rows = core.route, core.encode
+
+        def counting_route(params, config, feats, gate):
+            seen.append((gate, len(feats)))
+            return route_rows(params, config, feats, gate)
+
+        def counting_encode(params, ids):
+            encoded.append(list(ids))
+            return encode_rows(params, ids)
+
+        monkeypatch.setattr(core, "route", counting_route)
+        monkeypatch.setattr(core, "encode", counting_encode)
+        read = []
+        decode_items(params, items, lambda i, scores, logits: read.append(i))
+
+        assert read == list(range(len(items)))
+        every = np.unique(np.concatenate([i.bag_ids for i in items]))
+        expected_seen, expected_encoded = [], []
+        for start in range(0, len(items), size):
+            chunk = items[start : start + size]
+            distinct = np.unique(np.concatenate([i.bag_ids for i in chunk]))
+            assert len(distinct) < len(every)
+            expected_seen += [(GATE_A, len(distinct)), (GATE_B, len(distinct))]
+            expected_encoded.append(distinct.tolist())
+        first = items[:size]
+        assert len(expected_encoded[0]) < sum(len(i.bag_ids) for i in first)  # bags share ids
+        assert seen == expected_seen
+        assert encoded == expected_encoded
+
+    def test_slices_are_cut_to_each_item(self):
+        config = MoeConfig(embed_dim=8, vocab_size=64, n_frg_experts=2,
+                           n_qa_experts=2, n_shared_experts=2, max_seq_len=64)
+        params = MoeParams.init(config, 5)
+        items = self._items(config, 9, seed=4)
+        shapes = []
+        decode_items(params, items, lambda i, s, q: shapes.append((s.shape, q.shape)))
+        assert shapes == [
+            ((i.steps, len(i.fact_feats)), (i.answer_len, 64)) for i in items
+        ]
+        decode_items(params, [], lambda *args: pytest.fail("no item to read"))
+
+    def test_checks_each_item(self, tiny_config):
+        facts = np.zeros((1, 8))
+        with pytest.raises(LengthMismatch):
+            decode_item(tiny_config, "", "?", facts, 1, 1)
+        with pytest.raises(SequenceTooLong, match="65 steps exceed the 64 learned queries"):
+            decode_item(tiny_config, "tree", "q?", facts, 65, 1)
+        with pytest.raises(SequenceTooLong, match="65 positions exceed the 64 learned queries"):
+            decode_item(tiny_config, "tree", "q?", facts, 1, 65)

@@ -37,6 +37,7 @@ def test_traced_smoke_run_measures_every_layer():
     metrics = _smoke("train", trace=1)["metrics"]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert sorted(metrics) == sorted(m["name"] for m in spec)
-    # inference must reach the encoder and MoE layer through the wrapped names
-    for name in ("moe.encode_s", "moe.moe_forward_s", "moe.route_tokens.A", "moe.route_tokens.B"):
+    # inference must reach the encoder, MoE layer and heads through the wrapped names
+    for name in ("moe.encode_s", "moe.moe_forward_s", "moe.frg_forward_s", "moe.qa_forward_s",
+                 "moe.route_tokens.A", "moe.route_tokens.B"):
         assert metrics[name]["value"] > 0, name

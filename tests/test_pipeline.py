@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from entailqa import moe, pipeline
 from entailqa.dataset import QAExample, RunConfig, dataset_from_dict, run_config_from_dict
-from entailqa.errors import EmptyEvidence, NonFiniteLoss
+from entailqa.errors import EmptyEvidence
 from entailqa.facts import Evidence, Table
 from entailqa.llm import MockBackend
 from entailqa.moe import (
@@ -26,6 +27,7 @@ from entailqa.pipeline import (
     build_train_items,
     evaluate_predictions,
     predict_pending,
+    predict_states,
     run_feedback_iteration,
     run_pipeline,
     run_stage1,
@@ -36,8 +38,8 @@ from entailqa.pipeline import (
     validation_ids,
 )
 from entailqa.synth import synthetic_corpus, synthetic_examples
-from entailqa.refine import tree_to_text
-from entailqa.tree import leaf_id, parse_tree, serialize_tree
+from entailqa.refine import refine, tree_to_text
+from entailqa.tree import leaf_id, leaf_preorder, parse_tree, serialize_tree
 
 
 def _text_example(example_id="ex1"):
@@ -233,9 +235,13 @@ class TestFeedbackIteration:
             train(params, config, items)
         return example, state, params
 
+    def _iterate(self, state, params, backend):
+        predict_pending(state, params)
+        run_feedback_iteration(state, backend)
+
     def test_appends_a_version_and_counts(self, mock_backend):
         _, state, params = self._ready_state(mock_backend)
-        run_feedback_iteration(state, params, mock_backend)
+        self._iterate(state, params, mock_backend)
         assert state.iteration == 1
         assert len(state.tree_versions) == 2
         assert len(state.retrieved_fact_ids) == 1
@@ -243,21 +249,30 @@ class TestFeedbackIteration:
 
     def test_fixed_point_when_feedback_matches(self, mock_backend):
         _, state, params = self._ready_state(mock_backend, trained=True)
-        run_feedback_iteration(state, params, mock_backend)
+        self._iterate(state, params, mock_backend)
         first = state.tree_versions[1]
-        run_feedback_iteration(state, params, mock_backend)
+        self._iterate(state, params, mock_backend)
         second = state.tree_versions[2]
         assert first.structurally_equal(second)
 
     def test_losses_recorded_with_targets(self, mock_backend):
         _, state, params = self._ready_state(mock_backend)
-        run_feedback_iteration(state, params, mock_backend)
+        self._iterate(state, params, mock_backend)
         assert state.losses[0] is not None and state.losses[0] > 0
 
-    def test_requires_a_tree(self, mock_backend, small_base, tiny_params):
+    def test_requires_a_tree(self, mock_backend, small_base):
         state = PipelineState(question_id="q", question="q?", base=small_base)
         with pytest.raises(ValueError):
-            run_feedback_iteration(state, tiny_params, mock_backend)
+            run_feedback_iteration(state, mock_backend)
+
+    def test_requires_the_current_tree_decoded(self, mock_backend):
+        _, state, params = self._ready_state(mock_backend)
+        with pytest.raises(ValueError, match="not been decoded"):
+            run_feedback_iteration(state, mock_backend)
+        self._iterate(state, params, mock_backend)
+        with pytest.raises(ValueError, match="not been decoded"):
+            run_feedback_iteration(state, mock_backend)
+        assert len(state.tree_versions) == 2
 
 
 class TestShouldStop:
@@ -299,6 +314,20 @@ class _GarbledFeedback(MockBackend):
     def _do_feedback(self, prompt):
         if self.marker in prompt:
             return "not a tree at all"
+        return super()._do_feedback(prompt)
+
+
+class _LongFeedback(MockBackend):
+    """Answers every feedback prompt for one question id with a chain over
+    all its facts, whatever was fed back."""
+
+    def __init__(self, question_id, **kwargs):
+        super().__init__(**kwargs)
+        self.marker = f"question id: {question_id}\n"
+
+    def _do_feedback(self, prompt):
+        if self.marker in prompt:
+            return self._chain(re.findall(r"^(fact[0-9]+):", prompt, re.MULTILINE))
         return super()._do_feedback(prompt)
 
 
@@ -440,28 +469,27 @@ class TestRunPipeline:
             assert other_summary == summary
             assert other_states == states
 
-    def test_first_inference_fault_fails_alone(self, monkeypatch):
+    def test_inference_fault_fails_alone(self):
+        """One example's feedback tree is too long for the MoE core: that
+        example fails in the inference pass after the feedback, and the other
+        examples still decode their new trees."""
         examples = synthetic_examples(4, seed=5)
-        bad = examples[2]
-        faulted = []
-
-        def flaky(state, *args, **kwargs):
-            if state.question_id == bad.id and not faulted:
-                faulted.append(state.question_id)
-                raise NonFiniteLoss("non-finite loss nan")
-            return predict_pending(state, *args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "predict_pending", flaky)
-        states, summary = run_pipeline(examples, self._config(steps=5), MockBackend())
+        bad = examples[1]
+        backend = _LongFeedback(bad.id, scripted_trees={ex.id: "fact1 -> answer" for ex in examples})
+        config = self._config(steps=5).to_json_dict()
+        config["moe"]["max_seq_len"] = 64
+        states, summary = run_pipeline(examples, run_config_from_dict(config), backend)
         assert summary["failed"] == [bad.id]
-        assert states[bad.id].error == "NonFiniteLoss: non-finite loss nan"
-        assert states[bad.id].predicted_answers == []
+        assert states[bad.id].error.startswith("SequenceTooLong: ")
+        assert len(states[bad.id].tree_versions) == 2
+        assert len(states[bad.id].predicted_answers) == 1  # the first pass decoded it
         for example in examples:
             if example is bad:
                 continue
             state = states[example.id]
             assert not state.failed
             assert state.stopped_reason in (STOP_BUDGET, STOP_NO_IMPROVEMENT)
+            assert len(state.tree_versions) >= 2
             assert len(state.predicted_answers) == len(state.tree_versions)
 
     def test_validation_slice(self):
@@ -501,26 +529,106 @@ class TestPredictPending:
         state.tree_versions.append(tree)
         seen = {}
         for name in ("frg_forward", "qa_forward"):
-            head = getattr(pipeline, name)
+            head = getattr(moe, name)
             monkeypatch.setattr(
-                pipeline, name,
+                moe, name,
                 lambda *args, head=head, name=name: seen.setdefault(name, head(*args)),
             )
         predict_pending(state, params)
 
         ids = token_ids(tree_to_text(tree), 64) + token_ids(example.question, 64)
         assert len(set(ids)) < len(ids)
-        enc = moe._encode_ids(params, ids)
+        enc = moe.encode(params, ids)
         fact_ids = [token_ids(text, 64) for text in base.texts()]
         fact_feats = moe._segment_means(
-            moe._encode_ids(params, [t for f in fact_ids for t in f]),
+            moe.encode(params, [t for f in fact_ids for t in f]),
             np.array([len(f) for f in fact_ids]),
         )
-        steps, answer_len = len(seen["frg_forward"]), len(seen["qa_forward"])
-        scores = frg_forward(params, moe_forward(params, config, enc, GATE_A), fact_feats, steps)
-        logits = qa_forward(params, moe_forward(params, config, enc, GATE_B), answer_len)
+        layout, fact_layout = moe._Ragged([len(ids)]), moe._Ragged([len(fact_ids)])
+        steps, answer_len = seen["frg_forward"].shape[1], seen["qa_forward"].shape[1]
+        scores = frg_forward(params, moe_forward(params, config, enc, GATE_A), layout,
+                             fact_feats, fact_layout, steps)
+        logits = qa_forward(params, moe_forward(params, config, enc, GATE_B), layout, answer_len)
         np.testing.assert_allclose(seen["frg_forward"], scores, rtol=0, atol=1e-12)
         np.testing.assert_allclose(seen["qa_forward"], logits, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _ragged_states(vocab):
+        """States of one to three pending versions with different leaf counts,
+        fact bases of different sizes, every other one without targets."""
+        backend = MockBackend()
+        states = []
+        for i, example in enumerate(synthetic_examples(12, seed=9)):
+            base, tree = run_stage1(example, backend, top_n=2 + i % 3)
+            state = PipelineState(question_id=example.id, question=example.question, base=base)
+            state.tree_versions.append(tree)
+            for chain in (["fact2", "fact1"], ["fact1"])[: i % 3]:
+                structure = parse_tree(MockBackend._chain(chain[: len(base)]))
+                state.tree_versions.append(refine(structure, base, backend))
+            if i % 2 == 0:
+                state.frg_targets, state.qa_targets = stage2_targets(example, base, tree, vocab)
+            states.append(state)
+        return states
+
+    _CONFIG = MoeConfig(embed_dim=8, vocab_size=2048, n_frg_experts=2, n_qa_experts=2,
+                        n_shared_experts=2, max_seq_len=512)
+
+    @pytest.mark.parametrize("decode_answer_len", [1, 8, 13])
+    def test_batched_pass_matches_each_state_alone(self, monkeypatch, decode_answer_len):
+        params = MoeParams.init(self._CONFIG, 2)
+        batched, alone = self._ragged_states(2048), self._ragged_states(2048)
+        assert len({len(s.base) for s in batched}) > 1
+        assert len({len(leaf_preorder(t)) for s in batched for t in s.tree_versions}) > 1
+
+        outputs, calls = {}, []
+        record, route = pipeline._record_version, moe.moe_forward
+
+        def recording(state, step_count, scores, logits, answer_len):
+            key = (id(state), len(state.predicted_answers))
+            outputs[key] = scores.copy(), logits.copy()
+            record(state, step_count, scores, logits, answer_len)
+
+        def counting(*args):
+            calls.append(args[3])
+            return route(*args)
+
+        monkeypatch.setattr(pipeline, "_record_version", recording)
+        monkeypatch.setattr(moe, "moe_forward", counting)
+        predict_states(batched, params, decode_answer_len)
+        versions = sum(len(s.tree_versions) for s in batched)
+        assert 2 < len(calls) < 2 * versions  # several micro-batches of several versions
+        monkeypatch.setattr(moe, "DECODE_LOGITS", 1)  # one version per micro-batch
+        for state in alone:
+            predict_pending(state, params, decode_answer_len)
+
+        for b, a in zip(batched, alone):
+            assert not b.failed and not a.failed
+            assert len(b.predicted_answers) == len(b.tree_versions)
+            assert b.predicted_answers == a.predicted_answers
+            assert b.retrieved_fact_ids == a.retrieved_fact_ids
+            assert (b.losses[0] is None) == (b.frg_targets is None)
+            for lb, la in zip(b.losses, a.losses):
+                assert lb == la if lb is None else lb == pytest.approx(la, rel=0, abs=1e-12)
+            for version in range(len(b.tree_versions)):
+                for xb, xa in zip(outputs[id(b), version], outputs[id(a), version]):
+                    assert xb.shape == xa.shape
+                    np.testing.assert_allclose(xb, xa, rtol=0, atol=1e-12)
+
+    def test_failed_version_leaves_the_others_as_if_absent(self):
+        params = MoeParams.init(self._CONFIG, 2)
+        with_bad, without = self._ragged_states(2048), self._ragged_states(2048)
+        bad = with_bad[3]
+        bad.question = "word " * 600  # its pending versions exceed max_seq_len
+        predict_states(with_bad, params)
+        predict_states(without[:3] + without[4:], params)
+        assert bad.error.startswith("SequenceTooLong: ")
+        assert bad.predicted_answers == bad.retrieved_fact_ids == bad.losses == []
+        for b, a in zip(with_bad[:3] + with_bad[4:], without[:3] + without[4:]):
+            assert not b.failed
+            assert b.predicted_answers == a.predicted_answers
+            assert b.retrieved_fact_ids == a.retrieved_fact_ids
+            for lb, la in zip(b.losses, a.losses):
+                assert lb == la if lb is None else lb == pytest.approx(la, rel=0, abs=1e-12)
 
 
 class TestEvaluatePredictions:
