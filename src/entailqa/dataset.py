@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -53,8 +54,8 @@ class TrainingConfig:
     weight_decay: float = 0.01
 
     def __post_init__(self):
-        if self.steps < 0 or self.learning_rate < 0:
-            raise ValueError("steps and learning_rate must be non-negative")
+        if self.steps < 0 or self.learning_rate < 0 or self.weight_decay < 0:
+            raise ValueError("steps, learning_rate and weight_decay must be non-negative")
         if self.batch_size_retrieval < 1 or self.batch_size_qa < 1:
             raise ValueError("batch sizes must be >= 1")
 
@@ -354,10 +355,23 @@ def write_json(path: Union[str, Path], obj) -> None:
     Path(path).write_text(canonical_json(obj), encoding="utf-8")
 
 
+def _finite(text: str) -> float:
+    """A JSON number as a float; ``NaN``, ``Infinity`` and numbers too large
+    for a float are not numbers JSON allows."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def read_json(path: Union[str, Path]):
-    """The JSON value in the file at ``path``; a file that is not UTF-8 JSON
-    is a ``SchemaError``."""
+    """The JSON value in the file at ``path``; a file that is not UTF-8 JSON,
+    or holds a number that is not finite, is a ``SchemaError``."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(
+            Path(path).read_text(encoding="utf-8"),
+            parse_float=_finite,
+            parse_constant=_finite,
+        )
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise SchemaError(f"not valid JSON: {exc}") from exc

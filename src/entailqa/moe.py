@@ -14,7 +14,9 @@ Nothing depends on a token's position, so the encoder and MoE layer run once
 per distinct token id, and the heads attend over a sequence's bag of distinct
 ids with the log of each id's count added to its score, which equals
 attention over the positions. Training (``batch_gradients``) and inference
-(``decode_items``) both run over micro-batches of items this way.
+(``decode_items``) are two uses of one micro-batch forward: a tree version
+to decode is a ``TrainItem`` without targets, and fact features are token
+means computed in each micro-batch.
 
 Everything runs in float64 with handwritten analytic gradients so the whole
 parameter set can be checked against centered finite differences. Routing
@@ -35,7 +37,7 @@ from typing import Callable, Iterable, Literal, Optional, Sequence
 import numpy as np
 
 from .errors import LengthMismatch, NonFiniteLoss, SequenceTooLong
-from .facts import FactBase, tokenize
+from .facts import tokenize
 
 GateId = Literal["A", "B"]
 GATE_A: GateId = "A"
@@ -233,13 +235,14 @@ class RoutingDecision:
 
 @dataclass(frozen=True)
 class TrainItem:
-    """One training example; either target may be absent.
+    """One item of the joint model: a tree text, its question and its facts,
+    with either target absent. A tree version to decode has neither.
 
-    The texts are tokenized once, when the item is built: ``seq_hashes`` holds
-    the crc32 of every token of the tree text then the question, ``bag_hashes``
-    and ``bag_counts`` its distinct hashes and how often each occurs, and
-    ``fact_hashes`` the crc32s of each fact (``replace`` carries them over). A
-    training step only maps each hash to its vocabulary bucket, as
+    The texts are tokenized once, when the item is built: ``bag_hashes`` and
+    ``bag_counts`` hold the distinct crc32s of the tokens of the tree text
+    then the question and how often each occurs, ``n_tokens`` their count,
+    and ``fact_hashes`` the crc32s of each fact (``replace`` carries them
+    over). A forward pass only maps each hash to its vocabulary bucket, as
     ``token_bucket`` does.
     """
 
@@ -248,7 +251,7 @@ class TrainItem:
     fact_texts: tuple[str, ...]
     frg_targets: Optional[tuple[int, ...]] = None
     qa_targets: Optional[tuple[int, ...]] = None
-    seq_hashes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    n_tokens: int = field(default=0, repr=False, compare=False)
     fact_hashes: Optional[tuple[np.ndarray, ...]] = field(
         default=None, repr=False, compare=False
     )
@@ -256,13 +259,13 @@ class TrainItem:
     bag_counts: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.seq_hashes is None:
+        if self.bag_hashes is None:
             seq = np.concatenate(
                 [_token_hashes(self.tree_text), _token_hashes(self.question)]
             )
             facts = tuple(_token_hashes(text) for text in self.fact_texts)
             bag, counts = np.unique(seq, return_counts=True)
-            object.__setattr__(self, "seq_hashes", seq)
+            object.__setattr__(self, "n_tokens", len(seq))
             object.__setattr__(self, "fact_hashes", facts)
             object.__setattr__(self, "bag_hashes", bag)
             object.__setattr__(self, "bag_counts", counts)
@@ -272,34 +275,6 @@ class TrainItem:
 
     def without_qa(self) -> "TrainItem":
         return replace(self, qa_targets=None)
-
-
-def _check_tokens(config: MoeConfig, length: int) -> None:
-    if length > config.max_seq_len:
-        raise SequenceTooLong(
-            f"{length} tokens exceed max_seq_len={config.max_seq_len}"
-        )
-    if not length:
-        raise LengthMismatch("the tree text and question have no tokens")
-
-
-def check_train_item(item: TrainItem, config: MoeConfig) -> None:
-    """Raise the error a training step would raise on this item."""
-    _check_tokens(config, len(item.seq_hashes))
-    for targets, classes in (
-        (item.frg_targets, len(item.fact_texts)),
-        (item.qa_targets, config.vocab_size),
-    ):
-        if targets is None:
-            continue
-        if not targets:
-            raise LengthMismatch("empty target sequence")
-        if len(targets) > config.max_seq_len:
-            raise SequenceTooLong(
-                f"{len(targets)} targets exceed the {config.max_seq_len} learned queries"
-            )
-        if any(not 0 <= t < classes for t in targets):
-            raise LengthMismatch("target index out of range")
 
 
 def _check_queries(config: MoeConfig, count: int, noun: str) -> None:
@@ -312,35 +287,30 @@ def _check_queries(config: MoeConfig, count: int, noun: str) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class DecodeItem:
-    """One sequence to decode: its distinct token ids and how often each
-    occurs, the features of its facts, and how many learned queries each head
-    runs for it. ``decode_item`` builds a checked one."""
-
-    bag_ids: np.ndarray
-    bag_counts: np.ndarray
-    fact_feats: np.ndarray
-    steps: int
-    answer_len: int
-
-
-def decode_item(
-    config: MoeConfig,
-    tree_text: str,
-    question: str,
-    fact_feats: np.ndarray,
-    steps: int,
-    answer_len: int,
-) -> DecodeItem:
-    """The tree text then the question as a bag of token ids; raises the
-    error the encoder or a head would raise on it."""
-    ids = token_ids(tree_text, config.vocab_size) + token_ids(question, config.vocab_size)
-    _check_tokens(config, len(ids))
+def check_train_item(
+    item: TrainItem, config: MoeConfig, steps: int = 1, answer_len: int = 1
+) -> None:
+    """Raise the error a training step would raise on this item, or a decode
+    that runs ``steps`` retrieval and ``answer_len`` answer queries for it."""
+    if item.n_tokens > config.max_seq_len:
+        raise SequenceTooLong(
+            f"{item.n_tokens} tokens exceed max_seq_len={config.max_seq_len}"
+        )
+    if not item.n_tokens:
+        raise LengthMismatch("the tree text and question have no tokens")
     _check_queries(config, steps, "steps")
     _check_queries(config, answer_len, "positions")
-    bag, counts = np.unique(ids, return_counts=True)
-    return DecodeItem(bag, counts, fact_feats, steps, answer_len)
+    for targets, classes in (
+        (item.frg_targets, len(item.fact_texts)),
+        (item.qa_targets, config.vocab_size),
+    ):
+        if targets is None:
+            continue
+        if not targets:
+            raise LengthMismatch("empty target sequence")
+        _check_queries(config, len(targets), "targets")
+        if any(not 0 <= t < classes for t in targets):
+            raise LengthMismatch("target index out of range")
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -398,21 +368,6 @@ class _Ragged:
         return np.where(self.mask[:, None, :], scores, -np.inf)
 
 
-def _segment_means(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Mean of each run of ``lengths`` consecutive rows; an empty run gives zeros."""
-    out = np.zeros((len(lengths), rows.shape[1]))
-    full = lengths > 0
-    if full.any():
-        starts = (np.cumsum(lengths) - lengths)[full]
-        out[full] = np.add.reduceat(rows, starts, axis=0) / lengths[full, None]
-    return out
-
-
-def _segment_means_bwd(d_means: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    full = lengths > 0
-    return np.repeat(d_means[full] / lengths[full, None], lengths[full], axis=0)
-
-
 # --- forward operations -----------------------------------------------------------
 
 
@@ -423,18 +378,15 @@ def encode(params: MoeParams, ids) -> np.ndarray:
     return np.tanh(x @ params.enc_w.T + params.enc_b)
 
 
-def fact_features(params: MoeParams, base: FactBase) -> np.ndarray:
-    """m x d matrix; row i is the token-mean encoding of fact i."""
-    if not len(base):
-        raise ValueError("fact base is empty")
-    ids = [token_ids(fact.text, params.config.vocab_size) for fact in base.facts]
-    distinct, inverse = np.unique(
-        np.array([t for fact_ids in ids for t in fact_ids], dtype=np.intp),
-        return_inverse=True,
-    )
-    return _segment_means(
-        encode(params, distinct)[inverse], np.array([len(i) for i in ids])
-    )
+def fact_features(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Mean of each run of ``lengths`` consecutive rows: the feature of a fact
+    from the encoder rows of its tokens. A fact with no token gives zeros."""
+    out = np.zeros((len(lengths), rows.shape[1]))
+    full = lengths > 0
+    if full.any():
+        starts = (np.cumsum(lengths) - lengths)[full]
+        out[full] = np.add.reduceat(rows, starts, axis=0) / lengths[full, None]
+    return out
 
 
 def _gate_matrix(params: MoeParams, gate: GateId) -> np.ndarray:
@@ -488,15 +440,17 @@ def _sum_over_k(by_slot: np.ndarray, slots: np.ndarray, k: int) -> np.ndarray:
     return total
 
 
-def _moe_fwd(
+def moe_forward(
     params: MoeParams, config: MoeConfig, feats: np.ndarray, gate: GateId
 ) -> tuple[np.ndarray, dict]:
-    """Route every row once, then run each expert once over the rows that
-    selected it (grouped, dropless dispatch).
+    """Top-K expert mix plus the residual input, row by row, and what the
+    backward needs. An output row depends on its input row alone, so callers
+    pass one row per distinct token id (the rows ``encode`` returns).
 
-    The (row, k) slots are sorted by expert, so each expert reads and writes
-    one contiguous block; the per-slot outputs are put back in row order and
-    summed over k.
+    Every row is routed once, then each expert runs once over the rows that
+    selected it (grouped, dropless dispatch): the (row, k) slots are sorted
+    by expert, so each expert reads and writes one contiguous block; the
+    per-slot outputs are put back in row order and summed over k.
     """
     decision = route(params, config, feats, gate)
     chosen = decision.indices.ravel()
@@ -517,16 +471,6 @@ def _moe_fwd(
     mixed *= decision.values.ravel()[slots, None]
     cache = {"decision": decision, "slots": slots, "bounds": bounds, "h": h}
     return feats + _sum_over_k(mixed, slots, config.top_k), cache
-
-
-def moe_forward(
-    params: MoeParams, config: MoeConfig, seq: np.ndarray, gate: GateId
-) -> np.ndarray:
-    """Top-K expert mix plus the residual input, row by row. An output row
-    depends on its input row alone, so callers pass one row per distinct
-    token id (the rows ``encode`` returns)."""
-    out, _ = _moe_fwd(params, config, seq, gate)
-    return out
 
 
 # Learned queries and query/key/value projections of each head's attention
@@ -551,7 +495,7 @@ def _attention_fwd(
     return attn @ v, {"q": q, "k": k, "v": v, "attn": attn, "scale": scale}
 
 
-def _frg_fwd(
+def frg_forward(
     params: MoeParams,
     seq_moe: np.ndarray,
     layout: _Ragged,
@@ -559,7 +503,11 @@ def _frg_fwd(
     fact_layout: _Ragged,
     step_count: int,
 ) -> tuple[np.ndarray, dict]:
-    """(items, steps, facts) scores; an item's missing facts score -inf."""
+    """(items, step_count, facts) score vectors over each item's own facts,
+    and what the backward needs; a missing fact scores -inf. ``layout`` lays
+    out the items' rows of ``seq_moe`` and ``fact_layout`` their rows of
+    ``fact_feats``."""
+    _check_queries(params.config, step_count, "steps")
     ctx, attn = _attention_fwd(params, "frg", step_count, seq_moe, layout)
     scale = 1.0 / math.sqrt(params.config.embed_dim)
     q2 = ctx @ params.frg_q2
@@ -568,36 +516,15 @@ def _frg_fwd(
     return scores, {"ctx": ctx, "q2": q2, "k2": k2, "scale": scale, "attn": attn}
 
 
-def frg_forward(
-    params: MoeParams,
-    seq_moe: np.ndarray,
-    layout: _Ragged,
-    fact_feats: np.ndarray,
-    fact_layout: _Ragged,
-    step_count: int,
-) -> np.ndarray:
-    """(items, step_count, facts) score vectors over each item's own facts;
-    a missing fact scores -inf. ``layout`` lays out the items' rows of
-    ``seq_moe`` and ``fact_layout`` their rows of ``fact_feats``."""
-    _check_queries(params.config, step_count, "steps")
-    return _frg_fwd(params, seq_moe, layout, fact_feats, fact_layout, step_count)[0]
-
-
-def _qa_fwd(
-    params: MoeParams, seq_moe: np.ndarray, layout: _Ragged, answer_len: int
-) -> tuple[np.ndarray, dict]:
-    """(items, positions, vocab) logits."""
-    ctx, attn = _attention_fwd(params, "qa", answer_len, seq_moe, layout)
-    return ctx @ params.vocab_out.T, {"ctx": ctx, "attn": attn}
-
-
 def qa_forward(
     params: MoeParams, seq_moe: np.ndarray, layout: _Ragged, answer_len: int
-) -> np.ndarray:
-    """(items, answer_len, vocab) logits; independent of fact features.
-    ``layout`` lays out the items' rows of ``seq_moe``."""
+) -> tuple[np.ndarray, dict]:
+    """(items, answer_len, vocab) logits, independent of fact features, and
+    what the backward needs. ``layout`` lays out the items' rows of
+    ``seq_moe``."""
     _check_queries(params.config, answer_len, "positions")
-    return _qa_fwd(params, seq_moe, layout, answer_len)[0]
+    ctx, attn = _attention_fwd(params, "qa", answer_len, seq_moe, layout)
+    return ctx @ params.vocab_out.T, {"ctx": ctx, "attn": attn}
 
 
 def _cross_entropy(scores: np.ndarray, targets: Sequence[int]) -> float:
@@ -623,6 +550,85 @@ def losses(
     l_frg = _cross_entropy(frg_scores, gold_fact_sequence)
     l_qa = _cross_entropy(qa_logits, gold_answer_tokens)
     return l_frg, l_qa, l_frg + l_qa
+
+
+def _bag_layout(items: Sequence[TrainItem]) -> _Ragged:
+    """The items' sequence bags end to end, each row weighted by its count."""
+    return _Ragged(
+        [len(item.bag_hashes) for item in items],
+        np.concatenate([item.bag_counts for item in items]),
+    )
+
+
+def _forward(
+    params: MoeParams,
+    frg_items: Sequence[TrainItem],
+    qa_items: Sequence[TrainItem],
+    step_count: int,
+    answer_len: int,
+) -> tuple[Optional[np.ndarray], Optional[np.ndarray], dict]:
+    """The joint model's forward over one micro-batch: (items, step_count,
+    facts) retrieval scores of ``frg_items``, (items, answer_len, vocab)
+    answer logits of ``qa_items`` (None for an empty list), and what the
+    backward needs. An item may be in both lists.
+
+    The token ids are the sequence bags of the retrieval items, then those of
+    the answer items, then every token of the retrieval items' facts. A
+    token's encoder and MoE rows depend on its id alone, so the encoder runs
+    once over the distinct ids, and each gate's MoE layer once over the
+    distinct ids of its own head's bags; the heads read their bag rows, and
+    the fact means their per-position rows, through inverse indexes.
+    """
+    config = params.config
+    fact_hashes = [h for item in frg_items for h in item.fact_hashes]
+    hashes = [item.bag_hashes for item in [*frg_items, *qa_items]] + fact_hashes
+    ids = _bucket(
+        np.concatenate(hashes) if hashes else np.zeros(0, np.int64), config.vocab_size
+    )
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    enc = encode(params, distinct)
+    n_frg = sum(len(item.bag_hashes) for item in frg_items)
+    n_seq = n_frg + sum(len(item.bag_hashes) for item in qa_items)
+    cache: dict = {"ids": distinct, "enc": enc}
+    scores = logits = None
+    if frg_items:
+        gate_rows, rows = np.unique(inverse[:n_frg], return_inverse=True)
+        layout = _bag_layout(frg_items)
+        moe_out, moe = moe_forward(params, config, enc[gate_rows], GATE_A)
+        seq_moe = moe_out[rows]
+        fact_layout = _Ragged([len(item.fact_hashes) for item in frg_items])
+        fact_lengths = np.array([len(h) for h in fact_hashes], dtype=np.intp)
+        fact_feats = fact_features(enc[inverse[n_seq:]], fact_lengths)
+        scores, head = frg_forward(
+            params, seq_moe, layout, fact_feats, fact_layout, step_count
+        )
+        cache["frg"] = {
+            "gate_rows": gate_rows,
+            "rows": rows,
+            "layout": layout,
+            "seq_moe": seq_moe,
+            "moe": moe,
+            "facts": inverse[n_seq:],
+            "fact_layout": fact_layout,
+            "fact_lengths": fact_lengths,
+            "fact_feats": fact_feats,
+            "head": head,
+        }
+    if qa_items:
+        gate_rows, rows = np.unique(inverse[n_frg:n_seq], return_inverse=True)
+        layout = _bag_layout(qa_items)
+        moe_out, moe = moe_forward(params, config, enc[gate_rows], GATE_B)
+        seq_moe = moe_out[rows]
+        logits, head = qa_forward(params, seq_moe, layout, answer_len)
+        cache["qa"] = {
+            "gate_rows": gate_rows,
+            "rows": rows,
+            "layout": layout,
+            "seq_moe": seq_moe,
+            "moe": moe,
+            "head": head,
+        }
+    return scores, logits, cache
 
 
 # --- backward operations -----------------------------------------------------------
@@ -736,6 +742,11 @@ def _sum_rows_by(index: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
     )
 
 
+def _fact_features_bwd(d_means: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    full = lengths > 0
+    return np.repeat(d_means[full] / lengths[full, None], lengths[full], axis=0)
+
+
 # --- batched training step ----------------------------------------------------------
 
 # Items per micro-batch. A micro-batch runs forward then backward and drops its
@@ -753,7 +764,7 @@ def _pad_targets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(items, longest) zero-padded targets and the loss weight of each:
     ``weight`` over the item's target count, 0 on padding."""
-    longest = max(len(t) for t in targets)
+    longest = max((len(t) for t in targets), default=0)
     padded = np.zeros((len(targets), longest), dtype=np.intp)
     step_weights = np.zeros((len(targets), longest))
     for i, t in enumerate(targets):
@@ -775,14 +786,6 @@ def _weighted_cross_entropy(
     return -float((picked * step_weights).sum()), d_scores
 
 
-def _bag_layout(items: Sequence[TrainItem]) -> _Ragged:
-    """The items' sequence bags end to end, each row weighted by its count."""
-    return _Ragged(
-        [len(item.bag_hashes) for item in items],
-        np.concatenate([item.bag_counts for item in items]),
-    )
-
-
 def _micro_forward(
     params: MoeParams,
     config: MoeConfig,
@@ -790,98 +793,46 @@ def _micro_forward(
     frg_weight: float,
     qa_weight: float,
 ) -> tuple[float, dict]:
-    """Weighted joint loss of one micro-batch and what its backward needs.
-
-    The token ids are the sequence bags of the retrieval items, then those of
-    the answer items (an item carrying both targets appears in each), then
-    every token of the retrieval items' facts. A token's encoder and MoE rows
-    depend on its id alone, so the encoder runs once over the distinct ids,
-    and each gate's MoE layer once over the distinct ids of its own head's
-    bags; the heads read their bag rows, and the fact means their
-    per-position rows, through inverse indexes.
-    """
+    """Weighted joint loss of one micro-batch and what its backward needs;
+    an item carrying both targets goes to both heads."""
     for item in items:
         check_train_item(item, config)
     frg = [item for item in items if item.frg_targets is not None]
     qa = [item for item in items if item.qa_targets is not None]
-    fact_hashes = [h for item in frg for h in item.fact_hashes]
-    hashes = [item.bag_hashes for item in frg + qa] + fact_hashes
-    ids = _bucket(
-        np.concatenate(hashes) if hashes else np.zeros(0, np.int64), config.vocab_size
+    frg_targets = _pad_targets([item.frg_targets for item in frg], frg_weight)
+    qa_targets = _pad_targets([item.qa_targets for item in qa], qa_weight)
+    scores, logits, cache = _forward(
+        params, frg, qa, frg_targets[0].shape[1], qa_targets[0].shape[1]
     )
-    distinct, inverse = np.unique(ids, return_inverse=True)
-    enc = encode(params, distinct)
-    n_frg = sum(len(item.bag_hashes) for item in frg)
-    n_seq = n_frg + sum(len(item.bag_hashes) for item in qa)
-    cache: dict = {"ids": distinct, "enc": enc}
     loss = 0.0
-    if frg:
-        gate_rows, rows = np.unique(inverse[:n_frg], return_inverse=True)
-        layout = _bag_layout(frg)
-        moe_out, moe = _moe_fwd(params, config, enc[gate_rows], GATE_A)
-        seq_moe = moe_out[rows]
-        targets, step_weights = _pad_targets(
-            [item.frg_targets for item in frg], frg_weight
-        )
-        fact_layout = _Ragged([len(item.fact_hashes) for item in frg])
-        fact_lengths = np.array([len(h) for h in fact_hashes], dtype=np.intp)
-        fact_feats = _segment_means(enc[inverse[n_seq:]], fact_lengths)
-        scores, head = _frg_fwd(
-            params, seq_moe, layout, fact_feats, fact_layout, targets.shape[1]
-        )
-        part, d_scores = _weighted_cross_entropy(scores, targets, step_weights)
-        loss += part
-        cache["frg"] = {
-            "gate_rows": gate_rows,
-            "rows": rows,
-            "layout": layout,
-            "seq_moe": seq_moe,
-            "moe": moe,
-            "facts": inverse[n_seq:],
-            "fact_layout": fact_layout,
-            "fact_lengths": fact_lengths,
-            "fact_feats": fact_feats,
-            "head": head,
-            "d_scores": d_scores,
-        }
-    if qa:
-        gate_rows, rows = np.unique(inverse[n_frg:n_seq], return_inverse=True)
-        layout = _bag_layout(qa)
-        moe_out, moe = _moe_fwd(params, config, enc[gate_rows], GATE_B)
-        seq_moe = moe_out[rows]
-        targets, step_weights = _pad_targets(
-            [item.qa_targets for item in qa], qa_weight
-        )
-        logits, head = _qa_fwd(params, seq_moe, layout, targets.shape[1])
-        part, d_logits = _weighted_cross_entropy(logits, targets, step_weights)
-        loss += part
-        cache["qa"] = {
-            "gate_rows": gate_rows,
-            "rows": rows,
-            "layout": layout,
-            "seq_moe": seq_moe,
-            "moe": moe,
-            "head": head,
-            "d_logits": d_logits,
-        }
+    for head, out, (targets, step_weights) in (
+        ("frg", scores, frg_targets),
+        ("qa", logits, qa_targets),
+    ):
+        if out is not None:
+            part, cache[head]["d_out"] = _weighted_cross_entropy(
+                out, targets, step_weights
+            )
+            loss += part
     return loss, cache
 
 
 def _micro_backward(
-    params: MoeParams, config: MoeConfig, cache: dict, grads: dict[str, np.ndarray]
+    params: MoeParams, cache: dict, grads: dict[str, np.ndarray]
 ) -> None:
     """Adds one micro-batch's gradients to ``grads``."""
+    config = params.config  # the config ``_forward`` ran with
     enc = cache["enc"]
     d_enc = np.zeros_like(enc)
 
     frg = cache.get("frg")
     if frg is not None:
-        head, d_scores = frg["head"], frg["d_scores"]
+        head, d_scores = frg["head"], frg["d_out"]
         d_q2 = d_scores @ head["k2"] * head["scale"]
         d_k2 = frg["fact_layout"].unpad(
             d_scores.transpose(0, 2, 1) @ head["q2"] * head["scale"]
         )
-        d = params.config.embed_dim
+        d = config.embed_dim
         grads["frg_q2"] += head["ctx"].reshape(-1, d).T @ d_q2.reshape(-1, d)
         grads["frg_k2"] += frg["fact_feats"].T @ d_k2
         d_seq = _attention_bwd(
@@ -896,12 +847,12 @@ def _micro_backward(
         rows = frg["gate_rows"]
         d_moe = _sum_rows_by(frg["rows"], d_seq, len(rows))
         d_enc[rows] += _moe_bwd(params, config, enc[rows], frg["moe"], d_moe, grads)
-        d_facts = _segment_means_bwd(d_k2 @ params.frg_k2.T, frg["fact_lengths"])
+        d_facts = _fact_features_bwd(d_k2 @ params.frg_k2.T, frg["fact_lengths"])
         d_enc += _sum_rows_by(frg["facts"], d_facts, len(enc))
 
     qa = cache.get("qa")
     if qa is not None:
-        head, d_logits = qa["head"], qa["d_logits"]
+        head, d_logits = qa["head"], qa["d_out"]
         grads["vocab_out"] += (
             d_logits.reshape(-1, d_logits.shape[2]).T
             @ head["ctx"].reshape(-1, head["ctx"].shape[2])
@@ -962,7 +913,7 @@ def batch_gradients(
     for chunk in chunks:
         loss, cache = _micro_forward(params, config, chunk, frg_weight, qa_weight)
         total += loss
-        _micro_backward(params, config, cache, grads)
+        _micro_backward(params, cache, grads)
     return total, grads
 
 
@@ -1027,52 +978,38 @@ DECODE_LOGITS = 1 << 16
 
 def decode_items(
     params: MoeParams,
-    items: Sequence[DecodeItem],
+    versions: Sequence[tuple[TrainItem, int, int]],
     read: Callable[[int, np.ndarray, np.ndarray], None],
 ) -> None:
-    """``read(i, scores, logits)`` with item i's (steps, facts) scores and
-    (answer_len, vocab) logits, for every item in order; forward only.
+    """``read(i, scores, logits)`` for version i, ``(item, steps,
+    answer_len)``, with the item's (steps, facts) scores and (answer_len,
+    vocab) logits, for every version in order; forward only.
 
-    The items run in micro-batches whose logits fit in ``DECODE_LOGITS``
-    floats (one item at least). Like a training micro-batch, each makes one
-    encode over its distinct ids, one MoE layer per gate over those rows, and
-    both heads over the items' bags, at its largest query counts. Query rows
-    are independent, so each item's slice, cut to its own query counts and
-    facts, is what it would get alone. The slices are views, so ``read``
-    must copy what it keeps.
+    The versions run in micro-batches whose logits fit in ``DECODE_LOGITS``
+    floats (one version at least), each through the training step's forward
+    with every item in both heads, at the micro-batch's largest query counts.
+    Query rows are independent, so each item's slice, cut to its own query
+    counts and facts, is what it would get alone. The slices are views, so
+    ``read`` must copy what it keeps.
     """
-    config = params.config
-    longest = max((item.answer_len for item in items), default=1)
-    size = max(1, DECODE_LOGITS // (longest * config.vocab_size))
-    for start in range(0, len(items), size):
-        chunk = items[start : start + size]
-        distinct, rows = np.unique(
-            np.concatenate([item.bag_ids for item in chunk]), return_inverse=True
-        )
-        enc = encode(params, distinct)
-        layout = _Ragged(
-            [len(item.bag_ids) for item in chunk],
-            np.concatenate([item.bag_counts for item in chunk]),
-        )
-        scores = frg_forward(
+    longest = max((answer_len for _, _, answer_len in versions), default=1)
+    size = max(1, DECODE_LOGITS // (longest * params.config.vocab_size))
+    for start in range(0, len(versions), size):
+        chunk = versions[start : start + size]
+        items = [item for item, _, _ in chunk]
+        # [:2] drops the backward cache at once
+        scores, logits = _forward(
             params,
-            moe_forward(params, config, enc, GATE_A)[rows],
-            layout,
-            np.concatenate([item.fact_feats for item in chunk]),
-            _Ragged([len(item.fact_feats) for item in chunk]),
-            max(item.steps for item in chunk),
-        )
-        logits = qa_forward(
-            params,
-            moe_forward(params, config, enc, GATE_B)[rows],
-            layout,
-            max(item.answer_len for item in chunk),
-        )
-        for i, item in enumerate(chunk):
+            items,
+            items,
+            max(steps for _, steps, _ in chunk),
+            max(answer_len for _, _, answer_len in chunk),
+        )[:2]
+        for i, (item, steps, answer_len) in enumerate(chunk):
             read(
                 start + i,
-                scores[i, : item.steps, : len(item.fact_feats)],
-                logits[i, : item.answer_len],
+                scores[i, :steps, : len(item.fact_texts)],
+                logits[i, :answer_len],
             )
         del scores, logits  # freed before the next micro-batch's are made
 

@@ -35,7 +35,6 @@ from .llm import (
     vqa_answer,
 )
 from .moe import (
-    DecodeItem,
     MoeConfig,
     MoeParams,
     TrainItem,
@@ -44,9 +43,7 @@ from .moe import (
     build_lexicon,
     check_train_item,
     decode_answer,
-    decode_item,
     decode_items,
-    fact_features,
     greedy_answer_ids,
     losses,
 )
@@ -73,8 +70,8 @@ class PipelineState:
     error: Optional[str] = None
     frg_targets: Optional[tuple[int, ...]] = None
     qa_targets: Optional[tuple[int, ...]] = None
-    # (params, fact features, lexicon) of predict_states; not serialized
-    decoding: Optional[tuple[MoeParams, np.ndarray, dict[int, str]]] = field(
+    # (vocab_size, lexicon) of predict_states; not serialized
+    lexicon: Optional[tuple[int, dict[int, str]]] = field(
         default=None, repr=False, compare=False
     )
 
@@ -162,25 +159,22 @@ def stage2_targets(
 
 
 def _pending_items(
-    state: PipelineState, params: MoeParams, decode_answer_len: int
-) -> list[tuple[int, DecodeItem]]:
-    """(leaf count, checked decode item) of each tree version of ``state``
-    not yet decoded.
+    state: PipelineState, config: MoeConfig, decode_answer_len: int
+) -> list[tuple[int, tuple[TrainItem, int, int]]]:
+    """(leaf count, checked version) of each tree version of ``state`` not
+    yet decoded; a version is (item, retrieval steps, answer positions) as
+    ``moe.decode_items`` takes it.
 
-    The fact base does not change across versions, so its features and
-    lexicon are computed once per example and ``params``; ``params`` must not
-    be trained between calls.
+    The fact base does not change across versions, so the lexicon is built
+    once per example and vocabulary size.
     """
     trees = state.tree_versions[len(state.predicted_answers) :]
     if not trees:
         return []
-    config = params.config
-    if state.decoding is None or state.decoding[0] is not params:
-        state.decoding = (
-            params,
-            fact_features(params, state.base),
-            build_lexicon(state.base.texts() + [state.question], config.vocab_size),
-        )
+    if state.lexicon is None or state.lexicon[0] != config.vocab_size:
+        texts = state.base.texts() + [state.question]
+        state.lexicon = (config.vocab_size, build_lexicon(texts, config.vocab_size))
+    fact_texts = tuple(state.base.texts())
     scored = bool(state.frg_targets and state.qa_targets)
     pending = []
     for tree in trees:
@@ -193,10 +187,9 @@ def _pending_items(
         if scored:
             frg_steps = max(frg_steps, len(state.frg_targets))
             qa_len = max(qa_len, len(state.qa_targets))
-        item = decode_item(
-            config, tree_to_text(tree), state.question, state.decoding[1], frg_steps, qa_len
-        )
-        pending.append((step_count, item))
+        item = TrainItem(tree_to_text(tree), state.question, fact_texts)
+        check_train_item(item, config, frg_steps, qa_len)
+        pending.append((step_count, (item, frg_steps, qa_len)))
     return pending
 
 
@@ -219,7 +212,7 @@ def _record_version(
             state.qa_targets,
         )
     state.retrieved_fact_ids.append([leaf_id(i + 1).render() for i in picks])
-    state.predicted_answers.append(decode_answer(answer_ids, state.decoding[2]))
+    state.predicted_answers.append(decode_answer(answer_ids, state.lexicon[1]))
     state.losses.append(loss)
 
 
@@ -233,16 +226,16 @@ def predict_states(
     fails its example, whose versions then stay out of the pass. The rest
     are decoded together in micro-batches (``moe.decode_items``).
     """
-    pending: list[tuple[PipelineState, int, DecodeItem]] = []
+    pending: list[tuple[PipelineState, int, tuple[TrainItem, int, int]]] = []
     for state in states:
         if state.failed:
             continue
         try:
-            versions = _pending_items(state, params, decode_answer_len)
+            versions = _pending_items(state, params.config, decode_answer_len)
         except EntailQAError as exc:
             state.fail(exc)
             continue
-        pending.extend((state, step_count, item) for step_count, item in versions)
+        pending.extend((state, step_count, v) for step_count, v in versions)
 
     def _read(i: int, scores: np.ndarray, logits: np.ndarray) -> None:
         state, step_count, _ = pending[i]
@@ -253,7 +246,7 @@ def predict_states(
         except EntailQAError as exc:
             state.fail(exc)
 
-    decode_items(params, [item for _, _, item in pending], _read)
+    decode_items(params, [version for _, _, version in pending], _read)
 
 
 def predict_pending(

@@ -329,6 +329,26 @@ class TestCli:
         assert cli_dispatch(["run-pipeline", str(ds), "--config", str(bad)]) == 2
         assert "retrieval_top_n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"training": {"learning_rate": NaN}}', '{"min_delta": -Infinity}', '{"min_delta": 1e999}'],
+    )
+    def test_non_finite_number_is_data_error(self, small_run, tmp_path, capsys, text):
+        ds, _, _ = small_run
+        bad = tmp_path / "bad_cfg.json"
+        bad.write_text(text)
+        assert cli_dispatch(["run-pipeline", str(ds), "--config", str(bad)]) == 2
+        assert "not a finite number" in capsys.readouterr().err
+
+    def test_negative_weight_decay_is_data_error(self, small_run, tmp_path, capsys):
+        ds, cfg, _ = small_run
+        data = json.loads(cfg.read_text())
+        data["training"]["weight_decay"] = -1
+        bad = tmp_path / "bad_cfg.json"
+        write_json(bad, data)
+        assert cli_dispatch(["run-pipeline", str(ds), "--config", str(bad)]) == 2
+        assert "weight_decay" in capsys.readouterr().err
+
     def test_run_pipeline_writes_artifacts(self, small_run):
         ds, cfg, tmp_path = small_run
         out = tmp_path / "run"

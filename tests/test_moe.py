@@ -11,7 +11,6 @@ from entailqa import moe as core
 from entailqa.cli import _keep_freed_heap
 from entailqa.dataset import RunConfig
 from entailqa.errors import LengthMismatch, NonFiniteLoss, SequenceTooLong
-from entailqa.facts import FactBase, add_fact
 from entailqa.llm import MockBackend
 from entailqa.moe import (
     EOS_ID,
@@ -26,8 +25,8 @@ from entailqa.moe import (
     batch_gradients,
     batch_loss,
     build_lexicon,
+    check_train_item,
     decode_answer,
-    decode_item,
     decode_items,
     encode,
     fact_features,
@@ -92,8 +91,9 @@ def _per_position(params, tree_text, question):
     return encode(params, token_ids(tree_text, vocab) + token_ids(question, vocab))
 
 
-def _decode_item(config, tree_text, question, steps=1, answer_len=1):
-    return decode_item(config, tree_text, question, np.zeros((1, 8)), steps, answer_len)
+def _bag_ids(item, vocab):
+    """The bucket of each row of the item's bag, repeated by its count."""
+    return np.repeat(core._bucket(item.bag_hashes, vocab), item.bag_counts).tolist()
 
 
 class TestEncode:
@@ -105,26 +105,27 @@ class TestEncode:
         b = _per_position(tiny_params, "tree text here", "and a question?")
         assert np.array_equal(a, b)
 
-    def test_concatenates_tree_then_question(self, tiny_config):
-        item = _decode_item(tiny_config, "one two", "three?")
+    def test_concatenates_tree_then_question(self):
+        item = TrainItem("one two", "three?", ())
         ids = token_ids("one two", 32) + token_ids("three?", 32)
-        assert item.bag_counts.sum() == 3
-        assert item.bag_ids.tolist() == sorted(set(ids))
+        assert item.n_tokens == item.bag_counts.sum() == 3
+        assert Counter(_bag_ids(item, 32)) == Counter(ids)
 
     def test_one_row_per_distinct_id(self, tiny_params, tiny_config):
         tree_text, question = "the falcon and the falcon", "the falcon?"
-        item = _decode_item(tiny_config, tree_text, question)
+        item = TrainItem(tree_text, question, ())
         ids = token_ids(tree_text, 32) + token_ids(question, 32)
-        assert len(item.bag_ids) == len(set(ids)) < len(ids)
-        assert dict(zip(item.bag_ids.tolist(), item.bag_counts.tolist())) == Counter(ids)
-        rows = encode(tiny_params, item.bag_ids)
+        bag_ids = core._bucket(item.bag_hashes, 32)
+        assert len(bag_ids) == len(set(ids)) < len(ids) == item.n_tokens
+        assert dict(zip(bag_ids.tolist(), item.bag_counts.tolist())) == Counter(ids)
+        rows = encode(tiny_params, bag_ids)
         (falcon,) = token_ids("falcon", 32)
-        row = rows[item.bag_ids.tolist().index(falcon)]
+        row = rows[bag_ids.tolist().index(falcon)]
         assert np.allclose(row, encode(tiny_params, [falcon])[0], rtol=0, atol=1e-15)
 
     def test_too_long(self, tiny_config):
         with pytest.raises(SequenceTooLong):
-            _decode_item(tiny_config, "word " * 100, "")
+            check_train_item(TrainItem("word " * 100, "", ()), tiny_config)
 
     def test_qa_decoder_weights_isolated(self, tiny_config):
         a = MoeParams.init(tiny_config, 3)
@@ -136,31 +137,38 @@ class TestEncode:
         assert np.array_equal(ea, eb)
 
 
+def _fact_features(params, texts):
+    """``fact_features`` over the per-position encoder rows of each text."""
+    ids = [token_ids(text, params.config.vocab_size) for text in texts]
+    rows = encode(params, [t for fact_ids in ids for t in fact_ids])
+    return fact_features(rows, np.array([len(fact_ids) for fact_ids in ids]))
+
+
 class TestFactFeatures:
     def test_single_token_fact_equals_token_encoding(self, tiny_params):
-        base = add_fact(FactBase("q"), "falcon", "text", "e1")
-        ff = fact_features(tiny_params, base)
+        ff = _fact_features(tiny_params, ["falcon"])
         enc = _per_position(tiny_params, "falcon", "")
-        assert np.allclose(ff[0], enc[0])
+        np.testing.assert_allclose(ff[0], enc[0], rtol=0, atol=1e-12)
 
     def test_mean_of_two_tokens(self, tiny_params):
-        base = add_fact(FactBase("q"), "falcon harbor", "text", "e1")
-        ff = fact_features(tiny_params, base)
+        ff = _fact_features(tiny_params, ["falcon harbor"])
         enc = _per_position(tiny_params, "falcon harbor", "")
-        assert np.allclose(ff[0], enc.mean(axis=0))
+        np.testing.assert_allclose(ff[0], enc.mean(axis=0), rtol=0, atol=1e-12)
 
     def test_repeated_token_weighs_once_per_position(self, tiny_params):
-        base = add_fact(FactBase("q"), "falcon falcon harbor", "text", "e1")
-        ff = fact_features(tiny_params, base)
+        ff = _fact_features(tiny_params, ["falcon falcon harbor"])
         enc = _per_position(tiny_params, "falcon falcon harbor", "")
-        assert np.allclose(ff[0], enc.mean(axis=0), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(ff[0], enc.mean(axis=0), rtol=0, atol=1e-15)
 
     def test_row_per_fact(self, tiny_params, small_base):
-        assert fact_features(tiny_params, small_base).shape == (3, 8)
+        assert _fact_features(tiny_params, small_base.texts()).shape == (3, 8)
 
-    def test_empty_base_rejected(self, tiny_params):
-        with pytest.raises(ValueError):
-            fact_features(tiny_params, FactBase("q"))
+    def test_fact_without_tokens_gives_zeros(self):
+        rows = np.random.default_rng(3).normal(size=(3, 8))
+        ff = fact_features(rows, np.array([2, 0, 1]))
+        np.testing.assert_allclose(ff[0], rows[:2].mean(axis=0), rtol=0, atol=1e-12)
+        assert not ff[1].any()
+        np.testing.assert_allclose(ff[2], rows[2], rtol=0, atol=1e-12)
 
 
 class TestRoute:
@@ -256,14 +264,14 @@ class TestMoeForward:
         params.gate_a[:, 0] = [math.log(0.6), math.log(0.3), math.log(0.1)]
         x = np.zeros((1, 8))
         x[0, 0] = 1.0
-        out = moe_forward(params, config, x, GATE_A)
+        out, _ = moe_forward(params, config, x, GATE_A)
         assert np.allclose(out, 1.9 * x, atol=1e-6)
         mix_only = out - x
         assert np.allclose(mix_only, 0.9 * x, atol=1e-6)
 
     def test_residual_identity(self, tiny_params, tiny_config):
         x = np.random.default_rng(4).normal(size=(6, 8))
-        out = moe_forward(tiny_params, tiny_config, x, GATE_A)
+        out, _ = moe_forward(tiny_params, tiny_config, x, GATE_A)
         decision = route(tiny_params, tiny_config, x, GATE_A)
         # independent recomputation of the expert mix
         mix = np.zeros_like(x)
@@ -291,21 +299,21 @@ class TestMoeForward:
         params.gate_a[:, 0] = [9.0, 8.0, 0.0, 0.0]
         params.gate_b[:] = 0.0
         params.gate_b[:, 0] = [9.0, 8.0, 0.0, 0.0]
-        out_a = moe_forward(params, config, x, GATE_A)
-        out_b = moe_forward(params, config, x, GATE_B)
+        out_a, _ = moe_forward(params, config, x, GATE_A)
+        out_b, _ = moe_forward(params, config, x, GATE_B)
         assert not np.allclose(out_a, out_b)
         # shared experts dominate: identical selections and values
         params.gate_a[:, 0] = [0.0, 0.0, 9.0, 8.0]
         params.gate_b[:, 0] = [0.0, 0.0, 9.0, 8.0]
-        out_a = moe_forward(params, config, x, GATE_A)
-        out_b = moe_forward(params, config, x, GATE_B)
+        out_a, _ = moe_forward(params, config, x, GATE_A)
+        out_b, _ = moe_forward(params, config, x, GATE_B)
         assert np.allclose(out_a, out_b)
 
     def test_zero_row_passes_bias_path(self, tiny_params, tiny_config):
         tiny_params.expert_b1[:] = 0.3
         tiny_params.expert_b2[:] = 0.1
         x = np.zeros((1, 8))
-        out = moe_forward(tiny_params, tiny_config, x, GATE_A)
+        out, _ = moe_forward(tiny_params, tiny_config, x, GATE_A)
         decision = route(tiny_params, tiny_config, x, GATE_A)
         expected = np.zeros(8)
         for k in range(tiny_config.top_k):
@@ -320,12 +328,12 @@ class TestMoeForward:
 def _frg_one(params, seq, facts, steps):
     """``frg_forward`` on one item whose rows are ``seq``."""
     layout, fact_layout = core._Ragged([len(seq)]), core._Ragged([len(facts)])
-    return frg_forward(params, seq, layout, facts, fact_layout, steps)[0]
+    return frg_forward(params, seq, layout, facts, fact_layout, steps)[0][0]
 
 
 def _qa_one(params, seq, answer_len):
     """``qa_forward`` on one item whose rows are ``seq``."""
-    return qa_forward(params, seq, core._Ragged([len(seq)]), answer_len)[0]
+    return qa_forward(params, seq, core._Ragged([len(seq)]), answer_len)[0][0]
 
 
 class TestHeads:
@@ -683,12 +691,14 @@ class TestBatchedStep:
 
     def test_items_are_tokenized_once(self):
         item = TrainItem("the falcon is fast", "what is fast?", ("a b", ""), (0,), None)
-        assert len(item.seq_hashes) == 7
+        assert item.n_tokens == 7
         assert [len(h) for h in item.fact_hashes] == [2, 0]
-        assert item.without_qa().seq_hashes is item.seq_hashes
-        assert [1 + int(h) % 31 for h in item.seq_hashes] == token_ids(
-            "the falcon is fast what is fast?", 32
-        )
+        assert item.without_qa().bag_hashes is item.bag_hashes
+        seq = core._token_hashes("the falcon is fast what is fast?")
+        assert [1 + int(h) % 31 for h in seq] == token_ids("the falcon is fast what is fast?", 32)
+        bag, counts = np.unique(seq, return_counts=True)
+        assert np.array_equal(item.bag_hashes, bag)
+        assert np.array_equal(item.bag_counts, counts)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
     def test_warm_step_keeps_its_memory(self):
@@ -718,28 +728,33 @@ class TestBatchedStep:
 # --- the per-position step, kept as the reference of the distinct-id step ----------
 
 
+def _seq_hashes(item):
+    """The crc32 of every token position of the item's tree text then question."""
+    return np.concatenate([core._token_hashes(item.tree_text), core._token_hashes(item.question)])
+
+
 def _per_position_micro(params, config, items, frg_weight, qa_weight):
     """Loss and gradients of one micro-batch with the encoder and each gate's
     MoE layer run once per token position."""
     frg = [item for item in items if item.frg_targets is not None]
     qa = [item for item in items if item.qa_targets is not None]
     fact_hashes = [h for item in frg for h in item.fact_hashes]
-    hashes = [item.seq_hashes for item in frg + qa] + fact_hashes
-    ids = core._bucket(np.concatenate(hashes), config.vocab_size)
+    seq_hashes = [_seq_hashes(item) for item in frg + qa]
+    ids = core._bucket(np.concatenate(seq_hashes + fact_hashes), config.vocab_size)
     enc = encode(params, ids)
-    n_frg = sum(len(item.seq_hashes) for item in frg)
-    n_seq = n_frg + sum(len(item.seq_hashes) for item in qa)
+    n_frg = sum(len(h) for h in seq_hashes[: len(frg)])
+    n_seq = sum(len(h) for h in seq_hashes)
     d = config.embed_dim
     loss, grads, d_enc = 0.0, params.zero_grads(), np.zeros_like(enc)
     if frg:
         rows = slice(0, n_frg)
-        layout = core._Ragged([len(item.seq_hashes) for item in frg])
-        seq_moe, cache = core._moe_fwd(params, config, enc[rows], GATE_A)
+        layout = core._Ragged([len(h) for h in seq_hashes[: len(frg)]])
+        seq_moe, cache = moe_forward(params, config, enc[rows], GATE_A)
         targets, weights = core._pad_targets([item.frg_targets for item in frg], frg_weight)
         fact_layout = core._Ragged([len(item.fact_hashes) for item in frg])
         lengths = np.array([len(h) for h in fact_hashes], dtype=np.intp)
-        fact_feats = core._segment_means(enc[n_seq:], lengths)
-        scores, head = core._frg_fwd(
+        fact_feats = fact_features(enc[n_seq:], lengths)
+        scores, head = frg_forward(
             params, seq_moe, layout, fact_feats, fact_layout, targets.shape[1]
         )
         part, d_scores = core._weighted_cross_entropy(scores, targets, weights)
@@ -752,13 +767,13 @@ def _per_position_micro(params, config, items, frg_weight, qa_weight):
             params, "frg", d_q2 @ params.frg_q2.T, head["attn"], seq_moe, layout, grads
         )
         d_enc[rows] = core._moe_bwd(params, config, enc[rows], cache, d_seq, grads)
-        d_enc[n_seq:] = core._segment_means_bwd(d_k2 @ params.frg_k2.T, lengths)
+        d_enc[n_seq:] = core._fact_features_bwd(d_k2 @ params.frg_k2.T, lengths)
     if qa:
         rows = slice(n_frg, n_seq)
-        layout = core._Ragged([len(item.seq_hashes) for item in qa])
-        seq_moe, cache = core._moe_fwd(params, config, enc[rows], GATE_B)
+        layout = core._Ragged([len(h) for h in seq_hashes[len(frg) :]])
+        seq_moe, cache = moe_forward(params, config, enc[rows], GATE_B)
         targets, weights = core._pad_targets([item.qa_targets for item in qa], qa_weight)
-        logits, head = core._qa_fwd(params, seq_moe, layout, targets.shape[1])
+        logits, head = qa_forward(params, seq_moe, layout, targets.shape[1])
         part, d_logits = core._weighted_cross_entropy(logits, targets, weights)
         loss += part
         grads["vocab_out"] += d_logits.reshape(-1, config.vocab_size).T @ head["ctx"].reshape(-1, d)
@@ -800,7 +815,7 @@ class TestDistinctIdStep:
         items = seeded_items(2 * MICRO_BATCH + 6, 64, seed=9)
         # retrieval-only, answer-only and two-target items; one micro-batch mixes them
         batch = split_batch(items[: 2 * MICRO_BATCH], MICRO_BATCH + 3) + items[2 * MICRO_BATCH :]
-        ids = core._bucket(np.concatenate([item.seq_hashes for item in batch]), 64)
+        ids = core._bucket(np.concatenate([_seq_hashes(item) for item in batch]), 64)
         assert len(np.unique(ids)) < len(ids) / 4  # words repeat
         loss, grads = batch_gradients(params, config, batch)
         expected_loss, expected = per_position_gradients(params, config, batch)
@@ -828,38 +843,35 @@ class TestDistinctIdStep:
         def distinct(hashes):
             return len(np.unique(core._bucket(np.concatenate(hashes), 4096)))
 
-        frg_ids = distinct([item.seq_hashes for item in chunk[:2]])
-        qa_ids = distinct([item.seq_hashes for item in chunk[2:]])
+        frg_ids = distinct([item.bag_hashes for item in chunk[:2]])
+        qa_ids = distinct([item.bag_hashes for item in chunk[2:]])
         every = distinct(
-            [item.seq_hashes for item in chunk] + [h for item in chunk[:2] for h in item.fact_hashes]
+            [item.bag_hashes for item in chunk] + [h for item in chunk[:2] for h in item.fact_hashes]
         )
-        assert frg_ids < sum(len(item.seq_hashes) for item in chunk[:2])  # words repeat
+        assert frg_ids < sum(item.n_tokens for item in chunk[:2])  # words repeat
         assert max(frg_ids, qa_ids) < every
         assert seen == [(GATE_A, frg_ids), (GATE_B, qa_ids)]
 
 
 class TestDecodeItems:
-    def _items(self, config, n, seed):
+    def _versions(self, n, seed):
+        """(item, steps, answer_len) of ``n`` seeded tree versions."""
         rng = random.Random(seed)
-        items = []
+        versions = []
         for _ in range(n):
             tree = " ".join(random_sentence(rng) for _ in range(rng.randint(1, 3)))
-            facts = np.random.default_rng(rng.randrange(1000)).normal(
-                size=(rng.randint(1, 4), config.embed_dim)
-            )
-            items.append(
-                decode_item(config, tree, random_sentence(rng), facts,
-                            rng.randint(1, 3), rng.randint(1, 9))
-            )
-        return items
+            facts = tuple(random_sentence(rng) for _ in range(rng.randint(1, 4)))
+            item = TrainItem(tree, random_sentence(rng), facts)
+            versions.append((item, rng.randint(1, 3), rng.randint(1, 9)))
+        return versions
 
     def test_routes_each_micro_batch_distinct_ids_once_per_gate(self, monkeypatch):
         config = MoeConfig(embed_dim=8, vocab_size=4096, n_frg_experts=2,
                            n_qa_experts=2, n_shared_experts=2, max_seq_len=64)
         params = MoeParams.init(config, 4)
-        items = self._items(config, 11, seed=3)
-        size = core.DECODE_LOGITS // (max(i.answer_len for i in items) * 4096)
-        assert 1 < size < len(items)
+        versions = self._versions(11, seed=3)
+        size = core.DECODE_LOGITS // (max(n for _, _, n in versions) * 4096)
+        assert 1 < size < len(versions)
         seen, encoded = [], []
         route_rows, encode_rows = core.route, core.encode
 
@@ -874,19 +886,23 @@ class TestDecodeItems:
         monkeypatch.setattr(core, "route", counting_route)
         monkeypatch.setattr(core, "encode", counting_encode)
         read = []
-        decode_items(params, items, lambda i, scores, logits: read.append(i))
+        decode_items(params, versions, lambda i, scores, logits: read.append(i))
 
-        assert read == list(range(len(items)))
-        every = np.unique(np.concatenate([i.bag_ids for i in items]))
+        def distinct(hashes):
+            return np.unique(core._bucket(np.concatenate(hashes), 4096))
+
+        assert read == list(range(len(versions)))
+        every = distinct([item.bag_hashes for item, _, _ in versions])
         expected_seen, expected_encoded = [], []
-        for start in range(0, len(items), size):
-            chunk = items[start : start + size]
-            distinct = np.unique(np.concatenate([i.bag_ids for i in chunk]))
-            assert len(distinct) < len(every)
-            expected_seen += [(GATE_A, len(distinct)), (GATE_B, len(distinct))]
-            expected_encoded.append(distinct.tolist())
-        first = items[:size]
-        assert len(expected_encoded[0]) < sum(len(i.bag_ids) for i in first)  # bags share ids
+        for start in range(0, len(versions), size):
+            items = [item for item, _, _ in versions[start : start + size]]
+            bags = distinct([item.bag_hashes for item in items])
+            assert len(bags) < len(every)
+            expected_seen += [(GATE_A, len(bags)), (GATE_B, len(bags))]
+            facts = [h for item in items for h in item.fact_hashes]
+            expected_encoded.append(distinct([item.bag_hashes for item in items] + facts).tolist())
+        first = [item for item, _, _ in versions[:size]]
+        assert len(distinct([i.bag_hashes for i in first])) < sum(len(i.bag_hashes) for i in first)
         assert seen == expected_seen
         assert encoded == expected_encoded
 
@@ -894,19 +910,22 @@ class TestDecodeItems:
         config = MoeConfig(embed_dim=8, vocab_size=64, n_frg_experts=2,
                            n_qa_experts=2, n_shared_experts=2, max_seq_len=64)
         params = MoeParams.init(config, 5)
-        items = self._items(config, 9, seed=4)
+        versions = self._versions(9, seed=4)
         shapes = []
-        decode_items(params, items, lambda i, s, q: shapes.append((s.shape, q.shape)))
+        decode_items(params, versions, lambda i, s, q: shapes.append((s.shape, q.shape)))
         assert shapes == [
-            ((i.steps, len(i.fact_feats)), (i.answer_len, 64)) for i in items
+            ((steps, len(item.fact_texts)), (answer_len, 64))
+            for item, steps, answer_len in versions
         ]
         decode_items(params, [], lambda *args: pytest.fail("no item to read"))
 
     def test_checks_each_item(self, tiny_config):
-        facts = np.zeros((1, 8))
+        facts = ("a fact.",)
         with pytest.raises(LengthMismatch):
-            decode_item(tiny_config, "", "?", facts, 1, 1)
+            check_train_item(TrainItem("", "?", facts), tiny_config, 1, 1)
+        item = TrainItem("tree", "q?", facts)
+        check_train_item(item, tiny_config, 64, 64)
         with pytest.raises(SequenceTooLong, match="65 steps exceed the 64 learned queries"):
-            decode_item(tiny_config, "tree", "q?", facts, 65, 1)
+            check_train_item(item, tiny_config, 65, 1)
         with pytest.raises(SequenceTooLong, match="65 positions exceed the 64 learned queries"):
-            decode_item(tiny_config, "tree", "q?", facts, 1, 65)
+            check_train_item(item, tiny_config, 1, 65)

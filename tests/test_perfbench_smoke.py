@@ -1,5 +1,6 @@
 """The benchmark harness at smoke size: keeps ``perfbench/`` from rotting."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -38,6 +39,16 @@ def test_traced_smoke_run_measures_every_layer():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert sorted(metrics) == sorted(m["name"] for m in spec)
     # inference must reach the encoder, MoE layer and heads through the wrapped names
-    for name in ("moe.encode_s", "moe.moe_forward_s", "moe.frg_forward_s", "moe.qa_forward_s",
-                 "moe.route_tokens.A", "moe.route_tokens.B"):
+    for name in ("moe.encode_s", "moe.fact_features_s", "moe.moe_forward_s", "moe.frg_forward_s",
+                 "moe.qa_forward_s", "moe.route_tokens.A", "moe.route_tokens.B"):
         assert metrics[name]["value"] > 0, name
+
+
+def test_traced_names_resolve(monkeypatch):
+    # the same guard as the traced run, without running a pipeline
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    for owner, attr, name, _, _ in spans._TARGETS:
+        assert callable(getattr(owner, attr, None)), name

@@ -528,29 +528,60 @@ class TestPredictPending:
         state = PipelineState(question_id=example.id, question=example.question, base=base)
         state.tree_versions.append(tree)
         seen = {}
+
+        def recording(head, name):
+            def wrapper(*args):
+                out = head(*args)
+                seen.setdefault(name, out[0])
+                return out
+
+            return wrapper
+
         for name in ("frg_forward", "qa_forward"):
-            head = getattr(moe, name)
-            monkeypatch.setattr(
-                moe, name,
-                lambda *args, head=head, name=name: seen.setdefault(name, head(*args)),
-            )
+            monkeypatch.setattr(moe, name, recording(getattr(moe, name), name))
         predict_pending(state, params)
 
         ids = token_ids(tree_to_text(tree), 64) + token_ids(example.question, 64)
         assert len(set(ids)) < len(ids)
         enc = moe.encode(params, ids)
         fact_ids = [token_ids(text, 64) for text in base.texts()]
-        fact_feats = moe._segment_means(
+        fact_feats = moe.fact_features(
             moe.encode(params, [t for f in fact_ids for t in f]),
             np.array([len(f) for f in fact_ids]),
         )
         layout, fact_layout = moe._Ragged([len(ids)]), moe._Ragged([len(fact_ids)])
         steps, answer_len = seen["frg_forward"].shape[1], seen["qa_forward"].shape[1]
-        scores = frg_forward(params, moe_forward(params, config, enc, GATE_A), layout,
-                             fact_feats, fact_layout, steps)
-        logits = qa_forward(params, moe_forward(params, config, enc, GATE_B), layout, answer_len)
+        scores, _ = frg_forward(params, moe_forward(params, config, enc, GATE_A)[0], layout,
+                                fact_feats, fact_layout, steps)
+        logits, _ = qa_forward(params, moe_forward(params, config, enc, GATE_B)[0], layout,
+                               answer_len)
         np.testing.assert_allclose(seen["frg_forward"], scores, rtol=0, atol=1e-12)
         np.testing.assert_allclose(seen["qa_forward"], logits, rtol=0, atol=1e-12)
+
+    def test_decode_after_training_in_place_uses_the_trained_params(self):
+        """Decode, train the same params in place, iterate and decode again:
+        the new versions decode as a fresh decode with the trained params."""
+        examples = synthetic_examples(6, seed=3)
+        config = run_config_from_dict({"training": {"steps": 5, "learning_rate": 0.05}})
+        backend = MockBackend()
+        states = stage1_states(examples, config, backend)
+        params = MoeParams.init(config.moe, config.seed)
+        predict_states(states.values(), params)
+        assert train(params, config, build_train_items(examples, states, config.moe))
+        for state in states.values():
+            run_feedback_iteration(state, backend)
+        predict_states(states.values(), params)
+
+        for state in states.values():
+            fresh = PipelineState(
+                question_id=state.question_id, question=state.question, base=state.base,
+                tree_versions=list(state.tree_versions),
+                frg_targets=state.frg_targets, qa_targets=state.qa_targets,
+            )
+            predict_states([fresh], params)
+            assert state.losses[1] == pytest.approx(fresh.losses[1], rel=0, abs=1e-12)
+            assert state.predicted_answers[1] == fresh.predicted_answers[1]
+            assert state.retrieved_fact_ids[1] == fresh.retrieved_fact_ids[1]
 
     @staticmethod
     def _ragged_states(vocab):
