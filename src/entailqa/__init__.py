@@ -15,6 +15,7 @@ from .errors import (
     EntailQAError,
     LengthMismatch,
     MissingText,
+    NoFacts,
     NonFiniteLoss,
     ParseError,
     SchemaError,

@@ -85,6 +85,10 @@ class NonFiniteLoss(MoeError):
     pass
 
 
+class NoFacts(MoeError):
+    """An item has an empty fact base, so the FRG head has nothing to score."""
+
+
 # --- datasets / configuration ----------------------------------------------
 
 class SchemaError(EntailQAError):

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Literal, Optional, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFiniteLoss, SequenceTooLong
+from .errors import LengthMismatch, NoFacts, NonFiniteLoss, SequenceTooLong
 from .facts import tokenize
 
 GateId = Literal["A", "B"]
@@ -241,7 +241,8 @@ class TrainItem:
     The texts are tokenized once, when the item is built: ``bag_hashes`` and
     ``bag_counts`` hold the distinct crc32s of the tokens of the tree text
     then the question and how often each occurs, ``n_tokens`` their count,
-    and ``fact_hashes`` the crc32s of each fact (``replace`` carries them
+    and ``fact_hashes`` the crc32s of each fact (a caller that already has
+    them for the same fact texts may pass them; ``replace`` carries them
     over). A forward pass only maps each hash to its vocabulary bucket, as
     ``token_bucket`` does.
     """
@@ -259,14 +260,15 @@ class TrainItem:
     bag_counts: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.fact_hashes is None:
+            facts = tuple(_token_hashes(text) for text in self.fact_texts)
+            object.__setattr__(self, "fact_hashes", facts)
         if self.bag_hashes is None:
             seq = np.concatenate(
                 [_token_hashes(self.tree_text), _token_hashes(self.question)]
             )
-            facts = tuple(_token_hashes(text) for text in self.fact_texts)
             bag, counts = np.unique(seq, return_counts=True)
             object.__setattr__(self, "n_tokens", len(seq))
-            object.__setattr__(self, "fact_hashes", facts)
             object.__setattr__(self, "bag_hashes", bag)
             object.__setattr__(self, "bag_counts", counts)
 
@@ -298,6 +300,8 @@ def check_train_item(
         )
     if not item.n_tokens:
         raise LengthMismatch("the tree text and question have no tokens")
+    if not item.fact_texts:
+        raise NoFacts("the item has no facts to retrieve")
     _check_queries(config, steps, "steps")
     _check_queries(config, answer_len, "positions")
     for targets, classes in (

@@ -70,8 +70,17 @@ class PipelineState:
     error: Optional[str] = None
     frg_targets: Optional[tuple[int, ...]] = None
     qa_targets: Optional[tuple[int, ...]] = None
-    # (vocab_size, lexicon) of predict_states; not serialized
+    # (vocab_size, lexicon) and the tokenized fact texts of predict_states;
+    # not serialized
     lexicon: Optional[tuple[int, dict[int, str]]] = field(
+        default=None, repr=False, compare=False
+    )
+    fact_hashes: Optional[tuple[np.ndarray, ...]] = field(
+        default=None, repr=False, compare=False
+    )
+    # ((backend, question, fact base, feedback), version) of the last
+    # feedback iteration that asked the backend; not serialized
+    last_request: Optional[tuple[tuple, EntailmentTree]] = field(
         default=None, repr=False, compare=False
     )
 
@@ -165,8 +174,9 @@ def _pending_items(
     yet decoded; a version is (item, retrieval steps, answer positions) as
     ``moe.decode_items`` takes it.
 
-    The fact base does not change across versions, so the lexicon is built
-    once per example and vocabulary size.
+    The fact base does not change across versions, so its texts are
+    tokenized once per example and the lexicon is built once per example and
+    vocabulary size.
     """
     trees = state.tree_versions[len(state.predicted_answers) :]
     if not trees:
@@ -187,7 +197,10 @@ def _pending_items(
         if scored:
             frg_steps = max(frg_steps, len(state.frg_targets))
             qa_len = max(qa_len, len(state.qa_targets))
-        item = TrainItem(tree_to_text(tree), state.question, fact_texts)
+        item = TrainItem(
+            tree_to_text(tree), state.question, fact_texts, fact_hashes=state.fact_hashes
+        )
+        state.fact_hashes = item.fact_hashes
         check_train_item(item, config, frg_steps, qa_len)
         pending.append((step_count, (item, frg_steps, qa_len)))
     return pending
@@ -259,7 +272,13 @@ def predict_pending(
 def run_feedback_iteration(state: PipelineState, backend: Backend) -> PipelineState:
     """Feed the current tree's retrieved facts and answer back, regenerate.
 
-    The current tree must have been decoded (``predict_states``).
+    The current tree must have been decoded (``predict_states``). An example
+    whose feedback repeats is not asked again: when the current tree is the
+    one this function got from the same backend for the same question, fact
+    base and feedback, that tree is appended again with no backend call. The
+    backend is taken to be deterministic (``HttpBackend`` posts
+    ``temperature`` 0.0). A tree from stage 1 or appended by hand is never
+    reused.
     """
     if not state.tree_versions:
         raise ValueError("state has no current tree")
@@ -270,8 +289,16 @@ def run_feedback_iteration(state: PipelineState, backend: Backend) -> PipelineSt
         [lookup_text(base, parse_node_id(fid)) for fid in state.retrieved_fact_ids[-1]],
         state.predicted_answers[-1],
     )
+    request = (backend, state.question, base, feedback)
+    if state.last_request is not None:
+        asked, version = state.last_request
+        if version is state.tree_versions[-1] and asked == request:
+            state.tree_versions.append(version)
+            return state
     structure = generate_tree_structure(backend, state.question, base, feedback)
-    state.tree_versions.append(refine(structure, base, backend))
+    version = refine(structure, base, backend)
+    state.tree_versions.append(version)
+    state.last_request = (request, version)
     return state
 
 

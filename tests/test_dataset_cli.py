@@ -433,6 +433,19 @@ class TestCli:
         log = json.loads(first)["log"]
         assert log == sorted(log, key=lambda e: (e["tag"], e["prompt"]))
         assert {e["tag"] for e in log} >= {"tree_structure", "feedback"}
+        # an example whose feedback repeats at a later iteration is not asked
+        # again, so no feedback prompt is sent twice
+        converged = 0
+        for path in runs[0].glob("*.state.json"):
+            state = json.loads(path.read_text())
+            feedback = list(zip(state["retrieved_fact_ids"], state["predicted_answers"]))
+            converged += any(
+                feedback[k] == feedback[k - 1]
+                for k in range(1, len(state["tree_versions"]) - 1)
+            )
+        assert converged
+        prompts = [e["prompt"] for e in log if e["tag"] == "feedback"]
+        assert len(prompts) == len(set(prompts))
 
     def test_build_factbase_and_trees(self, small_run):
         ds, cfg, tmp_path = small_run

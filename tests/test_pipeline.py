@@ -7,8 +7,8 @@ import pytest
 from entailqa import moe, pipeline
 from entailqa.dataset import QAExample, RunConfig, dataset_from_dict, run_config_from_dict
 from entailqa.errors import EmptyEvidence
-from entailqa.facts import Evidence, Table
-from entailqa.llm import MockBackend
+from entailqa.facts import Evidence, FactBase, Table, lookup_text
+from entailqa.llm import MockBackend, generate_tree_structure
 from entailqa.moe import (
     GATE_A,
     GATE_B,
@@ -39,7 +39,7 @@ from entailqa.pipeline import (
 )
 from entailqa.synth import synthetic_corpus, synthetic_examples
 from entailqa.refine import refine, tree_to_text
-from entailqa.tree import leaf_id, leaf_preorder, parse_tree, serialize_tree
+from entailqa.tree import leaf_id, leaf_preorder, parse_node_id, parse_tree, serialize_tree
 
 
 def _text_example(example_id="ex1"):
@@ -207,6 +207,18 @@ class TestTargets:
         assert frg == (0,)
 
 
+class _CountingBackend(MockBackend):
+    """The mock, recording the tag of every call."""
+
+    def __init__(self):
+        super().__init__()
+        self.tags = []
+
+    def complete(self, request):
+        self.tags.append(request.tag)
+        return super().complete(request)
+
+
 class TestFeedbackIteration:
     def _ready_state(self, mock_backend, trained=False):
         example = _text_example()
@@ -259,6 +271,76 @@ class TestFeedbackIteration:
         _, state, params = self._ready_state(mock_backend)
         self._iterate(state, params, mock_backend)
         assert state.losses[0] is not None and state.losses[0] > 0
+
+    @staticmethod
+    def _direct(state, feedback):
+        """The version and call tags of asking the backend for ``feedback``
+        directly."""
+        backend = _CountingBackend()
+        structure = generate_tree_structure(backend, state.question, state.base, feedback)
+        return refine(structure, state.base, backend), backend.tags
+
+    @staticmethod
+    def _feedback(state):
+        return (
+            [lookup_text(state.base, parse_node_id(fid)) for fid in state.retrieved_fact_ids[-1]],
+            state.predicted_answers[-1],
+        )
+
+    def _stage1_decoded(self):
+        examples = synthetic_examples(6, seed=3)
+        config = run_config_from_dict({})
+        states = stage1_states(examples, config, MockBackend())
+        params = MoeParams.init(config.moe, config.seed)
+        predict_states(states.values(), params)
+        return list(states.values()), params
+
+    def test_repeated_feedback_reuses_the_version_without_a_call(self):
+        states, params = self._stage1_decoded()
+        backend = _CountingBackend()
+        reused = asked = 0
+        for iteration in (1, 2, 3):
+            for state in states:
+                version, tags = self._direct(state, self._feedback(state))
+                backend.tags.clear()
+                run_feedback_iteration(state, backend)
+                assert state.tree_versions[-1] == version
+                if state.tree_versions[-1] is state.tree_versions[-2]:
+                    assert iteration > 1  # a stage-1 tree is never reused
+                    assert backend.tags == []
+                    reused += 1
+                else:
+                    assert backend.tags == tags and "feedback" in tags
+                    asked += iteration > 1
+            predict_states(states, params)
+        assert reused and asked
+
+    def test_hand_appended_version_is_never_reused(self):
+        states, params = self._stage1_decoded()
+        backend = _CountingBackend()
+        for _ in range(2):
+            for state in states:
+                run_feedback_iteration(state, backend)
+            predict_states(states, params)
+        converged = [s for s in states if s.tree_versions[2] is s.tree_versions[1]]
+        assert converged
+        for state in converged:
+            # the same versions and decode, but appended here, not by the loop
+            copy = PipelineState(question_id=state.question_id, question=state.question,
+                                 base=state.base, tree_versions=state.tree_versions[:2])
+            predict_states([copy], params)
+            assert copy.retrieved_fact_ids == state.retrieved_fact_ids[:2]
+            assert copy.predicted_answers == state.predicted_answers[:2]
+            # an equal version appended by hand after the loop's own
+            version, tags = self._direct(state, self._feedback(state))
+            assert version == state.tree_versions[-1] and version is not state.tree_versions[-1]
+            state.tree_versions.append(version)
+            predict_states([state], params)
+            for hand in (copy, state):
+                backend.tags.clear()
+                run_feedback_iteration(hand, backend)
+                assert backend.tags == tags and "feedback" in tags
+                assert hand.tree_versions[-1] == version
 
     def test_requires_a_tree(self, mock_backend, small_base):
         state = PipelineState(question_id="q", question="q?", base=small_base)
@@ -660,6 +742,17 @@ class TestPredictPending:
             assert b.retrieved_fact_ids == a.retrieved_fact_ids
             for lb, la in zip(b.losses, a.losses):
                 assert lb == la if lb is None else lb == pytest.approx(la, rel=0, abs=1e-12)
+
+    def test_empty_fact_base_fails_only_its_example(self):
+        examples = synthetic_examples(2, seed=1)
+        config = run_config_from_dict({})
+        empty, other = stage1_states(examples, config, MockBackend()).values()
+        empty.base = FactBase(empty.question_id)
+        predict_states([empty, other], MoeParams.init(config.moe, config.seed))
+        assert empty.error.startswith("NoFacts: ")
+        assert empty.predicted_answers == []
+        assert not other.failed
+        assert len(other.predicted_answers) == len(other.tree_versions) == 1
 
 
 class TestEvaluatePredictions:
