@@ -2,7 +2,11 @@
 
 Subcommands: build-factbase, gen-tree, refine-tree, train, run-pipeline,
 eval, route-demo. Exit codes: 0 success, 1 usage, 2 data error, 3 backend
-error. Every artifact file embeds the config hash and seed that produced it.
+error. The five dataset commands fail an example alone and list it under
+``failed`` (the stage-1 commands in ``<suffix>.manifest.json``); they exit 0
+while any example is left, else 3 if every example failed a backend error
+and 2 if not. Every artifact file embeds the config hash and seed that
+produced it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .dataset import (
 from .errors import EntailQAError, GatewayError, SchemaError
 from .llm import HttpBackend, MockBackend
 from .moe import GATE_A, GATE_B, MoeParams, route
-from .pipeline import evaluate_predictions, run_pipeline, run_stage1
+from .pipeline import build_train_items, evaluate_predictions, run_pipeline, stage1_states, train
 from .tree import parse_node_id, serialize_tree
 
 
@@ -95,44 +99,48 @@ def _stamp(config: RunConfig, payload: dict) -> dict:
 
 
 # Stage-1 commands: the file suffix each writes per example, and its payload
-# from the example, its fact base and its refined tree.
+# from the example's stage-1 state.
 _STAGE1_ARTIFACTS = {
-    "build-factbase": ("factbase", lambda example, base, tree: base.to_json_dict()),
+    "build-factbase": ("factbase", lambda state: state.base.to_json_dict()),
     "gen-tree": (
         "structure",
-        lambda example, base, tree: {
-            "question_id": example.id,
-            "dsl": serialize_tree(tree, include_texts=False),
+        lambda state: {
+            "question_id": state.question_id,
+            "dsl": serialize_tree(state.tree_versions[0], include_texts=False),
         },
     ),
-    "refine-tree": (
-        "tree",
-        lambda example, base, tree: {"dsl": serialize_tree(tree), **tree.to_json_dict()},
-    ),
+    "refine-tree": ("tree", lambda state: state.tree_versions[0].to_json_dict()),
 }
+
+
+def _exit_code(states: dict) -> int:
+    """The one exit rule of the dataset commands (see the module docstring)."""
+    if any(not state.failed for state in states.values()):
+        return 0
+    classes = [state.error_class or object for state in states.values()]
+    backend = bool(classes) and all(issubclass(c, GatewayError) for c in classes)
+    sys.stderr.write(f"{'backend' if backend else 'data'} error: no example is left\n")
+    return 3 if backend else 2
 
 
 def _cmd_stage1(args, config: RunConfig) -> int:
     suffix, payload = _STAGE1_ARTIFACTS[args.command]
     examples = load_dataset(args.dataset)
-    backend = _make_backend(config)
+    states = stage1_states(examples, config, _make_backend(config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for example in examples:
-        base, tree = run_stage1(example, backend, top_n=config.retrieval_top_n)
-        write_json(
-            out / f"{example.id}.{suffix}.json",
-            _stamp(config, payload(example, base, tree)),
-        )
-    return 0
+    for qid, state in states.items():
+        if not state.failed:
+            write_json(out / f"{qid}.{suffix}.json", _stamp(config, payload(state)))
+    failed = sorted(qid for qid, state in states.items() if state.failed)
+    summary = {"examples": len(examples), "failed": failed}
+    write_json(out / f"{suffix}.manifest.json", _stamp(config, summary))
+    return _exit_code(states)
 
 
 def _cmd_train(args, config: RunConfig) -> int:
-    from .pipeline import build_train_items, stage1_states, train
-
     examples = load_dataset(args.dataset)
-    backend = _make_backend(config)
-    states = stage1_states(examples, config, backend)
+    states = stage1_states(examples, config, _make_backend(config))
     items = build_train_items(examples, states, config.moe)
     params = MoeParams.init(config.moe, config.seed)
     curve = train(params, config, items)
@@ -143,11 +151,10 @@ def _cmd_train(args, config: RunConfig) -> int:
         out / "training.json",
         _stamp(config, {"steps": len(curve), "loss_curve": curve, "failed": failed}),
     )
-    if not items:  # parameters that never trained are no checkpoint
-        sys.stderr.write("data error: no example is left to train on\n")
-        return 2
-    write_json(out / "checkpoint.json", _stamp(config, params.to_state_dict()))
-    return 0
+    code = _exit_code(states)
+    if not code:  # parameters that never trained are no checkpoint
+        write_json(out / "checkpoint.json", _stamp(config, params.to_state_dict()))
+    return code
 
 
 def _cmd_run_pipeline(args, config: RunConfig) -> int:
@@ -161,7 +168,7 @@ def _cmd_run_pipeline(args, config: RunConfig) -> int:
     for example in examples:
         state = states[example.id]
         write_json(out / f"{example.id}.state.json", _stamp(config, state.to_json_dict()))
-        if state.failed or not state.predicted_answers:
+        if state.failed:
             continue
         retrieved_evidence = []
         for fid in state.retrieved_fact_ids[-1]:
@@ -182,11 +189,10 @@ def _cmd_run_pipeline(args, config: RunConfig) -> int:
         # (tag, prompt), such as parse retries, in the order they were logged
         log = sorted(backend.exchange_log, key=lambda e: (e["tag"], e["prompt"]))
         write_json(out / "exchanges.json", _stamp(config, {"log": log}))
-    if not predictions:  # every example failed: there is nothing to predict with
-        sys.stderr.write("data error: no example is left to predict\n")
-        return 2
-    write_json(out / "predictions.json", _stamp(config, {"predictions": predictions}))
-    return 0
+    code = _exit_code(states)
+    if not code:
+        write_json(out / "predictions.json", _stamp(config, {"predictions": predictions}))
+    return code
 
 
 def _cmd_eval(args, config: RunConfig) -> int:

@@ -12,6 +12,7 @@ through exactly one parser with a one-retry policy. Two backends ship:
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
@@ -349,10 +350,12 @@ class HttpBackend:
     """Chat-completion-style HTTP backend.
 
     POSTs ``{"model", "messages", "temperature": 0.0, "max_tokens": 512}``
-    with a bearer key and reads ``choices[0].message.content``. Retries server
-    errors and 429 (rate limited) up to ``max_retries`` times, waiting
-    ``retry_wait`` times the attempt number, or what a 429/503 response's
-    delta-seconds ``Retry-After`` asks for, capped at ``timeout``. Every
+    with a bearer key and reads the string ``choices[0].message.content``.
+    Retries server errors, 429 (rate limited), transport faults and malformed
+    replies up to ``max_retries`` times, waiting ``retry_wait`` times the
+    attempt number, or what a 429/503 response's delta-seconds
+    ``Retry-After`` asks for, capped at ``timeout``, then raises
+    ``BackendError``. Every
     request/response pair is appended to ``exchange_log`` tagged with the
     template name.
     """
@@ -402,6 +405,8 @@ class HttpBackend:
                 with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                     payload = json.loads(resp.read().decode("utf-8"))
                 text = payload["choices"][0]["message"]["content"]
+                if not isinstance(text, str):
+                    raise TypeError(f"content is {type(text).__name__}, not a string")
                 with self._log_lock:
                     self.exchange_log.append(
                         {"tag": request.tag, "prompt": request.prompt, "response": text}
@@ -415,8 +420,8 @@ class HttpBackend:
                 after = _retry_after(exc) if exc.code in (429, 503) else None
                 if after is not None:
                     wait = min(after, self.timeout)
-            except (urllib.error.URLError, TimeoutError, KeyError, IndexError,
-                    json.JSONDecodeError) as exc:
+            except (OSError, http.client.HTTPException, ValueError, LookupError,
+                    TypeError) as exc:  # transport, encoding or reply shape
                 last_error = exc
             if attempt < self.max_retries and wait:
                 time.sleep(wait)

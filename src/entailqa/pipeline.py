@@ -48,7 +48,7 @@ from .moe import (
     losses,
 )
 from .refine import refine, tree_to_text
-from .tree import EntailmentTree, leaf_id, leaf_preorder, parse_node_id, parse_tree, score_tree, serialize_tree
+from .tree import EntailmentTree, leaf_id, leaf_preorder, parse_node_id, parse_tree, score_tree
 
 STOP_BUDGET = "budget"
 STOP_NO_IMPROVEMENT = "no_improvement"
@@ -68,6 +68,8 @@ class PipelineState:
     losses: list[Optional[float]] = field(default_factory=list)
     stopped_reason: Optional[str] = None
     error: Optional[str] = None
+    # the class of the error that failed the example; not serialized
+    error_class: Optional[type] = field(default=None, repr=False, compare=False)
     frg_targets: Optional[tuple[int, ...]] = None
     qa_targets: Optional[tuple[int, ...]] = None
     # (vocab_size, lexicon) and the tokenized fact texts of predict_states;
@@ -90,7 +92,7 @@ class PipelineState:
 
     def fail(self, exc: EntailQAError) -> None:
         """Mark the example failed with the error's class and message."""
-        self.error = f"{type(exc).__name__}: {exc}"
+        self.error, self.error_class = f"{type(exc).__name__}: {exc}", type(exc)
 
     @property
     def iteration(self) -> int:
@@ -101,10 +103,7 @@ class PipelineState:
             "question_id": self.question_id,
             "question": self.question,
             "iteration": self.iteration,
-            "tree_versions": [
-                {"dsl": serialize_tree(t), **t.to_json_dict()}
-                for t in self.tree_versions
-            ],
+            "tree_versions": [t.to_json_dict() for t in self.tree_versions],
             "retrieved_fact_ids": self.retrieved_fact_ids,
             "predicted_answers": self.predicted_answers,
             "losses": self.losses,

@@ -231,6 +231,7 @@ class EntailmentTree:
 
     def to_json_dict(self) -> dict:
         return {
+            "dsl": serialize_tree(self),
             "hypothesis": self.hypothesis,
             "steps": [
                 {

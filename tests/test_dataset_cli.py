@@ -18,7 +18,7 @@ from entailqa.dataset import (
     run_config_from_dict,
     write_json,
 )
-from entailqa.errors import SchemaError
+from entailqa.errors import BackendError, SchemaError
 from entailqa.llm import MockBackend
 from entailqa.moe import MoeConfig, MoeParams
 from entailqa.synth import synthetic_corpus
@@ -279,6 +279,16 @@ def small_run(tmp_path):
     return ds, cfg, tmp_path
 
 
+# The file in which each dataset command lists its failed example ids.
+_FAILED_LIST = {
+    "build-factbase": "factbase.manifest.json",
+    "gen-tree": "structure.manifest.json",
+    "refine-tree": "tree.manifest.json",
+    "train": "training.json",
+    "run-pipeline": "manifest.json",
+}
+
+
 class TestCli:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert cli_dispatch(["frobnicate"]) == 1
@@ -396,22 +406,29 @@ class TestCli:
         state = self._run_with(small_run, strip)
         assert state["error"].startswith("EmptyEvidence:")
 
-    def _run_at(self, small_run, name, **overrides):
+    def _run_at(self, small_run, name, command="run-pipeline", **overrides):
         ds, cfg, tmp_path = small_run
         config = tmp_path / f"{name}.json"
         write_json(config, {**json.loads(cfg.read_text()), **overrides})
         out = tmp_path / name
-        rc = cli_dispatch(["run-pipeline", str(ds), "--config", str(config), "--out", str(out)])
+        rc = cli_dispatch([command, str(ds), "--config", str(config), "--out", str(out)])
         assert rc == 0
         return out
 
-    def test_artifacts_do_not_depend_on_workers(self, small_run):
-        one = self._run_at(small_run, "w1", workers=1)
-        four = self._run_at(small_run, "w4", workers=4)
+    def _same_at_one_and_four_workers(self, small_run, command="run-pipeline"):
+        one = self._run_at(small_run, "w1", command, workers=1)
+        four = self._run_at(small_run, "w4", command, workers=4)
         names = sorted(p.name for p in one.iterdir())
         assert names == sorted(p.name for p in four.iterdir())
         for name in names:
             assert (four / name).read_bytes() == (one / name).read_bytes(), name
+
+    def test_artifacts_do_not_depend_on_workers(self, small_run):
+        self._same_at_one_and_four_workers(small_run)
+
+    @pytest.mark.parametrize("command", ["build-factbase", "gen-tree", "refine-tree"])
+    def test_stage1_artifacts_do_not_depend_on_workers(self, small_run, command):
+        self._same_at_one_and_four_workers(small_run, command)
 
     def test_http_exchange_log_is_deterministic(self, small_run, monkeypatch):
         server = _load_perfbench_server().make_server()
@@ -536,13 +553,86 @@ class TestCli:
         out = tmp_path / "run-none"
         rc = cli_dispatch(["run-pipeline", str(ds), "--config", str(cfg), "--out", str(out)])
         assert rc == 2
-        assert "data error: no example is left to predict" in capsys.readouterr().err
+        assert "data error: no example is left" in capsys.readouterr().err
         assert not (out / "predictions.json").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failed"] == sorted(ex["id"] for ex in data["examples"])
         for example in data["examples"]:
             state = json.loads((out / f"{example['id']}.state.json").read_text())
             assert state["error"].startswith("EmptyEvidence")
+
+    def _strip_evidence(self, ds, which):
+        """Empty the evidence of each example whose index ``which`` accepts;
+        returns every example id."""
+        data = json.loads(ds.read_text())
+        for i, example in enumerate(data["examples"]):
+            if which(i):
+                example["evidence"] = []
+                del example["gold_support_ids"], example["gold_tree"]
+        write_json(ds, data)
+        return [ex["id"] for ex in data["examples"]]
+
+    @pytest.mark.parametrize("command", sorted(_FAILED_LIST))
+    def test_one_failed_example_fails_alone(self, small_run, command):
+        ds, cfg, tmp_path = small_run
+        ids = self._strip_evidence(ds, lambda i: i == 2)
+        bad, left = ids[2], ids[:2] + ids[3:]
+        out = tmp_path / "out"
+        assert cli_dispatch([command, str(ds), "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / _FAILED_LIST[command]).read_text())["failed"] == [bad]
+        if command == "train":
+            assert (out / "checkpoint.json").exists()
+        elif command == "run-pipeline":
+            predictions = json.loads((out / "predictions.json").read_text())["predictions"]
+            assert [p["id"] for p in predictions] == left
+        else:
+            suffix = _FAILED_LIST[command].split(".")[0]
+            written = sorted(p.name for p in out.glob(f"*.{suffix}.json"))
+            assert written == [f"{i}.{suffix}.json" for i in left]
+
+    @pytest.mark.parametrize(
+        "fault, code",
+        [
+            ("EmptyEvidence", 2),
+            ("BackendError", 3),
+            ("ParseError", 3),
+            ("mixed", 2),  # one EmptyEvidence, the rest BackendError
+            ("no-examples", 2),
+        ],
+    )
+    @pytest.mark.parametrize("command", sorted(_FAILED_LIST))
+    def test_no_example_left(self, small_run, capsys, monkeypatch, command, fault, code):
+        ds, cfg, tmp_path = small_run
+        if fault == "no-examples":
+            write_json(ds, {"examples": []})
+        strip = {"EmptyEvidence": lambda i: True, "mixed": lambda i: i == 0}
+        ids = self._strip_evidence(ds, strip.get(fault, lambda i: False))
+
+        def down(self, request):
+            raise BackendError("backend is down")
+
+        if fault in ("BackendError", "mixed"):
+            monkeypatch.setattr(MockBackend, "complete", down)
+        elif fault == "ParseError":
+            monkeypatch.setattr(MockBackend, "complete", lambda self, request: "")
+        out = tmp_path / "out"
+        assert cli_dispatch([command, str(ds), "--config", str(cfg), "--out", str(out)]) == code
+        kind = "backend" if code == 3 else "data"
+        assert capsys.readouterr().err == f"{kind} error: no example is left\n"
+        assert json.loads((out / _FAILED_LIST[command]).read_text())["failed"] == sorted(ids)
+        assert not (out / "checkpoint.json").exists()
+        assert not (out / "predictions.json").exists()
+        if command in ("build-factbase", "gen-tree", "refine-tree"):
+            assert [p.name for p in out.iterdir()] == [_FAILED_LIST[command]]
+
+    @pytest.mark.parametrize("command", sorted(_FAILED_LIST))
+    def test_http_without_endpoint_is_backend_error(self, small_run, monkeypatch, command):
+        ds, cfg, tmp_path = small_run
+        monkeypatch.delenv("ENTAIL_LLM_ENDPOINT", raising=False)
+        out = tmp_path / "out"
+        argv = [command, str(ds), "--config", str(cfg), "--backend", "http", "--out", str(out)]
+        assert cli_dispatch(argv) == 3
+        assert not out.exists()
 
     def test_eval_consumes_run_output(self, small_run, capsys):
         ds, cfg, tmp_path = small_run

@@ -1,6 +1,8 @@
 """HTTP backend wire-format tests against a local chat-completion stub."""
 
 import json
+import re
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -182,3 +184,73 @@ def test_env_vars_used(monkeypatch, stub_factory):
     backend = HttpBackend()
     assert backend.complete(BackendRequest(prompt="p", tag="vqa")) == "via-env"
     assert stub.seen[0]["auth"] == "Bearer env-key"
+
+
+class _RawStub:
+    """A loopback server that reads each request whole, answers it with the
+    same raw bytes (nothing at all for ``b""``) and closes the connection."""
+
+    def __init__(self, reply: bytes):
+        self.reply = reply
+        self.requests = 0
+        self.stop = threading.Event()
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.sock.settimeout(0.05)  # so that the loop sees ``stop``
+        self.url = f"http://127.0.0.1:{self.sock.getsockname()[1]}/v1/chat"
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while not self.stop.is_set():
+            try:
+                conn, _ = self.sock.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                data = b""
+                while b"\r\n\r\n" not in data:
+                    data += conn.recv(65536)
+                head, body = data.split(b"\r\n\r\n", 1)
+                length = int(re.search(rb"(?i)content-length: *(\d+)", head).group(1))
+                while len(body) < length:
+                    body += conn.recv(65536)
+                self.requests += 1
+                conn.sendall(self.reply)
+
+    def close(self):
+        self.stop.set()
+        self.thread.join(timeout=5)
+        self.sock.close()
+
+
+def _response(body: bytes, length: int = -1) -> bytes:
+    length = len(body) if length < 0 else length
+    head = f"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {length}\r\n\r\n"
+    return head.encode() + body
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        b"",  # closed before any reply: RemoteDisconnected
+        b"garbage\r\n\r\n",  # BadStatusLine
+        _response(b'{"choices": [', length=100),  # truncated body
+        _response(b"\xff\xfe{}"),  # not UTF-8
+        _response(b"null"),
+        _response(b"[1]"),
+        _response(b'{"choices": "x"}'),
+        _response(b'{"choices": [{"message": {"content": 5}}]}'),  # content not a string
+    ],
+    ids=["disconnect", "status-line", "truncated", "not-utf8", "null", "list", "choices-str", "content-int"],
+)
+def test_malformed_traffic_is_retried_then_backend_error(reply):
+    stub = _RawStub(reply)
+    try:
+        backend = HttpBackend(endpoint=stub.url, api_key="k", max_retries=1, retry_wait=0.0)
+        with pytest.raises(BackendError, match="backend failed after retries"):
+            backend.complete(BackendRequest(prompt="p", tag="vqa"))
+    finally:
+        stub.close()
+    assert not stub.thread.is_alive()
+    assert stub.requests == 2
+    assert backend.exchange_log == []
