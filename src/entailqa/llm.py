@@ -19,6 +19,7 @@ import re
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 from typing import Optional, Protocol
@@ -373,6 +374,8 @@ class HttpBackend:
         self.api_key = api_key or os.environ.get("ENTAIL_LLM_KEY", "")
         if not self.endpoint:
             raise BackendError("no endpoint: set ENTAIL_LLM_ENDPOINT or pass one")
+        if urllib.parse.urlsplit(self.endpoint).scheme not in ("http", "https"):
+            raise BackendError(f"endpoint {self.endpoint!r} is not an http(s) URL")
         self.model = model
         self.timeout = timeout
         self.max_retries = max_retries

@@ -14,9 +14,12 @@ Nothing depends on a token's position, so the encoder and MoE layer run once
 per distinct token id, and the heads attend over a sequence's bag of distinct
 ids with the log of each id's count added to its score, which equals
 attention over the positions. Training (``batch_gradients``) and inference
-(``decode_items``) are two uses of one micro-batch forward: a tree version
-to decode is a ``TrainItem`` without targets, and fact features are token
-means computed in each micro-batch.
+(``decode_items``, a generator of each version's scores and logits) are two
+uses of one micro-batch forward (``_forward``): a tree version to decode is
+a ``TrainItem`` without targets, and fact features are token means computed
+in each micro-batch. Both heads' bags go through one routing step
+(``_routed_bags``) and its backward, and the backward reads the gate softmax
+that routing kept instead of computing it again.
 
 Everything runs in float64 with handwritten analytic gradients so the whole
 parameter set can be checked against centered finite differences. Routing
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Iterable, Literal, Optional, Sequence
+from typing import Iterable, Iterator, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -231,6 +234,7 @@ class RoutingDecision:
     indices: np.ndarray  # (l, K) global expert ids
     values: np.ndarray  # (l, K) selected softmax probabilities
     pool_positions: np.ndarray  # (l, K) positions within the gate's pool
+    probs: np.ndarray  # (pool, l) the gate softmax, read by the backward
 
 
 @dataclass(frozen=True)
@@ -342,24 +346,16 @@ class _Ragged:
     """
 
     def __init__(self, lengths: Sequence[int], counts: Optional[np.ndarray] = None):
-        longest = max(lengths)
-        self.shape = (len(lengths), longest)
-        self.full = min(lengths) == longest  # equal lengths: padding is a reshape
-        if not self.full:
-            self.mask = np.arange(longest) < np.asarray(lengths)[:, None]
-            self.index = np.nonzero(self.mask)  # (item, position) of each row, in order
+        self.mask = np.arange(max(lengths)) < np.asarray(lengths)[:, None]
+        self.index = np.nonzero(self.mask)  # (item, position) of each row, in order
         self.log_counts = None if counts is None else self.pad(np.log(counts), -np.inf)
 
     def pad(self, rows: np.ndarray, fill: float = 0.0) -> np.ndarray:
-        if self.full:
-            return rows.reshape(self.shape + rows.shape[1:])
-        out = np.full(self.shape + rows.shape[1:], fill)
+        out = np.full(self.mask.shape + rows.shape[1:], fill)
         out[self.index] = rows
         return out
 
     def unpad(self, padded: np.ndarray) -> np.ndarray:
-        if self.full:
-            return padded.reshape((-1,) + padded.shape[2:])
         return padded[self.index]
 
     def mask_scores(self, scores: np.ndarray) -> np.ndarray:
@@ -367,8 +363,6 @@ class _Ragged:
         and padding set to -inf."""
         if self.log_counts is not None:
             return scores + self.log_counts[:, None, :]
-        if self.full:
-            return scores
         return np.where(self.mask[:, None, :], scores, -np.inf)
 
 
@@ -429,6 +423,7 @@ def route(
         indices=pool[pool_positions],
         values=values,
         pool_positions=pool_positions,
+        probs=probs,
     )
 
 
@@ -556,11 +551,24 @@ def losses(
     return l_frg, l_qa, l_frg + l_qa
 
 
-def _bag_layout(items: Sequence[TrainItem]) -> _Ragged:
-    """The items' sequence bags end to end, each row weighted by its count."""
-    return _Ragged(
-        [len(item.bag_hashes) for item in items],
-        np.concatenate([item.bag_counts for item in items]),
+def _routed_bags(
+    params: MoeParams,
+    items: Sequence[TrainItem],
+    enc: np.ndarray,
+    bag_rows: np.ndarray,
+    gate: GateId,
+) -> dict:
+    """The gate's MoE layer once over the distinct ``enc`` rows that the
+    items' bags read through ``bag_rows``: the routed bag rows end to end
+    (``seq_moe``), their count-weighted ``layout``, and the backward's cache."""
+    gate_rows, rows = np.unique(bag_rows, return_inverse=True)
+    feats = enc[gate_rows]
+    moe_out, moe = moe_forward(params, params.config, feats, gate)
+    counts = np.concatenate([item.bag_counts for item in items])
+    layout = _Ragged([len(item.bag_hashes) for item in items], counts)
+    return dict(
+        gate_rows=gate_rows, rows=rows, feats=feats, moe=moe,
+        layout=layout, seq_moe=moe_out[rows],
     )
 
 
@@ -596,42 +604,22 @@ def _forward(
     cache: dict = {"ids": distinct, "enc": enc}
     scores = logits = None
     if frg_items:
-        gate_rows, rows = np.unique(inverse[:n_frg], return_inverse=True)
-        layout = _bag_layout(frg_items)
-        moe_out, moe = moe_forward(params, config, enc[gate_rows], GATE_A)
-        seq_moe = moe_out[rows]
+        frg = _routed_bags(params, frg_items, enc, inverse[:n_frg], GATE_A)
+        facts = inverse[n_seq:]
         fact_layout = _Ragged([len(item.fact_hashes) for item in frg_items])
         fact_lengths = np.array([len(h) for h in fact_hashes], dtype=np.intp)
-        fact_feats = fact_features(enc[inverse[n_seq:]], fact_lengths)
+        fact_feats = fact_features(enc[facts], fact_lengths)
         scores, head = frg_forward(
-            params, seq_moe, layout, fact_feats, fact_layout, step_count
+            params, frg["seq_moe"], frg["layout"], fact_feats, fact_layout, step_count
         )
-        cache["frg"] = {
-            "gate_rows": gate_rows,
-            "rows": rows,
-            "layout": layout,
-            "seq_moe": seq_moe,
-            "moe": moe,
-            "facts": inverse[n_seq:],
-            "fact_layout": fact_layout,
-            "fact_lengths": fact_lengths,
-            "fact_feats": fact_feats,
-            "head": head,
-        }
+        cache["frg"] = dict(
+            frg, facts=facts, fact_layout=fact_layout, fact_lengths=fact_lengths,
+            fact_feats=fact_feats, head=head,
+        )
     if qa_items:
-        gate_rows, rows = np.unique(inverse[n_frg:n_seq], return_inverse=True)
-        layout = _bag_layout(qa_items)
-        moe_out, moe = moe_forward(params, config, enc[gate_rows], GATE_B)
-        seq_moe = moe_out[rows]
-        logits, head = qa_forward(params, seq_moe, layout, answer_len)
-        cache["qa"] = {
-            "gate_rows": gate_rows,
-            "rows": rows,
-            "layout": layout,
-            "seq_moe": seq_moe,
-            "moe": moe,
-            "head": head,
-        }
+        qa = _routed_bags(params, qa_items, enc, inverse[n_frg:n_seq], GATE_B)
+        logits, qa["head"] = qa_forward(params, qa["seq_moe"], qa["layout"], answer_len)
+        cache["qa"] = qa
     return scores, logits, cache
 
 
@@ -706,7 +694,7 @@ def _moe_bwd(
     d_values[slots] = d_slot_values
 
     # route the value gradient to the selected softmax entries
-    probs = _gate_probs(params, feats, decision.gate)
+    probs = decision.probs
     selected = (decision.pool_positions, np.arange(len(feats))[:, None])
     d_values = d_values.reshape(decision.values.shape)
     if config.renormalize_topk:
@@ -744,6 +732,25 @@ def _sum_rows_by(index: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
     return np.bincount(cells, weights=rows.ravel(), minlength=count * d).reshape(
         count, d
     )
+
+
+def _routed_bags_bwd(
+    params: MoeParams,
+    head: str,
+    bags: dict,
+    d_ctx: np.ndarray,
+    d_enc: np.ndarray,
+    grads: dict[str, np.ndarray],
+) -> None:
+    """Backward of the head's attention over the routed bag rows, from the
+    gradient of its output ``d_ctx``, then of ``_routed_bags``; adds to
+    ``d_enc``. ``bags`` is what ``_routed_bags`` returned, with the head's
+    forward cache added under ``"head"``."""
+    attn, kv_in = bags["head"]["attn"], bags["seq_moe"]
+    d_seq = _attention_bwd(params, head, d_ctx, attn, kv_in, bags["layout"], grads)
+    rows, feats = bags["gate_rows"], bags["feats"]
+    d_moe = _sum_rows_by(bags["rows"], d_seq, len(rows))
+    d_enc[rows] += _moe_bwd(params, params.config, feats, bags["moe"], d_moe, grads)
 
 
 def _fact_features_bwd(d_means: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -825,7 +832,6 @@ def _micro_backward(
     params: MoeParams, cache: dict, grads: dict[str, np.ndarray]
 ) -> None:
     """Adds one micro-batch's gradients to ``grads``."""
-    config = params.config  # the config ``_forward`` ran with
     enc = cache["enc"]
     d_enc = np.zeros_like(enc)
 
@@ -836,21 +842,10 @@ def _micro_backward(
         d_k2 = frg["fact_layout"].unpad(
             d_scores.transpose(0, 2, 1) @ head["q2"] * head["scale"]
         )
-        d = config.embed_dim
+        d = params.config.embed_dim
         grads["frg_q2"] += head["ctx"].reshape(-1, d).T @ d_q2.reshape(-1, d)
         grads["frg_k2"] += frg["fact_feats"].T @ d_k2
-        d_seq = _attention_bwd(
-            params,
-            "frg",
-            d_q2 @ params.frg_q2.T,
-            head["attn"],
-            frg["seq_moe"],
-            frg["layout"],
-            grads,
-        )
-        rows = frg["gate_rows"]
-        d_moe = _sum_rows_by(frg["rows"], d_seq, len(rows))
-        d_enc[rows] += _moe_bwd(params, config, enc[rows], frg["moe"], d_moe, grads)
+        _routed_bags_bwd(params, "frg", frg, d_q2 @ params.frg_q2.T, d_enc, grads)
         d_facts = _fact_features_bwd(d_k2 @ params.frg_k2.T, frg["fact_lengths"])
         d_enc += _sum_rows_by(frg["facts"], d_facts, len(enc))
 
@@ -861,18 +856,7 @@ def _micro_backward(
             d_logits.reshape(-1, d_logits.shape[2]).T
             @ head["ctx"].reshape(-1, head["ctx"].shape[2])
         )
-        d_seq = _attention_bwd(
-            params,
-            "qa",
-            d_logits @ params.vocab_out,
-            head["attn"],
-            qa["seq_moe"],
-            qa["layout"],
-            grads,
-        )
-        rows = qa["gate_rows"]
-        d_moe = _sum_rows_by(qa["rows"], d_seq, len(rows))
-        d_enc[rows] += _moe_bwd(params, config, enc[rows], qa["moe"], d_moe, grads)
+        _routed_bags_bwd(params, "qa", qa, d_logits @ params.vocab_out, d_enc, grads)
 
     _encoder_bwd(params, grads, cache["ids"], enc, d_enc)
 
@@ -928,11 +912,15 @@ def backward_and_step(
     learning_rate: float,
     weight_decay: float = 0.01,
 ) -> tuple[MoeParams, float]:
-    """One AdamW step on the joint loss; params are updated in place."""
-    loss, grads = batch_gradients(params, config, batch)
-    if not math.isfinite(loss):
-        raise NonFiniteLoss(f"loss is {loss}")
-    _adamw_step(params, grads, learning_rate, weight_decay)
+    """One AdamW step on the joint loss; params are updated in place.
+
+    Overflow is not warned about: a non-finite loss raises ``NonFiniteLoss``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, grads = batch_gradients(params, config, batch)
+        if not math.isfinite(loss):
+            raise NonFiniteLoss(f"loss is {loss}")
+        _adamw_step(params, grads, learning_rate, weight_decay)
     return params, loss
 
 
@@ -981,40 +969,38 @@ DECODE_LOGITS = 1 << 16
 
 
 def decode_items(
-    params: MoeParams,
-    versions: Sequence[tuple[TrainItem, int, int]],
-    read: Callable[[int, np.ndarray, np.ndarray], None],
-) -> None:
-    """``read(i, scores, logits)`` for version i, ``(item, steps,
-    answer_len)``, with the item's (steps, facts) scores and (answer_len,
-    vocab) logits, for every version in order; forward only.
+    params: MoeParams, versions: Sequence[tuple[TrainItem, int, int]]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yields, for each version ``(item, steps, answer_len)`` in order, the
+    item's (steps, facts) scores and (answer_len, vocab) logits; forward
+    only.
 
     The versions run in micro-batches whose logits fit in ``DECODE_LOGITS``
     floats (one version at least), each through the training step's forward
     with every item in both heads, at the micro-batch's largest query counts.
     Query rows are independent, so each item's slice, cut to its own query
-    counts and facts, is what it would get alone. The slices are views, so
-    ``read`` must copy what it keeps.
+    counts and facts, is what it would get alone. The slices are views: a
+    caller that drops each one before asking for the next lets each
+    micro-batch be freed before the next one is made. A forward that
+    overflows gives non-finite values without a warning; the caller checks
+    them.
     """
     longest = max((answer_len for _, _, answer_len in versions), default=1)
     size = max(1, DECODE_LOGITS // (longest * params.config.vocab_size))
     for start in range(0, len(versions), size):
         chunk = versions[start : start + size]
         items = [item for item, _, _ in chunk]
-        # [:2] drops the backward cache at once
-        scores, logits = _forward(
-            params,
-            items,
-            items,
-            max(steps for _, steps, _ in chunk),
-            max(answer_len for _, _, answer_len in chunk),
-        )[:2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # [:2] drops the backward cache at once
+            scores, logits = _forward(
+                params,
+                items,
+                items,
+                max(steps for _, steps, _ in chunk),
+                max(answer_len for _, _, answer_len in chunk),
+            )[:2]
         for i, (item, steps, answer_len) in enumerate(chunk):
-            read(
-                start + i,
-                scores[i, :steps, : len(item.fact_texts)],
-                logits[i, :answer_len],
-            )
+            yield scores[i, :steps, : len(item.fact_texts)], logits[i, :answer_len]
         del scores, logits  # freed before the next micro-batch's are made
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import metrics
 from .dataset import QAExample, RunConfig
-from .errors import EmptyEvidence, EntailQAError, MoeError, SchemaError, StructureError, TreeError
+from .errors import EmptyEvidence, EntailQAError, MoeError, NonFiniteLoss, SchemaError, StructureError, TreeError
 from .facts import IMAGE, TABLE, FactBase, add_fact, linearize_table, lookup_text, retrieve_evidence
 from .llm import (
     Backend,
@@ -212,7 +212,10 @@ def _record_version(
     logits: np.ndarray,
     decode_answer_len: int,
 ) -> None:
-    """Append one decoded version's retrieved fact ids, answer and loss."""
+    """Append one decoded version's retrieved fact ids, answer and loss; a
+    version whose scores or logits are not finite records nothing."""
+    if not (np.isfinite(scores).all() and np.isfinite(logits).all()):
+        raise NonFiniteLoss("the decoded scores or logits are not finite")
     picks = dict.fromkeys(np.argmax(scores[:step_count], axis=1).tolist())
     answer_ids = greedy_answer_ids(logits[:decode_answer_len])
     loss = None
@@ -236,7 +239,8 @@ def predict_states(
 
     Each pending version is checked first; a version that fails its check
     fails its example, whose versions then stay out of the pass. The rest
-    are decoded together in micro-batches (``moe.decode_items``).
+    are decoded together in micro-batches (``moe.decode_items``), and a
+    version whose decode is not finite fails its example.
     """
     pending: list[tuple[PipelineState, int, tuple[TrainItem, int, int]]] = []
     for state in states:
@@ -249,16 +253,15 @@ def predict_states(
             continue
         pending.extend((state, step_count, v) for step_count, v in versions)
 
-    def _read(i: int, scores: np.ndarray, logits: np.ndarray) -> None:
-        state, step_count, _ = pending[i]
-        if state.failed:
-            return
-        try:
-            _record_version(state, step_count, scores, logits, decode_answer_len)
-        except EntailQAError as exc:
-            state.fail(exc)
-
-    decode_items(params, [version for _, _, version in pending], _read)
+    decoded = decode_items(params, [version for _, _, version in pending])
+    for state, step_count, _ in pending:
+        scores, logits = next(decoded)
+        if not state.failed:
+            try:
+                _record_version(state, step_count, scores, logits, decode_answer_len)
+            except EntailQAError as exc:
+                state.fail(exc)
+        del scores, logits  # so that their micro-batch is freed before the next
 
 
 def predict_pending(
@@ -338,7 +341,9 @@ def build_train_items(
             fact_texts=tuple(state.base.texts()),
             frg_targets=state.frg_targets,
             qa_targets=state.qa_targets,
+            fact_hashes=state.fact_hashes,
         )
+        state.fact_hashes = item.fact_hashes
         try:
             check_train_item(item, config)
         except MoeError as exc:

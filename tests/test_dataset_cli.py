@@ -1,6 +1,11 @@
 import importlib.util
 import json
+import math
+import os
+import subprocess
+import sys
 import threading
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,6 +20,7 @@ from entailqa.dataset import (
     dataset_from_dict,
     load_dataset,
     load_run_config,
+    read_json,
     run_config_from_dict,
     write_json,
 )
@@ -430,6 +436,49 @@ class TestCli:
     def test_stage1_artifacts_do_not_depend_on_workers(self, small_run, command):
         self._same_at_one_and_four_workers(small_run, command)
 
+    def test_artifacts_do_not_depend_on_the_blas_kernel(self, small_run):
+        """Criterion 10's fixture under two forced OpenBLAS kernels writes a
+        byte-identical ``predictions.json``; in the other files only floats
+        may differ, by at most 1e-12 relative (the kernels sum in different
+        orders)."""
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+            pytest.skip("numpy's BLAS is not OpenBLAS built with DYNAMIC_ARCH")
+        cpuinfo = Path("/proc/cpuinfo")
+        if not cpuinfo.exists() or " avx2" not in cpuinfo.read_text():
+            pytest.skip("the Haswell kernel needs an x86-64 CPU with AVX2")
+        ds, cfg, tmp_path = small_run
+        src = Path(__file__).resolve().parent.parent / "src"
+        runs = []
+        for kernel in ("Haswell", "Sandybridge"):
+            out = tmp_path / kernel
+            env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_VERBOSE="2")
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+            argv = ["run-pipeline", str(ds), "--config", str(cfg), "--out", str(out)]
+            code = "import sys; from entailqa.cli import cli_dispatch; sys.exit(cli_dispatch(sys.argv[1:]))"
+            proc = subprocess.run(
+                [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert f"Core: {kernel}" in proc.stderr  # the kernel was really forced
+            runs.append(out)
+        first, second = runs
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        assert (first / "predictions.json").read_bytes() == (second / "predictions.json").read_bytes()
+
+        def close(a, b):
+            if isinstance(a, float) and isinstance(b, float):
+                return math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+            if isinstance(a, dict) and isinstance(b, dict):
+                return a.keys() == b.keys() and all(close(a[k], b[k]) for k in a)
+            if isinstance(a, list) and isinstance(b, list):
+                return len(a) == len(b) and all(map(close, a, b))
+            return type(a) is type(b) and a == b
+
+        for name in names:
+            assert close(read_json(first / name), read_json(second / name)), name
+
     def test_http_exchange_log_is_deterministic(self, small_run, monkeypatch):
         server = _load_perfbench_server().make_server()
         threading.Thread(
@@ -561,6 +610,35 @@ class TestCli:
             state = json.loads((out / f"{example['id']}.state.json").read_text())
             assert state["error"].startswith("EmptyEvidence")
 
+    @pytest.mark.parametrize(
+        "steps, message", [(1, "no example is left"), (15, "loss is nan")]
+    )
+    def test_diverging_run_is_one_data_error(self, small_run, capsys, steps, message):
+        """A learning rate that overflows the parameters ends the run with one
+        stderr line and no numpy warning: after one step every decode is
+        non-finite and fails its example, and a later step's loss is NaN. No
+        file holds a non-finite number."""
+        ds, cfg, tmp_path = small_run
+        config = json.loads(cfg.read_text())
+        config["training"].update(steps=steps, learning_rate=1e300)
+        write_json(cfg, config)
+        out = tmp_path / "diverged"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli_dispatch(["run-pipeline", str(ds), "--config", str(cfg), "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        assert rc == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not (out / "predictions.json").exists()
+        written = sorted(out.iterdir()) if out.exists() else []
+        for path in written:
+            read_json(path)
+        if steps == 1:
+            assert len(written) == 7  # the manifest and six states
+            for path in written:
+                if path.name.endswith(".state.json"):
+                    assert read_json(path)["error"].startswith("NonFiniteLoss")
+
     def _strip_evidence(self, ds, which):
         """Empty the evidence of each example whose index ``which`` accepts;
         returns every example id."""
@@ -627,12 +705,18 @@ class TestCli:
 
     @pytest.mark.parametrize("command", sorted(_FAILED_LIST))
     def test_http_without_endpoint_is_backend_error(self, small_run, monkeypatch, command):
+        """No endpoint, or one that is not an http(s) URL, exits 3 before
+        anything is written."""
         ds, cfg, tmp_path = small_run
-        monkeypatch.delenv("ENTAIL_LLM_ENDPOINT", raising=False)
-        out = tmp_path / "out"
-        argv = [command, str(ds), "--config", str(cfg), "--backend", "http", "--out", str(out)]
-        assert cli_dispatch(argv) == 3
-        assert not out.exists()
+        for i, endpoint in enumerate([None, "nope", "ftp://x"]):
+            if endpoint is None:
+                monkeypatch.delenv("ENTAIL_LLM_ENDPOINT", raising=False)
+            else:
+                monkeypatch.setenv("ENTAIL_LLM_ENDPOINT", endpoint)
+            out = tmp_path / f"out{i}"
+            argv = [command, str(ds), "--config", str(cfg), "--backend", "http", "--out", str(out)]
+            assert cli_dispatch(argv) == 3, endpoint
+            assert not out.exists()
 
     def test_eval_consumes_run_output(self, small_run, capsys):
         ds, cfg, tmp_path = small_run

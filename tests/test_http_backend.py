@@ -172,9 +172,14 @@ def test_exhausted_retries(stub_factory):
 
 
 def test_env_endpoint_required(monkeypatch):
-    monkeypatch.delenv("ENTAIL_LLM_ENDPOINT", raising=False)
-    with pytest.raises(BackendError):
-        HttpBackend()
+    """No endpoint, or one that is not an http(s) URL, is a backend error."""
+    for endpoint in (None, "nope", "ftp://x"):
+        if endpoint is None:
+            monkeypatch.delenv("ENTAIL_LLM_ENDPOINT", raising=False)
+        else:
+            monkeypatch.setenv("ENTAIL_LLM_ENDPOINT", endpoint)
+        with pytest.raises(BackendError):
+            HttpBackend()
 
 
 def test_env_vars_used(monkeypatch, stub_factory):

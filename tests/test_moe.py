@@ -885,8 +885,7 @@ class TestDecodeItems:
 
         monkeypatch.setattr(core, "route", counting_route)
         monkeypatch.setattr(core, "encode", counting_encode)
-        read = []
-        decode_items(params, versions, lambda i, scores, logits: read.append(i))
+        read = [i for i, _ in enumerate(decode_items(params, versions))]
 
         def distinct(hashes):
             return np.unique(core._bucket(np.concatenate(hashes), 4096))
@@ -911,13 +910,12 @@ class TestDecodeItems:
                            n_qa_experts=2, n_shared_experts=2, max_seq_len=64)
         params = MoeParams.init(config, 5)
         versions = self._versions(9, seed=4)
-        shapes = []
-        decode_items(params, versions, lambda i, s, q: shapes.append((s.shape, q.shape)))
+        shapes = [(s.shape, q.shape) for s, q in decode_items(params, versions)]
         assert shapes == [
             ((steps, len(item.fact_texts)), (answer_len, 64))
             for item, steps, answer_len in versions
         ]
-        decode_items(params, [], lambda *args: pytest.fail("no item to read"))
+        assert list(decode_items(params, [])) == []
 
     def test_checks_each_item(self, tiny_config):
         facts = ("a fact.",)

@@ -743,6 +743,25 @@ class TestPredictPending:
             for lb, la in zip(b.losses, a.losses):
                 assert lb == la if lb is None else lb == pytest.approx(la, rel=0, abs=1e-12)
 
+    def test_fact_texts_are_tokenized_once(self, monkeypatch):
+        """Training items and every decode pass share each example's fact
+        hashes, so a decode tokenizes only its versions' tree texts and
+        questions."""
+        examples = synthetic_examples(3, seed=3)
+        config = run_config_from_dict({})
+        states = stage1_states(examples, config, MockBackend())
+        items = build_train_items(examples, states, config.moe)
+        assert len(items) == len(states)
+        for item, state in zip(items, states.values()):
+            assert item.fact_hashes is state.fact_hashes
+        tokenized, hashes = [], moe._token_hashes
+        monkeypatch.setattr(moe, "_token_hashes", lambda text: tokenized.append(text) or hashes(text))
+        predict_states(states.values(), MoeParams.init(config.moe, config.seed))
+        assert all(len(state.predicted_answers) == 1 for state in states.values())
+        fact_texts = {text for state in states.values() for text in state.base.texts()}
+        assert len(tokenized) == 2 * len(states)
+        assert not fact_texts & set(tokenized)
+
     def test_empty_fact_base_fails_only_its_example(self):
         examples = synthetic_examples(2, seed=1)
         config = run_config_from_dict({})
