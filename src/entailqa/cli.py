@@ -123,12 +123,20 @@ def _exit_code(states: dict) -> int:
     return 3 if backend else 2
 
 
+def _out_dir(args) -> Path:
+    """Makes ``--out``: before any output, and for the dataset commands
+    before stage 1, so that an unusable one fails before any backend call."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _cmd_stage1(args, config: RunConfig) -> int:
     suffix, payload = _STAGE1_ARTIFACTS[args.command]
     examples = load_dataset(args.dataset)
-    states = stage1_states(examples, config, _make_backend(config))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    backend = _make_backend(config)
+    out = _out_dir(args)
+    states = stage1_states(examples, config, backend)
     for qid, state in states.items():
         if not state.failed:
             write_json(out / f"{qid}.{suffix}.json", _stamp(config, payload(state)))
@@ -140,13 +148,13 @@ def _cmd_stage1(args, config: RunConfig) -> int:
 
 def _cmd_train(args, config: RunConfig) -> int:
     examples = load_dataset(args.dataset)
-    states = stage1_states(examples, config, _make_backend(config))
+    backend = _make_backend(config)
+    out = _out_dir(args)
+    states = stage1_states(examples, config, backend)
     items = build_train_items(examples, states, config.moe)
     params = MoeParams.init(config.moe, config.seed)
     curve = train(params, config, items)
     failed = sorted(ex.id for ex in examples if states[ex.id].failed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_json(
         out / "training.json",
         _stamp(config, {"steps": len(curve), "loss_curve": curve, "failed": failed}),
@@ -160,9 +168,8 @@ def _cmd_train(args, config: RunConfig) -> int:
 def _cmd_run_pipeline(args, config: RunConfig) -> int:
     examples = load_dataset(args.dataset)
     backend = _make_backend(config)
+    out = _out_dir(args)
     states, summary = run_pipeline(examples, config, backend)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     predictions = []
     for example in examples:
@@ -197,9 +204,8 @@ def _cmd_run_pipeline(args, config: RunConfig) -> int:
 
 def _cmd_eval(args, config: RunConfig) -> int:
     report = evaluate_predictions(load_dataset(args.gold), load_predictions(args.pred))
+    out = _out_dir(args)
     sys.stdout.write(canonical_json(report))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "metrics.json", _stamp(config, report))
     return 0
 

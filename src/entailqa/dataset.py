@@ -91,6 +91,8 @@ class RunConfig:
     def __post_init__(self):
         if self.backend not in ("mock", "http"):
             raise ValueError(f"unknown backend: {self.backend!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.iteration_budget < 1:
             raise ValueError("iteration budget must be >= 1")
         if self.workers < 1:
@@ -118,14 +120,14 @@ class RunConfig:
 
 def _coerced(defaults, data: dict) -> dict:
     """The fields of the dataclass ``defaults`` that ``data`` sets, each
-    converted to the type of its default: a bool takes only true or false,
-    an int no number with a fractional part."""
+    converted to the type of its default. No field takes true or false, and
+    an int takes no number with a fractional part."""
     out = {}
     for f in fields(defaults):
         if f.name in data:
             value, kind = data[f.name], type(getattr(defaults, f.name))
-            if kind is bool and not isinstance(value, bool):
-                raise ValueError(f"{f.name} must be true or false, got {value!r}")
+            if isinstance(value, bool):
+                raise ValueError(f"{f.name} must not be true or false, got {value!r}")
             if kind is int and isinstance(value, float) and not value.is_integer():
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
             out[f.name] = kind(value)

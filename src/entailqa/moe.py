@@ -106,7 +106,6 @@ class MoeConfig:
     n_shared_experts: int
     top_k: int = 2
     max_seq_len: int = 128
-    renormalize_topk: bool = False
 
     def __post_init__(self):
         counts = (
@@ -404,8 +403,8 @@ def route(
 ) -> RoutingDecision:
     """Top-K token-choice routing over the gate's expert pool.
 
-    Values are the selected softmax probabilities, not renormalized unless
-    the config says so; ties select the lowest pool index first.
+    Values are the selected softmax probabilities, never rescaled over
+    the K selected experts; ties select the lowest pool index first.
     """
     probs = _gate_probs(params, feats, gate)
     rows = np.arange(len(feats))
@@ -415,8 +414,6 @@ def route(
         pool_positions[:, k] = best = remaining.argmax(axis=0)  # first of ties
         remaining[best, rows] = -np.inf
     values = probs[pool_positions, rows[:, None]]
-    if config.renormalize_topk:
-        values = values / values.sum(axis=1, keepdims=True)
     pool = np.asarray(config.pool(gate))
     return RoutingDecision(
         gate=gate,
@@ -696,14 +693,8 @@ def _moe_bwd(
     # route the value gradient to the selected softmax entries
     probs = decision.probs
     selected = (decision.pool_positions, np.arange(len(feats))[:, None])
-    d_values = d_values.reshape(decision.values.shape)
-    if config.renormalize_topk:
-        raw = probs[selected]
-        total = raw.sum(axis=1, keepdims=True)
-        weighted = (d_values * raw).sum(axis=1, keepdims=True)
-        d_values = (d_values * total - weighted) / total**2
     d_probs = np.zeros_like(probs)
-    d_probs[selected] = d_values
+    d_probs[selected] = d_values.reshape(decision.values.shape)
     d_logits = (probs * (d_probs - (d_probs * probs).sum(axis=0))).T
     grads["gate_a" if decision.gate == GATE_A else "gate_b"] += d_logits.T @ feats
     d_feats += d_logits @ _gate_matrix(params, decision.gate)

@@ -27,6 +27,7 @@ from entailqa.dataset import (
 from entailqa.errors import BackendError, SchemaError
 from entailqa.llm import MockBackend
 from entailqa.moe import MoeConfig, MoeParams
+from entailqa.pipeline import build_train_items, stage1_states, train
 from entailqa.synth import synthetic_corpus
 from entailqa.tree import parse_tree, serialize_tree
 
@@ -172,6 +173,7 @@ class TestRunConfig:
     def test_invalid_values_are_schema_errors(self):
         for data in (
             {"backend": "carrier-pigeon"},
+            {"seed": -1},
             {"moe": {"embed_dim": 0}},
             {"moe": {"top_k": 10}},
             {"moe": {"seed": 3}},
@@ -210,7 +212,6 @@ class TestRunConfig:
                 n_shared_experts=1,
                 top_k=1,
                 max_seq_len=64,
-                renormalize_topk=True,
             ),
             training=TrainingConfig(
                 steps=7,
@@ -240,8 +241,11 @@ class TestRunConfig:
         [
             {"training": {"steps": 2.5}},
             {"training": {"batch_size_qa": 2.5}},
-            {"moe": {"renormalize_topk": "false"}},
             {"workers": 2.5},
+            {"workers": True},
+            {"moe": {"top_k": True}},
+            {"training": {"learning_rate": False}},
+            {"http_model": True},
         ],
     )
     def test_nested_values_are_type_checked(self, data):
@@ -722,21 +726,15 @@ class TestCli:
         ds, cfg, tmp_path = small_run
         out = tmp_path / "run"
         cli_dispatch(["run-pipeline", str(ds), "--config", str(cfg), "--out", str(out)])
-        rc = cli_dispatch(
-            [
-                "eval",
-                "--pred",
-                str(out / "predictions.json"),
-                "--gold",
-                str(ds),
-                "--out",
-                str(tmp_path / "eval"),
-            ]
-        )
-        assert rc == 0
+        argv = ["eval", "--pred", str(out / "predictions.json"), "--gold", str(ds), "--out"]
+        assert cli_dispatch(argv + [str(tmp_path / "eval")]) == 0
         report = json.loads((tmp_path / "eval" / "metrics.json").read_text())
         for key in ("em", "f1", "retrieval", "tree", "count"):
             assert key in report
+        # an unusable --out fails before the report is printed
+        capsys.readouterr()
+        assert cli_dispatch(argv + [str(out / "manifest.json")]) == 2
+        assert capsys.readouterr().out == ""
 
     def _eval(self, small_run, pred_text):
         ds, _, tmp_path = small_run
@@ -771,6 +769,57 @@ class TestCli:
         wrong = {"id": "syn0001", "answer": "b"}
         assert self._eval(small_run, json.dumps([right, wrong, right, right])) == 2
         assert "duplicate prediction id 'syn0000' (at /predictions/2/id)" in capsys.readouterr().err
+
+    def test_negative_seed_flag_is_data_error(self, small_run, capsys):
+        ds, cfg, tmp_path = small_run
+        out = tmp_path / "out"
+        for argv in (["train", str(ds)], ["run-pipeline", str(ds)], ["route-demo"]):
+            argv += ["--config", str(cfg), "--seed", "-1", "--out", str(out)]
+            assert cli_dispatch(argv) == 2
+            err = capsys.readouterr().err
+            assert err == "data error: invalid run config: seed must be >= 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(_FAILED_LIST))
+    def test_unusable_out_fails_before_any_backend_call(
+        self, small_run, capsys, monkeypatch, command
+    ):
+        ds, cfg, tmp_path = small_run
+        calls = []
+        complete = MockBackend.complete
+
+        def counted(self, request):
+            calls.append(request)
+            return complete(self, request)
+
+        monkeypatch.setattr(MockBackend, "complete", counted)
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n")
+        argv = [command, str(ds), "--config", str(cfg), "--out", str(afile)]
+        assert cli_dispatch(argv) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert calls == []
+        assert afile.read_text() == "not a directory\n"
+
+    def test_train_checkpoint_loads_back_bit_for_bit(self, small_run):
+        ds, cfg, tmp_path = small_run
+        write_json(ds, synthetic_corpus(4, seed=5))
+        data = read_json(cfg)
+        data["training"]["steps"] = 3
+        write_json(cfg, data)
+        out = tmp_path / "trainout"
+        assert cli_dispatch(["train", str(ds), "--config", str(cfg), "--out", str(out)]) == 0
+        loaded = MoeParams.from_state_dict(read_json(out / "checkpoint.json"))
+
+        config = load_run_config(cfg)
+        examples = load_dataset(ds)
+        states = stage1_states(examples, config, MockBackend())
+        expected = MoeParams.init(config.moe, config.seed)
+        train(expected, config, build_train_items(examples, states, config.moe))
+        assert loaded.config == config.moe
+        assert not np.array_equal(expected.gate_a, MoeParams.init(config.moe, config.seed).gate_a)
+        for (name, got), (_, want) in zip(loaded.blocks(), expected.blocks(), strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
     def test_route_demo(self, small_run, capsys):
         _, cfg, _ = small_run

@@ -222,20 +222,6 @@ class TestRoute:
         assert not set(a.indices.ravel().tolist()) & set(tiny_config.qa_expert_ids)
         assert not set(b.indices.ravel().tolist()) & set(tiny_config.frg_expert_ids)
 
-    def test_renormalized_values_sum_to_one(self):
-        config = MoeConfig(
-            embed_dim=8,
-            vocab_size=32,
-            n_frg_experts=2,
-            n_qa_experts=2,
-            n_shared_experts=2,
-            renormalize_topk=True,
-        )
-        params = MoeParams.init(config, 3)
-        x = np.random.default_rng(3).normal(size=(4, 8))
-        decision = route(params, config, x, GATE_A)
-        assert np.allclose(decision.values.sum(axis=1), 1.0)
-
 
 def _make_identity_experts(params, expert_ids, eps=1e-4):
     d = params.config.embed_dim
@@ -512,35 +498,6 @@ class TestBackward:
                 denom = max(1e-6, abs(fd), abs(gflat[i]))
                 assert abs(fd - gflat[i]) / denom < 1e-4, (name, i)
 
-    def test_gradcheck_renormalized_routing(self):
-        config = MoeConfig(
-            embed_dim=8,
-            vocab_size=32,
-            n_frg_experts=2,
-            n_qa_experts=2,
-            n_shared_experts=2,
-            max_seq_len=16,
-            renormalize_topk=True,
-        )
-        params = MoeParams.init(config, 3)
-        batch = small_batch()[:1]
-        _, grads = batch_gradients(params, config, batch)
-        eps = 1e-5
-        for name in ("gate_a", "gate_b", "enc_w"):
-            arr = getattr(params, name)
-            flat = arr.ravel()
-            gflat = grads[name].ravel()
-            for i in range(0, flat.size, max(1, flat.size // 16)):
-                orig = flat[i]
-                flat[i] = orig + eps
-                up = batch_loss(params, config, batch)
-                flat[i] = orig - eps
-                down = batch_loss(params, config, batch)
-                flat[i] = orig
-                fd = (up - down) / (2 * eps)
-                denom = max(1e-6, abs(fd), abs(gflat[i]))
-                assert abs(fd - gflat[i]) / denom < 1e-4, (name, i)
-
     def test_zero_learning_rate_keeps_params(self, tiny_params, tiny_config):
         before = {name: arr.copy() for name, arr in tiny_params.blocks()}
         _, loss = backward_and_step(tiny_params, tiny_config, small_batch(), 0.0)
@@ -656,8 +613,7 @@ class TestBatchedStep:
         for name, g in grads.items():
             np.testing.assert_allclose(g, expected[name], rtol=0, atol=1e-12, err_msg=name)
 
-    @pytest.mark.parametrize("renormalize", [False, True])
-    def test_gradcheck_across_micro_batches(self, renormalize):
+    def test_gradcheck_across_micro_batches(self):
         config = MoeConfig(
             embed_dim=8,
             vocab_size=64,
@@ -665,7 +621,6 @@ class TestBatchedStep:
             n_qa_experts=2,
             n_shared_experts=2,
             max_seq_len=64,
-            renormalize_topk=renormalize,
         )
         params = MoeParams.init(config, 5)
         batch = seeded_items(MICRO_BATCH + 3, 64, seed=7)
@@ -800,8 +755,7 @@ def per_position_gradients(params, config, batch):
 
 
 class TestDistinctIdStep:
-    @pytest.mark.parametrize("renormalize", [False, True])
-    def test_matches_per_position_step(self, renormalize):
+    def test_matches_per_position_step(self):
         config = MoeConfig(
             embed_dim=8,
             vocab_size=64,
@@ -809,7 +763,6 @@ class TestDistinctIdStep:
             n_qa_experts=2,
             n_shared_experts=2,
             max_seq_len=64,
-            renormalize_topk=renormalize,
         )
         params = MoeParams.init(config, 6)
         items = seeded_items(2 * MICRO_BATCH + 6, 64, seed=9)
