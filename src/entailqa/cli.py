@@ -74,14 +74,8 @@ def _build_parser() -> _Parser:
 
 def _load_config(args) -> RunConfig:
     config = load_run_config(args.config) if args.config else RunConfig()
-    if args.seed is None and args.backend is None:
-        return config
-    data = config.to_json_dict()
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.backend is not None:
-        data["backend"] = args.backend
-    return run_config_from_dict(data)
+    flags = {k: getattr(args, k) for k in ("seed", "backend") if getattr(args, k) is not None}
+    return run_config_from_dict({**config.to_json_dict(), **flags}) if flags else config
 
 
 def _make_backend(config: RunConfig):
@@ -277,3 +271,7 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     raise SystemExit(cli_dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -61,6 +61,9 @@ class TrainingConfig:
 
 
 _UNHASHED = ("workers", "http_timeout", "http_max_retries")
+# Seconds. A socket keeps its timeout as a signed 64-bit count of nanoseconds
+# (at most about 9.2e9 s); a larger one is an OverflowError on the first request.
+_MAX_HTTP_TIMEOUT = 1e9
 
 
 @dataclass(frozen=True)
@@ -76,16 +79,7 @@ class RunConfig:
     http_model: str = "gpt-3.5-turbo"
     http_timeout: float = 60.0
     http_max_retries: int = 2
-    moe: MoeConfig = field(
-        default_factory=lambda: MoeConfig(
-            embed_dim=16,
-            vocab_size=2048,
-            n_frg_experts=2,
-            n_qa_experts=2,
-            n_shared_experts=2,
-            max_seq_len=512,
-        )
-    )
+    moe: MoeConfig = field(default_factory=MoeConfig)
     training: TrainingConfig = field(default_factory=TrainingConfig)
 
     def __post_init__(self):
@@ -103,8 +97,8 @@ class RunConfig:
             raise ValueError("decode_answer_len must be in [1, moe.max_seq_len]")
         if not 0 < self.validation_fraction <= 1:
             raise ValueError("validation_fraction must be in (0, 1]")
-        if not self.http_timeout > 0:
-            raise ValueError("http_timeout must be > 0")
+        if not 0 < self.http_timeout <= _MAX_HTTP_TIMEOUT:
+            raise ValueError(f"http_timeout must be in (0, {_MAX_HTTP_TIMEOUT:g}]")
         if self.http_max_retries < 0:
             raise ValueError("http_max_retries must be >= 0")
 
@@ -120,41 +114,41 @@ class RunConfig:
 
 def _coerced(defaults, data: dict) -> dict:
     """The fields of the dataclass ``defaults`` that ``data`` sets, each
-    converted to the type of its default. No field takes true or false, and
-    an int takes no number with a fractional part."""
+    converted to the type of its default. A section, a field whose default is
+    a dataclass, is built from its JSON object by the same rule. No field
+    takes true or false, an int takes no number with a fractional part, a
+    float must be finite and a str takes only a string."""
     out = {}
     for f in fields(defaults):
         if f.name in data:
-            value, kind = data[f.name], type(getattr(defaults, f.name))
+            value, default = data[f.name], getattr(defaults, f.name)
+            kind = type(default)
             if isinstance(value, bool):
                 raise ValueError(f"{f.name} must not be true or false, got {value!r}")
+            if is_dataclass(default):
+                out[f.name] = kind(**{**value, **_coerced(default, value)})
+                continue
             if kind is int and isinstance(value, float) and not value.is_integer():
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if kind is str and not isinstance(value, str):
+                raise ValueError(f"{f.name} must be a string, got {value!r}")
             out[f.name] = kind(value)
+            if kind is float and not math.isfinite(out[f.name]):
+                raise ValueError(f"{f.name} is not a finite number, got {value!r}")
     return out
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
     """Build a RunConfig from loose JSON.
 
-    Every value, top-level or in ``moe``/``training``, is coerced to the type
-    of its default. Unknown top-level keys are ignored; unknown nested keys
-    are errors.
+    Every value, top-level or in a section, is coerced to the type of its
+    default. Unknown top-level keys are ignored; unknown nested keys are
+    errors.
     """
     if not isinstance(data, dict):
         raise SchemaError("run config must be a JSON object")
-    defaults = RunConfig()
     try:
-        top = _coerced(
-            defaults, {k: v for k, v in data.items() if k not in ("moe", "training")}
-        )
-        moe = {**asdict(defaults.moe), **data.get("moe", {})}
-        training = data.get("training", {})
-        return RunConfig(
-            **top,
-            moe=MoeConfig(**{**moe, **_coerced(defaults.moe, moe)}),
-            training=TrainingConfig(**{**training, **_coerced(defaults.training, training)}),
-        )
+        return RunConfig(**_coerced(RunConfig(), data))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"invalid run config: {exc}") from exc
 

@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, Literal, Optional, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, NoFacts, NonFiniteLoss, SequenceTooLong
+from .errors import LengthMismatch, NoFacts, NonFiniteLoss, SchemaError, SequenceTooLong
 from .facts import tokenize
 
 GateId = Literal["A", "B"]
@@ -99,13 +99,13 @@ def decode_answer(ids: Sequence[int], lexicon: dict[int, str]) -> str:
 
 @dataclass(frozen=True)
 class MoeConfig:
-    embed_dim: int
-    vocab_size: int
-    n_frg_experts: int
-    n_qa_experts: int
-    n_shared_experts: int
+    embed_dim: int = 16
+    vocab_size: int = 2048
+    n_frg_experts: int = 2
+    n_qa_experts: int = 2
+    n_shared_experts: int = 2
     top_k: int = 2
-    max_seq_len: int = 128
+    max_seq_len: int = 512
 
     def __post_init__(self):
         counts = (
@@ -214,13 +214,24 @@ class MoeParams:
 
     @classmethod
     def from_state_dict(cls, state: dict) -> "MoeParams":
-        if state.get("format") != "entailqa-checkpoint-v1":
-            raise ValueError(f"unknown checkpoint format: {state.get('format')!r}")
-        config = MoeConfig(**state["config"])
-        arrays = {
-            name: np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
-            for name, entry in state["arrays"].items()
-        }
+        """The parameters ``to_state_dict`` wrote. A checkpoint whose config
+        keys are not ``MoeConfig``'s fields, or whose array names and shapes
+        are not the ones ``init`` makes for that config, is a ``SchemaError``."""
+        try:
+            if state.get("format") != "entailqa-checkpoint-v1":
+                raise ValueError(f"unknown checkpoint format: {state.get('format')!r}")
+            if state["config"].keys() != asdict(MoeConfig()).keys():
+                raise ValueError(f"config keys {sorted(state['config'])} are not MoeConfig's fields")
+            config = MoeConfig(**state["config"])
+            shapes = {name: list(arr.shape) for name, arr in cls.init(config, 0).blocks()}
+            if {name: entry["shape"] for name, entry in state["arrays"].items()} != shapes:
+                raise ValueError("array names or shapes do not fit the config")
+            arrays = {
+                name: np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
+                for name, entry in state["arrays"].items()
+            }
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"invalid checkpoint: {exc}") from exc
         return cls(config, arrays)
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from entailqa import cli
 from entailqa.cli import cli_dispatch
 from entailqa.dataset import (
     RunConfig,
@@ -147,6 +148,9 @@ class TestRunConfig:
         assert config.training.batch_size_qa == 12
         assert config.iteration_budget == 2
         assert config.moe.top_k == 2
+        assert MoeConfig() == config.moe
+        assert run_config_from_dict({}) == config
+        assert config.config_hash() == "cae55212a543"
 
     def test_file_seed_matches_library_seed(self):
         config, library = run_config_from_dict({"seed": 5}), RunConfig(seed=5)
@@ -185,6 +189,7 @@ class TestRunConfig:
             {"validation_fraction": 1.5},
             {"http_timeout": 0},
             {"http_max_retries": -1},
+            {"http_timeout": 1e12},
         ):
             with pytest.raises(SchemaError):
                 run_config_from_dict(data)
@@ -246,6 +251,9 @@ class TestRunConfig:
             {"moe": {"top_k": True}},
             {"training": {"learning_rate": False}},
             {"http_model": True},
+            {"http_model": None},
+            {"http_model": [1]},
+            {"backend": 5},
         ],
     )
     def test_nested_values_are_type_checked(self, data):
@@ -351,7 +359,13 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"training": {"learning_rate": NaN}}', '{"min_delta": -Infinity}', '{"min_delta": 1e999}'],
+        [
+            '{"training": {"learning_rate": NaN}}',
+            '{"min_delta": -Infinity}',
+            '{"min_delta": 1e999}',
+            '{"training": {"learning_rate": "nan"}}',
+            '{"min_delta": "-inf"}',
+        ],
     )
     def test_non_finite_number_is_data_error(self, small_run, tmp_path, capsys, text):
         ds, _, _ = small_run
@@ -828,6 +842,8 @@ class TestCli:
         assert "gate A" in out and "gate B" in out
 
     def test_seed_flag_overrides(self, small_run):
+        """--seed and --backend give the config of the file with those keys
+        set, and the file is still checked first."""
         ds, cfg, tmp_path = small_run
         out1 = tmp_path / "s1"
         out2 = tmp_path / "s2"
@@ -837,6 +853,25 @@ class TestCli:
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m1["seed"] == 5 and m2["seed"] == 6
         assert m1["config_hash"] != m2["config_hash"]
+        data = {"seed": 11, "backend": "http", "moe": {"vocab_size": 512}}
+        write_json(cfg, data)
+        argv = ["route-demo", "--config", str(cfg), "--seed", "3", "--backend", "mock"]
+        config = cli._load_config(cli._build_parser().parse_args(argv))
+        assert config == run_config_from_dict({**data, "seed": 3, "backend": "mock"})
+        write_json(cfg, {"seed": -1})
+        assert cli_dispatch(["route-demo", "--config", str(cfg), "--seed", "3"]) == 2
+
+    def test_module_runs_as_a_script(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        argv = ["eval", "--pred", "nope.json", "--gold", "nope.json"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "entailqa.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("data error: ")
 
 
 def test_canonical_json_sorted_and_newline():

@@ -10,7 +10,7 @@ import pytest
 from entailqa import moe as core
 from entailqa.cli import _keep_freed_heap
 from entailqa.dataset import RunConfig
-from entailqa.errors import LengthMismatch, NonFiniteLoss, SequenceTooLong
+from entailqa.errors import LengthMismatch, NonFiniteLoss, SchemaError, SequenceTooLong
 from entailqa.llm import MockBackend
 from entailqa.moe import (
     EOS_ID,
@@ -546,6 +546,22 @@ class TestOptimizerAndState:
         for name, arr in tiny_params.blocks():
             assert np.array_equal(arr, getattr(again, name)), name
         assert again.config == tiny_params.config
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda state: state["config"].update(renormalize_topk=True),
+            lambda state: state["config"].pop("top_k"),
+            lambda state: state["config"].update(vocab_size=4096),
+            lambda state: state["arrays"].pop("vocab_out"),
+        ],
+        ids=["extra_key", "missing_key", "wrong_shape", "missing_array"],
+    )
+    def test_checkpoint_that_does_not_fit_is_schema_error(self, tiny_params, edit):
+        state = tiny_params.to_state_dict()
+        edit(state)
+        with pytest.raises(SchemaError):
+            MoeParams.from_state_dict(state)
 
     def test_greedy_decode(self):
         logits = np.array([[0.0, 3.0, 1.0], [0.5, 0.1, 0.2], [9.0, 0.0, 0.0]])
