@@ -231,6 +231,12 @@ def parse_example(data: dict, pointer: str) -> QAExample:
         "example id must be a non-empty string",
         f"{pointer}/id",
     )
+    # every dataset command writes its output for the example to <id>.<suffix>.json
+    _expect(
+        ex_id not in (".", "..") and not any(c in ex_id for c in "/\\\0"),
+        "example id must be a file name: no '/', '\\' or NUL, and not '.' or '..'",
+        f"{pointer}/id",
+    )
     question = data.get("question")
     _expect(
         isinstance(question, str) and bool(question.strip()),

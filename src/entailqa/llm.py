@@ -517,7 +517,7 @@ def decompose_atomic(
         "decompose_atomic",
         sub_question=sub_question,
         evidence_id=evidence.id,
-        caption=evidence.caption or "",
+        caption=_one_line(evidence.caption or ""),
     )
     return _call(backend, "decompose_atomic", prompt, _parse_numbered)
 
@@ -525,7 +525,7 @@ def decompose_atomic(
 def vqa_answer(backend: Backend, atomic_question: str, evidence: Evidence) -> str:
     if evidence.modality != IMAGE:
         raise ValueError("vqa_answer expects image evidence")
-    prompt = render("vqa", question=atomic_question, caption=evidence.caption or "")
+    prompt = render("vqa", question=atomic_question, caption=_one_line(evidence.caption or ""))
     return _call(backend, "vqa", prompt, _parse_short)
 
 
@@ -542,7 +542,7 @@ def text_qa(backend: Backend, sub_question: str, passage: str) -> str:
     """Text-modality path: answer the sub-question over the snippet."""
     if not passage.strip():
         raise ValueError("empty passage")
-    prompt = render("text_qa", question=sub_question, passage=passage)
+    prompt = render("text_qa", question=sub_question, passage=_one_line(passage))
     return _call(backend, "text_qa", prompt, _parse_short)
 
 

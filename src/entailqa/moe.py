@@ -250,13 +250,12 @@ class RoutingDecision:
 @dataclass(frozen=True)
 class TrainItem:
     """One item of the joint model: a tree text, its question and its facts,
-    with either target absent. A tree version to decode has neither.
+    with either target absent. A decode of a tree version reads no target.
 
     The texts are tokenized once, when the item is built: ``bag_hashes`` and
     ``bag_counts`` hold the distinct crc32s of the tokens of the tree text
     then the question and how often each occurs, ``n_tokens`` their count,
-    and ``fact_hashes`` the crc32s of each fact (a caller that already has
-    them for the same fact texts may pass them; ``replace`` carries them
+    and ``fact_hashes`` the crc32s of each fact (``replace`` carries them
     over). A forward pass only maps each hash to its vocabulary bucket, as
     ``token_bucket`` does.
     """

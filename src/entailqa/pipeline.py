@@ -15,14 +15,14 @@ example failed, and every later pass skips it while the batch continues.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import metrics
 from .dataset import QAExample, RunConfig
-from .errors import EmptyEvidence, EntailQAError, MoeError, NonFiniteLoss, SchemaError, StructureError, TreeError
+from .errors import EmptyEvidence, EntailQAError, MoeError, NonFiniteLoss, SchemaError, TreeError
 from .facts import IMAGE, TABLE, FactBase, add_fact, linearize_table, lookup_text, retrieve_evidence
 from .llm import (
     Backend,
@@ -72,14 +72,12 @@ class PipelineState:
     error_class: Optional[type] = field(default=None, repr=False, compare=False)
     frg_targets: Optional[tuple[int, ...]] = None
     qa_targets: Optional[tuple[int, ...]] = None
-    # (vocab_size, lexicon) and the tokenized fact texts of predict_states;
-    # not serialized
+    # (vocab_size, lexicon) of predict_states, and the stage-2 item of the
+    # newest version tokenized (_version_item); not serialized
     lexicon: Optional[tuple[int, dict[int, str]]] = field(
         default=None, repr=False, compare=False
     )
-    fact_hashes: Optional[tuple[np.ndarray, ...]] = field(
-        default=None, repr=False, compare=False
-    )
+    item: Optional[TrainItem] = field(default=None, repr=False, compare=False)
     # ((backend, question, fact base, feedback), version) of the last
     # feedback iteration that asked the backend; not serialized
     last_request: Optional[tuple[tuple, EntailmentTree]] = field(
@@ -166,6 +164,19 @@ def stage2_targets(
     return tuple(frg), qa
 
 
+def _version_item(state: PipelineState, tree: EntailmentTree) -> TrainItem:
+    """The stage-2 item of ``tree``, a version of ``state``, kept on the state:
+    a new tree text is tokenized with the question, the facts only the first
+    time, and the kept text gets the kept item."""
+    text = tree_to_text(tree)
+    if state.item is None:
+        facts = tuple(state.base.texts())
+        state.item = TrainItem(text, state.question, facts, state.frg_targets, state.qa_targets)
+    elif state.item.tree_text != text:
+        state.item = replace(state.item, tree_text=text, bag_hashes=None)
+    return state.item
+
+
 def _pending_items(
     state: PipelineState, config: MoeConfig, decode_answer_len: int
 ) -> list[tuple[int, tuple[TrainItem, int, int]]]:
@@ -173,9 +184,8 @@ def _pending_items(
     yet decoded; a version is (item, retrieval steps, answer positions) as
     ``moe.decode_items`` takes it.
 
-    The fact base does not change across versions, so its texts are
-    tokenized once per example and the lexicon is built once per example and
-    vocabulary size.
+    The fact base does not change across versions, so the lexicon is built
+    once per example and vocabulary size.
     """
     trees = state.tree_versions[len(state.predicted_answers) :]
     if not trees:
@@ -183,23 +193,17 @@ def _pending_items(
     if state.lexicon is None or state.lexicon[0] != config.vocab_size:
         texts = state.base.texts() + [state.question]
         state.lexicon = (config.vocab_size, build_lexicon(texts, config.vocab_size))
-    fact_texts = tuple(state.base.texts())
     scored = bool(state.frg_targets and state.qa_targets)
     pending = []
     for tree in trees:
         step_count = len(leaf_preorder(tree))
-        if not step_count:
-            raise StructureError("tree has no leaves")
         # query rows are independent: one forward per head at the longer
         # length serves both the decode and the loss
         frg_steps, qa_len = step_count, decode_answer_len
         if scored:
             frg_steps = max(frg_steps, len(state.frg_targets))
             qa_len = max(qa_len, len(state.qa_targets))
-        item = TrainItem(
-            tree_to_text(tree), state.question, fact_texts, fact_hashes=state.fact_hashes
-        )
-        state.fact_hashes = item.fact_hashes
+        item = _version_item(state, tree)
         check_train_item(item, config, frg_steps, qa_len)
         pending.append((step_count, (item, frg_steps, qa_len)))
     return pending
@@ -335,15 +339,7 @@ def build_train_items(
         state = states.get(example.id)
         if state is None or state.failed or not state.tree_versions:
             continue
-        item = TrainItem(
-            tree_text=tree_to_text(state.tree_versions[0]),
-            question=example.question,
-            fact_texts=tuple(state.base.texts()),
-            frg_targets=state.frg_targets,
-            qa_targets=state.qa_targets,
-            fact_hashes=state.fact_hashes,
-        )
-        state.fact_hashes = item.fact_hashes
+        item = _version_item(state, state.tree_versions[0])
         try:
             check_train_item(item, config)
         except MoeError as exc:
@@ -476,8 +472,8 @@ def run_pipeline(
 
     states = stage1_states(examples, config, backend)
 
-    items = build_train_items(examples, states, config.moe)
-    curve = train(params, config, items)
+    # not kept: a version-0 item is freed once its state moves past it
+    curve = train(params, config, build_train_items(examples, states, config.moe))
 
     val_ids = validation_ids(examples, config.validation_fraction)
     predict_states(states.values(), params, config.decode_answer_len)

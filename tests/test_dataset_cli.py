@@ -106,6 +106,14 @@ class TestLoadDataset:
             dataset_from_dict(data)
         assert "duplicate example id" in str(excinfo.value)
 
+    @pytest.mark.parametrize("bad_id", ["../escaped", "a/b", "a\\b", "a\0b", ".", ".."])
+    def test_id_that_is_not_a_file_name(self, bad_id):
+        data = _fixture_dict()
+        data["examples"][1]["id"] = bad_id
+        with pytest.raises(SchemaError) as excinfo:
+            dataset_from_dict(data)
+        assert excinfo.value.pointer == "/examples/1/id"
+
     def test_duplicate_evidence_ids(self):
         data = _fixture_dict()
         data["examples"][0]["evidence"].append(
@@ -395,6 +403,37 @@ class TestCli:
         state = json.loads((out / "syn0000.state.json").read_text())
         assert state["config_hash"] == manifest["config_hash"]
         assert state["seed"] == 5
+
+    @pytest.mark.parametrize("command", ["run-pipeline", "refine-tree"])
+    @pytest.mark.parametrize("bad_id", ["../escaped", "a/b"])
+    def test_id_that_is_not_a_file_name_is_data_error(self, small_run, capsys, command, bad_id):
+        ds, cfg, tmp_path = small_run
+        data = json.loads(ds.read_text())
+        data["examples"][0]["id"] = bad_id
+        write_json(ds, data)
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "out"
+        rc = cli_dispatch([command, str(ds), "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "/examples/0/id" in capsys.readouterr().err
+        assert sorted(p for p in tmp_path.rglob("*") if out not in (p, *p.parents)) == before
+
+    def test_multiline_text_evidence_runs(self, small_run):
+        """A text passage that starts with a newline gives the same artifacts
+        as the passage without it."""
+        ds, cfg, tmp_path = small_run
+        plain = self._run_at(small_run, "plain")
+        data = json.loads(ds.read_text())
+        texts = [ev for ex in data["examples"] for ev in ex["evidence"] if ev["modality"] == "text"]
+        assert texts
+        for ev in texts:
+            ev["content"] = "\n" + ev["content"]
+        write_json(ds, data)
+        multiline = self._run_at(small_run, "multiline")
+        names = sorted(p.name for p in plain.iterdir())
+        assert names == sorted(p.name for p in multiline.iterdir())
+        for name in names:
+            assert (multiline / name).read_bytes() == (plain / name).read_bytes(), name
 
     def _run_with(self, small_run, edit):
         """run-pipeline on the small corpus after ``edit`` changes one example."""

@@ -131,6 +131,11 @@ class TestVqa:
         answer = vqa_answer(mock_backend, "what flies over the reef", ev)
         assert answer == "falcon"
 
+    def test_caption_reaches_the_prompt_as_one_line(self, mock_backend):
+        ev = Evidence(id="i", modality="image", content="", caption="a falcon\nover the reef")
+        answer = vqa_answer(mock_backend, "what flies over the reef", ev)
+        assert answer == "falcon"
+
     def test_non_image_precondition(self, mock_backend):
         with pytest.raises(ValueError):
             vqa_answer(mock_backend, "q", Evidence(id="e", modality="text", content="x"))
@@ -169,6 +174,16 @@ class TestTextQa:
         passage = "the mill is old. the falcon is swift."
         answer = text_qa(mock_backend, "how swift is the falcon?", passage)
         assert answer == "unknown" or "swift" not in answer  # novel words only
+
+    def test_passage_reaches_the_prompt_as_one_line(self, mock_backend):
+        """A newline in the passage neither hides the text after it nor
+        leaves the mock an empty passage line."""
+        passage = "\nthe color of the falcon\nis crimson."
+        answer = text_qa(mock_backend, "what does e1 say about color falcon?", passage)
+        assert answer == "crimson"
+        # "swift" is in the question, and the mock answers with novel words only
+        answer = text_qa(mock_backend, "how swift is the falcon?", "\nthe falcon is swift.")
+        assert answer == "unknown"
 
     def test_empty_passage(self, mock_backend):
         with pytest.raises(ValueError):

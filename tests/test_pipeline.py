@@ -744,23 +744,39 @@ class TestPredictPending:
                 assert lb == la if lb is None else lb == pytest.approx(la, rel=0, abs=1e-12)
 
     def test_fact_texts_are_tokenized_once(self, monkeypatch):
-        """Training items and every decode pass share each example's fact
-        hashes, so a decode tokenizes only its versions' tree texts and
-        questions."""
+        """Each state keeps the item of its newest version: training and the
+        first decode share version 0's item, a feedback version with a new
+        text tokenizes only its tree text and question, and a version
+        appended again tokenizes nothing."""
         examples = synthetic_examples(3, seed=3)
         config = run_config_from_dict({})
-        states = stage1_states(examples, config, MockBackend())
+        backend, params = MockBackend(), MoeParams.init(config.moe, config.seed)
+        states = stage1_states(examples, config, backend)
         items = build_train_items(examples, states, config.moe)
         assert len(items) == len(states)
         for item, state in zip(items, states.values()):
-            assert item.fact_hashes is state.fact_hashes
+            assert item is state.item
         tokenized, hashes = [], moe._token_hashes
         monkeypatch.setattr(moe, "_token_hashes", lambda text: tokenized.append(text) or hashes(text))
-        predict_states(states.values(), MoeParams.init(config.moe, config.seed))
-        assert all(len(state.predicted_answers) == 1 for state in states.values())
-        fact_texts = {text for state in states.values() for text in state.base.texts()}
-        assert len(tokenized) == 2 * len(states)
-        assert not fact_texts & set(tokenized)
+        predict_states(states.values(), params)
+        assert tokenized == []
+
+        for state in states.values():
+            run_feedback_iteration(state, backend)
+        new = [s for s in states.values() if s.item.tree_text != tree_to_text(s.tree_versions[1])]
+        assert new
+        predict_states(states.values(), params)
+        expected = [text for s in new for text in (s.item.tree_text, s.question)]
+        assert sorted(tokenized) == sorted(expected)
+        for item, state in zip(items, states.values()):
+            assert state.item.fact_hashes is item.fact_hashes
+
+        tokenized.clear()
+        for state in states.values():
+            state.tree_versions.append(state.tree_versions[-1])
+        predict_states(states.values(), params)
+        assert tokenized == []
+        assert all(len(s.predicted_answers) == 3 and not s.failed for s in states.values())
 
     def test_empty_fact_base_fails_only_its_example(self):
         examples = synthetic_examples(2, seed=1)

@@ -271,6 +271,7 @@ def test_property_roundtrip_and_self_score(seed):
     tree = random_tree(rng)
     assert parse_tree(serialize_tree(tree)).structurally_equal(tree)
     assert score_tree(tree, tree).all_correct == 1
+    assert sorted(leaf_preorder(tree)) == sorted(tree.leaves) and tree.leaves
 
 
 def test_node_id_rendering():
