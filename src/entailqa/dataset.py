@@ -165,6 +165,18 @@ def _expect(condition: bool, message: str, pointer: str) -> None:
         raise SchemaError(message, pointer)
 
 
+def _cells(values: list, pointer: str) -> tuple[str, ...]:
+    """A header or row as strings; an entry that is not a string or a number
+    (``null``, a boolean, an object or an array) is a ``SchemaError``."""
+    for c, value in enumerate(values):
+        _expect(
+            isinstance(value, (str, int, float)) and not isinstance(value, bool),
+            "table cell must be a string or a number",
+            f"{pointer}/{c}",
+        )
+    return tuple(str(value) for value in values)
+
+
 def _parse_table(data: dict, pointer: str) -> Table:
     _expect(isinstance(data, dict), "table content must be an object", pointer)
     header = data.get("header")
@@ -179,8 +191,8 @@ def _parse_table(data: dict, pointer: str) -> Table:
             f"row has {len(row)} cells for {len(header)} columns",
             f"{pointer}/rows/{i}",
         )
-        coerced.append(tuple(str(cell) for cell in row))
-    return Table(header=tuple(str(c) for c in header), rows=tuple(coerced))
+        coerced.append(_cells(row, f"{pointer}/rows/{i}"))
+    return Table(header=_cells(header, f"{pointer}/header"), rows=tuple(coerced))
 
 
 def _parse_evidence(data: dict, pointer: str) -> Evidence:
@@ -368,12 +380,13 @@ def _finite(text: str) -> float:
 
 def read_json(path: Union[str, Path]):
     """The JSON value in the file at ``path``; a file that is not UTF-8 JSON,
-    or holds a number that is not finite, is a ``SchemaError``."""
+    holds a number that is not finite or nests too deep to parse, is a
+    ``SchemaError``."""
     try:
         return json.loads(
             Path(path).read_text(encoding="utf-8"),
             parse_float=_finite,
             parse_constant=_finite,
         )
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # a decode error, or nesting too deep
         raise SchemaError(f"not valid JSON: {exc}") from exc

@@ -87,16 +87,33 @@ TEMPLATES: dict[str, str] = {
 }
 
 
-def render(name: str, **slots: str) -> str:
-    """Fill the named template; an unbound slot or an empty result is a ValueError."""
-    template = TEMPLATES[name]
+def render(name: str, **slots: str | list[str]) -> str:
+    """Fill the named template, each slot on one line.
+
+    Every whitespace run in a slot, newlines included, becomes one space. A
+    slot whose name ends in ``_block`` takes a list and puts each item, so
+    one-lined, on a line of its own. An unbound slot, a ``str`` given to a
+    block slot or an empty result is a ValueError.
+    """
+    lined = {}
+    for key, value in slots.items():
+        if not key.endswith("_block"):
+            lined[key] = _one_line(value)
+        elif isinstance(value, str):
+            raise ValueError(f"slot {key} of template {name} takes a list, not a str")
+        else:
+            lined[key] = "\n".join(_one_line(item) for item in value)
     try:
-        text = template.format(**slots)
+        text = TEMPLATES[name].format(**lined)
     except (KeyError, IndexError) as exc:
         raise ValueError(f"unbound slot in template {name}: {exc}") from exc
     if not text.strip():
         raise ValueError(f"template {name} rendered empty")
     return text
+
+
+def _one_line(text: str) -> str:
+    return " ".join(text.split())
 
 
 @dataclass(frozen=True)
@@ -135,10 +152,6 @@ _FEEDBACK_LINE = re.compile(
 FEEDBACK_FACT_SEP = " | "
 
 
-def _one_line(text: str) -> str:
-    return " ".join(text.split())
-
-
 def _content_words(text: str) -> list[str]:
     return [w for w in tokenize(text) if w not in _STOPWORDS]
 
@@ -148,6 +161,14 @@ def _field_line(prompt: str, label: str) -> str:
         if line.startswith(label + ":"):
             return line[len(label) + 1:].strip()
     raise BackendError(f"mock could not find '{label}:' in prompt")
+
+
+def _block(prompt: str, label: str) -> list[str]:
+    """The non-empty lines after the line ``label:``, which ends the prompt."""
+    lines = prompt.splitlines()
+    if label + ":" not in lines:
+        raise BackendError(f"mock could not find block '{label}:' in prompt")
+    return [line for line in lines[lines.index(label + ":") + 1:] if line.strip()]
 
 
 class MockBackend:
@@ -188,18 +209,9 @@ class MockBackend:
     def _do_decompose_question(self, prompt: str) -> str:
         question = _field_line(prompt, "question")
         keywords = " ".join(_content_words(question)[:4]) or "it"
-        lines = []
-        in_block = False
-        for line in prompt.splitlines():
-            if line.startswith("evidence:"):
-                in_block = True
-                continue
-            if in_block and line.strip():
-                eid = line.split(" ", 1)[0]
-                lines.append(
-                    f"{len(lines) + 1}. what does {eid} say about {keywords}? [{eid}]"
-                )
-        return "\n".join(lines)
+        eids = [line.split(" ", 1)[0] for line in _block(prompt, "evidence")]
+        asks = (f"what does {eid} say about {keywords}? [{eid}]" for eid in eids)
+        return "\n".join(f"{i}. {ask}" for i, ask in enumerate(asks, start=1))
 
     def _do_decompose_atomic(self, prompt: str) -> str:
         sub_question = _field_line(prompt, "sub-question").rstrip("?")
@@ -228,14 +240,7 @@ class MockBackend:
 
     def _do_table_qa(self, prompt: str) -> str:
         question = _field_line(prompt, "question")
-        rows = []
-        in_block = False
-        for line in prompt.splitlines():
-            if line.startswith("rows:"):
-                in_block = True
-                continue
-            if in_block and line.strip():
-                rows.append(line.strip())
+        rows = _block(prompt, "rows")
         q_words = set(tokenize(question))
         best = max(rows, key=lambda r: (len(q_words & set(tokenize(r))), -rows.index(r)))
         body = re.sub(r"^row \S+'s\s+", "", best).rstrip(".")
@@ -287,10 +292,7 @@ class MockBackend:
         return f'the answer to "{question}" is {answer}.'
 
     def _do_tree_structure(self, prompt: str) -> str:
-        fact_ids = [
-            m.group(1)
-            for m in re.finditer(r"^(fact[0-9]+):", prompt, re.MULTILINE)
-        ]
+        fact_texts = dict(line.split(": ", 1) for line in _block(prompt, "facts"))
         feedback = _FEEDBACK_LINE.search(prompt)
         if feedback:
             wanted = [
@@ -298,16 +300,13 @@ class MockBackend:
                 for t in feedback.group("facts").split(FEEDBACK_FACT_SEP)
                 if t.strip()
             ]
-            fact_texts = dict(
-                re.findall(r"^(fact[0-9]+): (.*)$", prompt, re.MULTILINE)
-            )
             matched = []
             for text in wanted:
                 for fid, ftext in fact_texts.items():
                     if ftext == text and fid not in matched:
                         matched.append(fid)
                         break
-            ids = sorted(matched, key=lambda f: int(f[4:])) or fact_ids
+            ids = sorted(matched, key=lambda f: int(f[4:])) or list(fact_texts)
             return self._chain(ids)
         try:
             question_id = _field_line(prompt, "question id")
@@ -315,7 +314,7 @@ class MockBackend:
             question_id = ""
         if question_id in self.scripted_trees:
             return self.scripted_trees[question_id]
-        return self._chain(fact_ids)
+        return self._chain(list(fact_texts))
 
     _do_feedback = _do_tree_structure
 
@@ -334,11 +333,8 @@ class MockBackend:
         return "; ".join(steps)
 
     def _do_intermediate_infer(self, prompt: str) -> str:
-        premises = []
-        for line in prompt.splitlines():
-            m = _NUMBERED_LINE.match(line)
-            if m:
-                premises.append(m.group("body"))
+        matches = map(_NUMBERED_LINE.match, _block(prompt, "premises"))
+        premises = [m.group("body") for m in matches if m]
         if not premises:
             raise BackendError("mock found no premises to join")
         return "; therefore ".join(premises)
@@ -484,10 +480,7 @@ def decompose_question(
     if not evidence_list:
         raise ValueError("evidence_list is empty")
     known_ids = {ev.id for ev in evidence_list}
-    block = "\n".join(
-        f"{ev.id} ({ev.modality}): {_one_line(ev.retrieval_text())}"
-        for ev in evidence_list
-    )
+    block = [f"{ev.id} ({ev.modality}): {ev.retrieval_text()}" for ev in evidence_list]
 
     def parser(response: str) -> tuple[SubQuestion, ...]:
         pairs = []
@@ -517,7 +510,7 @@ def decompose_atomic(
         "decompose_atomic",
         sub_question=sub_question,
         evidence_id=evidence.id,
-        caption=_one_line(evidence.caption or ""),
+        caption=evidence.caption or "",
     )
     return _call(backend, "decompose_atomic", prompt, _parse_numbered)
 
@@ -525,16 +518,14 @@ def decompose_atomic(
 def vqa_answer(backend: Backend, atomic_question: str, evidence: Evidence) -> str:
     if evidence.modality != IMAGE:
         raise ValueError("vqa_answer expects image evidence")
-    prompt = render("vqa", question=atomic_question, caption=_one_line(evidence.caption or ""))
+    prompt = render("vqa", question=atomic_question, caption=evidence.caption or "")
     return _call(backend, "vqa", prompt, _parse_short)
 
 
 def table_qa(backend: Backend, sub_question: str, linearized_rows: list[str]) -> str:
     if not linearized_rows:
         raise ValueError("no linearized rows")
-    prompt = render(
-        "table_qa", question=sub_question, rows_block="\n".join(linearized_rows)
-    )
+    prompt = render("table_qa", question=sub_question, rows_block=linearized_rows)
     return _call(backend, "table_qa", prompt, _parse_short)
 
 
@@ -542,7 +533,7 @@ def text_qa(backend: Backend, sub_question: str, passage: str) -> str:
     """Text-modality path: answer the sub-question over the snippet."""
     if not passage.strip():
         raise ValueError("empty passage")
-    prompt = render("text_qa", question=sub_question, passage=_one_line(passage))
+    prompt = render("text_qa", question=sub_question, passage=passage)
     return _call(backend, "text_qa", prompt, _parse_short)
 
 
@@ -566,9 +557,7 @@ def generate_tree_structure(
     """
     if not len(fact_base):
         raise ValueError("fact base is empty")
-    facts_block = "\n".join(
-        f"{fact.id.render()}: {_one_line(fact.text)}" for fact in fact_base.facts
-    )
+    facts_block = [f"{fact.id.render()}: {fact.text}" for fact in fact_base.facts]
     prompt = render(
         "tree_structure",
         question_id=fact_base.question_id,
@@ -600,6 +589,6 @@ def infer_intermediate(backend: Backend, premise_texts: list[str]) -> str:
     """Single-sentence conclusion inferred from already-filled child texts."""
     if not premise_texts:
         raise ValueError("no premises to infer from")
-    block = "\n".join(f"{i + 1}. {t}" for i, t in enumerate(premise_texts))
+    block = [f"{i}. {text}" for i, text in enumerate(premise_texts, start=1)]
     prompt = render("intermediate_infer", premises_block=block)
     return _call(backend, "intermediate_infer", prompt, _parse_short)

@@ -91,6 +91,25 @@ class TestLoadDataset:
         examples = dataset_from_dict(_fixture_dict())
         table = examples[1].evidence[0].content
         assert table.rows[0][0] == "2010"
+        data = _fixture_dict()
+        data["examples"][1]["evidence"][0]["content"]["rows"][0][0] = 2010.5
+        assert dataset_from_dict(data)[1].evidence[0].content.rows[0][0] == "2010.5"
+
+    @pytest.mark.parametrize("cell", [None, True, False, {"a": 1}, [1]])
+    @pytest.mark.parametrize(
+        "where, pointer", [("header", "header/1"), ("row", "rows/1/0")]
+    )
+    def test_table_cell_that_is_not_a_string_or_number(self, cell, where, pointer):
+        data = _fixture_dict()
+        content = data["examples"][1]["evidence"][0]["content"]
+        content["rows"].append([2011.0, "Animal Kingdom"])
+        if where == "header":
+            content["header"][1] = cell
+        else:
+            content["rows"][1][0] = cell
+        with pytest.raises(SchemaError) as excinfo:
+            dataset_from_dict(data)
+        assert excinfo.value.pointer == f"/examples/1/evidence/0/content/{pointer}"
 
     def test_row_length_mismatch_pointer(self):
         data = _fixture_dict()
@@ -335,6 +354,16 @@ class TestCli:
         bad = tmp_path / "bad_cfg.json"
         bad.write_text("{not json")
         assert cli_dispatch(["run-pipeline", str(ds), "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("which", ["dataset", "config"])
+    def test_too_deeply_nested_json_is_data_error(self, small_run, tmp_path, capsys, which):
+        ds, cfg, _ = small_run
+        deep = {"dataset": ds, "config": cfg}[which]
+        deep.write_text('{"examples": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        argv = ["run-pipeline", str(ds), "--config", str(cfg), "--out", str(tmp_path / "run")]
+        assert cli_dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: not valid JSON") and "Traceback" not in err
 
     def test_non_utf8_dataset_is_data_error(self, tmp_path, capsys):
         ds = tmp_path / "ds.json"

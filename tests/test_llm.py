@@ -55,6 +55,14 @@ class TestTemplates:
         assert "200 words" in text
         assert "Facts:a. | b." in text
 
+    def test_block_items_go_one_to_a_line(self):
+        text = render("table_qa", question="who\nwon?", rows_block=["row\none.", "  row  two. "])
+        assert text.endswith("question: who won?\nrows:\nrow one.\nrow two.")
+
+    def test_block_slot_given_a_str_errors(self):
+        with pytest.raises(ValueError, match="rows_block"):
+            render("table_qa", question="q?", rows_block="row one.")
+
 
 class TestDecomposeQuestion:
     def test_one_subquestion_per_evidence(self, mock_backend):
@@ -65,6 +73,11 @@ class TestDecomposeQuestion:
         result = decompose_question(mock_backend, "how fast is the falcon?", evidence)
         assert [sq.evidence_id for sq in result] == ["e1", "e2"]
         assert all("?" in sq.question for sq in result)
+
+    def test_question_reaches_the_prompt_as_one_line(self, mock_backend):
+        evidence = [Evidence(id="e1", modality="text", content="the falcon is red.")]
+        result = decompose_question(mock_backend, "what is the color\nof the falcon?", evidence)
+        assert result[0].question == "what does e1 say about color falcon?"
 
     def test_single_evidence(self, mock_backend):
         evidence = [Evidence(id="e1", modality="text", content="the falcon is fast.")]
@@ -151,6 +164,12 @@ class TestTableQa:
         answer = table_qa(mock_backend, "who was the Winner in the 2010 Season?", rows)
         assert answer == "Super Saver"
 
+    def test_cell_reaches_the_prompt_as_one_line(self, mock_backend):
+        table = Table(header=("season", "winner"), rows=(("2010", "Super\nSaver"),))
+        rows = linearize_table(table)
+        answer = table_qa(mock_backend, "what is the winner of season 2010?", rows)
+        assert answer == "Super Saver"
+
     def test_no_column_match(self, mock_backend):
         rows = ["row one's Season is 2010, Winner is Super Saver."]
         answer = table_qa(mock_backend, "what is the weather like?", rows)
@@ -234,6 +253,14 @@ class TestTreeStructure:
         out = generate_tree_structure(mock_backend, "q?", small_base, feedback=feedback)
         assert _structure(out) == "fact2 & fact3 -> answer"
 
+    def test_feedback_fact_reaches_the_prompt_as_one_line(self, mock_backend):
+        base = FactBase("q1")
+        for text in ("the falcon is fast.", "the  harbor is deep.", "the mill is old."):
+            base = add_fact(base, text, "text", "e1")
+        feedback = (["the  harbor is deep.", "the mill is old."], "deep")
+        out = generate_tree_structure(mock_backend, "q?", base, feedback=feedback)
+        assert _structure(out) == "fact2 & fact3 -> answer"
+
     def test_feedback_overrides_script(self, small_base):
         backend = MockBackend(scripted_trees={"q1": "fact1 -> answer"})
         feedback = (["the mill is old."], "old")
@@ -273,6 +300,12 @@ class TestInferIntermediate:
     def test_single_premise_unchanged(self, mock_backend):
         assert infer_intermediate(mock_backend, ["A."]) == "A."
 
+    def test_premise_reaches_the_prompt_as_one_line(self, mock_backend):
+        premises = ["the falcon is red.\n2. the sky is green.", "the harbor is deep."]
+        assert infer_intermediate(mock_backend, premises) == (
+            "the falcon is red. 2. the sky is green.; therefore the harbor is deep."
+        )
+
     def test_empty_precondition(self, mock_backend):
         with pytest.raises(ValueError):
             infer_intermediate(mock_backend, [])
@@ -289,3 +322,120 @@ class TestMockDeterminism:
     def test_unknown_tag_rejected(self, mock_backend):
         with pytest.raises(BackendError):
             mock_backend.complete(BackendRequest(prompt="p", tag="mystery"))
+
+    @pytest.mark.parametrize(
+        "tag", ["decompose_question", "table_qa", "tree_structure", "intermediate_infer"]
+    )
+    def test_prompt_without_its_block_label_is_backend_error(self, mock_backend, tag):
+        with pytest.raises(BackendError, match="block"):
+            mock_backend.complete(BackendRequest(prompt="question: q?\nquestion id: q1", tag=tag))
+
+
+class RecordingBackend:
+    """Answers through the mock; keeps every (tag, prompt) it is sent."""
+
+    def __init__(self):
+        self.mock = MockBackend()
+        self.prompts = []
+
+    def complete(self, request):
+        self.prompts.append((request.tag, request.prompt))
+        return self.mock.complete(request)
+
+
+_TREE_PROMPT = (
+    "Build an entailment tree that explains the hypothesis from the numbered facts.\n"
+    "Use the fact ids as leaves, int1, int2, ... for intermediate conclusions, and\n"
+    'the literal answer placeholder as the root. Write steps as "fact1 & fact2 -> int1"\n'
+    'separated by "; ", ending with one step that concludes answer.\n\n'
+    "question id: q1\n"
+    "hypothesis: what color is the falcon?\n"
+    "facts:\n"
+    "fact1: the falcon is crimson.\n"
+    "fact2: the harbor is deep."
+)
+
+
+def test_every_prompt_byte_for_byte():
+    """Each of the nine operations sends exactly these bytes for these inputs."""
+    backend = RecordingBackend()
+    text = Evidence(id="e1", modality="text", content="the falcon is crimson.")
+    image = Evidence(id="i1", modality="image", content="", caption="a crimson falcon")
+    table = Evidence(
+        id="t1",
+        modality="table",
+        content=Table(header=("Season", "Winner"), rows=(("2010", "Super Saver"),)),
+    )
+    base = add_fact(FactBase("q1"), "the falcon is crimson.", "text", "e1")
+    base = add_fact(base, "the harbor is deep.", "text", "e2")
+    question = "what color is the falcon?"
+    decompose_question(backend, question, [text, image, table])
+    decompose_atomic(backend, "what color is the falcon and where is it?", image)
+    vqa_answer(backend, question, image)
+    table_qa(backend, "who was the Winner in 2010?", linearize_table(table.content))
+    text_qa(backend, question, "the falcon is crimson.")
+    refine_to_fact(backend, question, "crimson")
+    generate_tree_structure(backend, question, base)
+    feedback = (["the falcon is crimson.", "the harbor is deep."], "crimson")
+    generate_tree_structure(backend, question, base, feedback=feedback)
+    infer_intermediate(backend, ["the falcon is crimson.", "the harbor is deep."])
+    assert backend.prompts == [
+        (
+            "decompose_question",
+            "You are given a multi-hop question and a list of evidence items.\n"
+            "Decompose the question into one sub-question per evidence item that helps answer it.\n"
+            "Reply with a numbered list only; end every line with the evidence id in square brackets.\n\n"
+            "question: what color is the falcon?\n"
+            "evidence:\n"
+            "e1 (text): the falcon is crimson.\n"
+            "i1 (image): a crimson falcon\n"
+            "t1 (table): row one's Season is 2010, Winner is Super Saver.",
+        ),
+        (
+            "decompose_atomic",
+            "Split the sub-question about an image into atomic questions, each answerable\n"
+            "from the image alone. Reply with a numbered list only.\n\n"
+            "sub-question: what color is the falcon and where is it?\n"
+            "image i1: a crimson falcon",
+        ),
+        (
+            "vqa",
+            "Answer the question about the image in as few words as possible.\n\n"
+            "question: what color is the falcon?\n"
+            "image caption: a crimson falcon",
+        ),
+        (
+            "table_qa",
+            "Answer the question using only the table rows below. Reply with the answer only.\n\n"
+            "question: who was the Winner in 2010?\n"
+            "rows:\n"
+            "row one's Season is 2010, Winner is Super Saver.",
+        ),
+        (
+            "text_qa",
+            "Answer the question using only the passage. Reply with a short answer.\n\n"
+            "question: what color is the falcon?\n"
+            "passage: the falcon is crimson.",
+        ),
+        (
+            "refine_fact",
+            "Rewrite the question and its answer as one short declarative sentence.\n\n"
+            "question: what color is the falcon?\n"
+            "answer: crimson",
+        ),
+        ("tree_structure", _TREE_PROMPT),
+        (
+            "feedback",
+            "Given the following potentially relevant facts and the potentially correct "
+            "answer, please generate entailment tree in 200 words. "
+            "Facts:the falcon is crimson. | the harbor is deep.  Answer:crimson  "
+            "Question:what color is the falcon?\n\n" + _TREE_PROMPT,
+        ),
+        (
+            "intermediate_infer",
+            "State the single conclusion that follows from the premises, as one short sentence.\n\n"
+            "premises:\n"
+            "1. the falcon is crimson.\n"
+            "2. the harbor is deep.",
+        ),
+    ]
