@@ -361,12 +361,25 @@ def load_predictions(path: Union[str, Path]) -> list[dict]:
 # --- canonical persistence -------------------------------------------------------------
 
 
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, ensure_ascii=False)
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return _ENCODER.encode(obj) + "\n"
 
 
 def write_json(path: Union[str, Path], obj) -> None:
-    Path(path).write_text(canonical_json(obj), encoding="utf-8")
+    """Write ``canonical_json(obj)`` to ``path``, streamed chunk by chunk, so
+    no copy of the whole text is ever held in memory.
+
+    A payload that fails to encode (a value that is not a plain JSON type, or
+    a circular reference) raises after part of the file is written and leaves
+    that partial file. No command's payload can fail this way: every one is
+    made of dicts, lists, strings, numbers and ``None``.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_ENCODER.iterencode(obj))
+        fh.write("\n")
 
 
 def _finite(text: str) -> float:

@@ -184,14 +184,16 @@ class MockBackend:
       first caption content word absent from the question.
     * table_qa — picks the row sentence with the largest word overlap, then
       answers with the cell of a column named in the question whose value is
-      not already part of the question; no such column gives "unknown".
+      not already part of the question; no such column gives "unknown". A
+      row's cells end only at a ", " that starts the next "<column> is".
     * text_qa — best-overlap passage sentence, answer = its first content
       words (up to four) that are absent from the question, else "unknown".
     * refine_fact — restates wh-questions declaratively, e.g.
       ("what color is the horse", "brown") -> "the color of the horse is brown."
     * tree_structure — a scripted tree per question id when configured, else
       a right-leaning chain over all facts; with a feedback block, a chain
-      whose leaf set is exactly the fed-back facts.
+      whose leaf set is exactly the fed-back facts, each a whole " | "
+      element of the feedback line.
     * intermediate_infer — joins the premises with "; therefore ".
     """
 
@@ -245,7 +247,7 @@ class MockBackend:
         best = max(rows, key=lambda r: (len(q_words & set(tokenize(r))), -rows.index(r)))
         body = re.sub(r"^row \S+'s\s+", "", best).rstrip(".")
         cells = []
-        for part in body.split(", "):
+        for part in re.split(r", (?=[^,]* is )", body):
             col, sep, value = part.partition(" is ")
             if sep:
                 cells.append((col.strip(), value.strip()))
@@ -295,19 +297,18 @@ class MockBackend:
         fact_texts = dict(line.split(": ", 1) for line in _block(prompt, "facts"))
         feedback = _FEEDBACK_LINE.search(prompt)
         if feedback:
-            wanted = [
-                t.strip()
-                for t in feedback.group("facts").split(FEEDBACK_FACT_SEP)
-                if t.strip()
-            ]
-            matched = []
-            for text in wanted:
-                for fid, ftext in fact_texts.items():
-                    if ftext == text and fid not in matched:
-                        matched.append(fid)
-                        break
-            ids = sorted(matched, key=lambda f: int(f[4:])) or list(fact_texts)
-            return self._chain(ids)
+            # a fed-back fact is a whole element of the line, between two
+            # seps, so a fact text holding sep still matches; a matched
+            # element is taken out, so two facts with one text need it twice
+            sep = FEEDBACK_FACT_SEP
+            line = sep + feedback.group("facts").strip() + sep
+            ids = []
+            for fid, text in fact_texts.items():
+                at = line.find(sep + text + sep)
+                if at >= 0:
+                    ids.append(fid)
+                    line = line[:at] + line[at + len(sep + text):]
+            return self._chain(ids or list(fact_texts))
         try:
             question_id = _field_line(prompt, "question id")
         except BackendError:

@@ -284,7 +284,9 @@ def run_feedback_iteration(state: PipelineState, backend: Backend) -> PipelineSt
     base and feedback, that tree is appended again with no backend call. The
     backend is taken to be deterministic (``HttpBackend`` posts
     ``temperature`` 0.0). A tree from stage 1 or appended by hand is never
-    reused.
+    reused. For the same reason a regenerated step whose ordered premise
+    texts a step of any version of this example has takes that step's
+    conclusion with no ``intermediate_infer`` call.
     """
     if not state.tree_versions:
         raise ValueError("state has no current tree")
@@ -302,7 +304,7 @@ def run_feedback_iteration(state: PipelineState, backend: Backend) -> PipelineSt
             state.tree_versions.append(version)
             return state
     structure = generate_tree_structure(backend, state.question, base, feedback)
-    version = refine(structure, base, backend)
+    version = refine(structure, base, backend, state.tree_versions)
     state.tree_versions.append(version)
     state.last_request = (request, version)
     return state

@@ -10,6 +10,8 @@ treated as the predicted answer.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .errors import MissingText
 from .facts import FactBase, lookup_text
 from .llm import Backend, infer_intermediate
@@ -22,8 +24,17 @@ from .tree import (
 )
 
 
-def refine(structure: EntailmentTree, base: FactBase, backend: Backend) -> EntailmentTree:
+def refine(
+    structure: EntailmentTree,
+    base: FactBase,
+    backend: Backend,
+    earlier: Iterable[EntailmentTree] = (),
+) -> EntailmentTree:
     """Return a fully-texted copy of ``structure``; the input is not mutated.
+
+    A step whose ordered premise texts a step of a filled tree in
+    ``earlier``, or an earlier step of this one, already has takes that
+    step's conclusion without a backend call.
 
     Raises UnknownFactId when a leaf is not in the base; backend failures
     propagate.
@@ -32,13 +43,20 @@ def refine(structure: EntailmentTree, base: FactBase, backend: Backend) -> Entai
     for leaf in structure.leaves:
         texts[leaf] = lookup_text(base, leaf)
 
+    inferred = {
+        tuple(map(tree.node_text, step.premises)): step.conclusion_text
+        for tree in earlier
+        for step in tree.steps
+    }
     # children-before-parents order guarantees premises are filled on arrival
     conclusion_texts: dict[NodeId, str] = {}
     for conclusion, premises in split_subtrees(structure):
-        premise_texts = [
+        premise_texts = tuple(
             texts[p] if p.kind == LEAF else conclusion_texts[p] for p in premises
-        ]
-        conclusion_texts[conclusion] = infer_intermediate(backend, premise_texts)
+        )
+        if premise_texts not in inferred:
+            inferred[premise_texts] = infer_intermediate(backend, list(premise_texts))
+        conclusion_texts[conclusion] = inferred[premise_texts]
 
     steps = tuple(
         EntailmentStep(s.premises, s.conclusion, conclusion_texts[s.conclusion])

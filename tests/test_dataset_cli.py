@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -946,6 +947,38 @@ def test_canonical_json_sorted_and_newline():
     text = canonical_json({"b": 1, "a": [1.5, 2]})
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("\n")
+
+
+def test_write_json_writes_the_canonical_bytes(tmp_path):
+    obj = {
+        "z": [1, -2.5, 1e-300, None, [[], [True, False]], {}],
+        "a": {"naïve": "漢字 – ok", "b": None, "A": [0.1, {"y": 2, "x": "\n\"q\""}]},
+    }
+    path = tmp_path / "out.json"
+    write_json(path, obj)
+    assert path.read_bytes() == canonical_json(obj).encode("utf-8")
+    assert "漢字" in canonical_json(obj)
+
+
+def test_write_json_holds_no_copy_of_the_file(tmp_path):
+    """The file is streamed: peak allocation while writing stays below a
+    quarter of its size (building the whole text first holds ~3 copies)."""
+    payload = {
+        "log": [
+            {"prompt": f"prompt {i}: " + "x" * 200, "response": "y" * 100, "tag": "t"}
+            for i in range(14_000)
+        ]
+    }
+    path = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        write_json(path, payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 4 * 2**20
+    assert peak < size / 4, (peak, size)
 
 
 def _readme_json_after(heading: str):

@@ -170,6 +170,12 @@ class TestTableQa:
         answer = table_qa(mock_backend, "what is the winner of season 2010?", rows)
         assert answer == "Super Saver"
 
+    def test_cell_with_a_comma_stays_whole(self, mock_backend):
+        table = Table(header=("season", "winner"), rows=(("2009", "Rome"), ("2010", "Paris, France")))
+        rows = linearize_table(table)
+        answer = table_qa(mock_backend, "what is the winner of season 2010?", rows)
+        assert answer == "Paris, France"
+
     def test_no_column_match(self, mock_backend):
         rows = ["row one's Season is 2010, Winner is Super Saver."]
         answer = table_qa(mock_backend, "what is the weather like?", rows)
@@ -260,6 +266,24 @@ class TestTreeStructure:
         feedback = (["the  harbor is deep.", "the mill is old."], "deep")
         out = generate_tree_structure(mock_backend, "q?", base, feedback=feedback)
         assert _structure(out) == "fact2 & fact3 -> answer"
+
+    @pytest.mark.parametrize(
+        "texts, fed_back, expected",
+        [
+            # a fact text holding the separator is still one fact
+            (("the falcon is fast.", "the harbor | is deep.", "the mill is old."),
+             ["the harbor | is deep.", "the mill is old."], "fact2 & fact3 -> answer"),
+            # a text fed back once takes the first fact with it, twice both
+            (("a.", "a.", "b."), ["a.", "b."], "fact1 & fact3 -> answer"),
+            (("a.", "a.", "b."), ["a.", "a."], "fact1 & fact2 -> answer"),
+        ],
+    )
+    def test_feedback_facts_match_whole_elements(self, mock_backend, texts, fed_back, expected):
+        base = FactBase("q1")
+        for text in texts:
+            base = add_fact(base, text, "text", "e1")
+        out = generate_tree_structure(mock_backend, "q?", base, feedback=(fed_back, "deep"))
+        assert _structure(out) == expected
 
     def test_feedback_overrides_script(self, small_base):
         backend = MockBackend(scripted_trees={"q1": "fact1 -> answer"})

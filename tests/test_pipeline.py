@@ -39,7 +39,7 @@ from entailqa.pipeline import (
 )
 from entailqa.synth import synthetic_corpus, synthetic_examples
 from entailqa.refine import refine, tree_to_text
-from entailqa.tree import leaf_id, leaf_preorder, parse_node_id, parse_tree, serialize_tree
+from entailqa.tree import ANSWER, leaf_id, leaf_preorder, parse_node_id, parse_tree, serialize_tree
 
 
 def _text_example(example_id="ex1"):
@@ -332,15 +332,35 @@ class TestFeedbackIteration:
             assert copy.retrieved_fact_ids == state.retrieved_fact_ids[:2]
             assert copy.predicted_answers == state.predicted_answers[:2]
             # an equal version appended by hand after the loop's own
-            version, tags = self._direct(state, self._feedback(state))
+            version, _ = self._direct(state, self._feedback(state))
             assert version == state.tree_versions[-1] and version is not state.tree_versions[-1]
             state.tree_versions.append(version)
             predict_states([state], params)
             for hand in (copy, state):
                 backend.tags.clear()
                 run_feedback_iteration(hand, backend)
-                assert backend.tags == tags and "feedback" in tags
+                # asked again, but every step's premises are in a version
+                assert backend.tags == ["feedback"]
                 assert hand.tree_versions[-1] == version
+
+    @pytest.mark.parametrize(
+        "fed_back, tags",
+        [
+            (["fact1", "fact2"], ["feedback"]),  # version 0 concluded fact1 & fact2
+            (["fact2", "fact3"], ["feedback", "intermediate_infer"]),
+        ],
+    )
+    def test_known_premises_are_not_inferred_again(self, mock_backend, small_base, fed_back, tags):
+        structure = parse_tree("fact1 & fact2 -> int1; int1 & fact3 -> answer")
+        state = PipelineState(question_id="q1", question="q?", base=small_base,
+                              tree_versions=[refine(structure, small_base, mock_backend)],
+                              retrieved_fact_ids=[fed_back], predicted_answers=["deep"])
+        backend = _CountingBackend()
+        run_feedback_iteration(state, backend)
+        assert backend.tags == tags
+        version = state.tree_versions[-1]
+        premises = [lookup_text(small_base, parse_node_id(fid)) for fid in fed_back]
+        assert version.node_text(ANSWER) == "; therefore ".join(premises)
 
     def test_requires_a_tree(self, mock_backend, small_base):
         state = PipelineState(question_id="q", question="q?", base=small_base)
