@@ -7,20 +7,19 @@ through exactly one parser with a one-retry policy. Two backends ship:
 * ``MockBackend`` — deterministic, offline; its behaviors are part of the test
   contract (see the class docstring).
 * ``HttpBackend`` — chat-completion-style JSON over HTTP, endpoint and key
-  from ``ENTAIL_LLM_ENDPOINT`` / ``ENTAIL_LLM_KEY``.
+  from ``ENTAIL_LLM_ENDPOINT`` / ``ENTAIL_LLM_KEY``. It imports the HTTP
+  client (``urllib.request``, which pulls in ``ssl``, ``email`` and the
+  OpenSSL libraries) when it is built, so a mock run never loads it.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import re
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
@@ -355,7 +354,9 @@ class HttpBackend:
     ``Retry-After`` asks for, capped at ``timeout``, then raises
     ``BackendError``. Every
     request/response pair is appended to ``exchange_log`` tagged with the
-    template name.
+    template name. Construction raises ``BackendError``, before any request,
+    for an endpoint that is not an http(s) URL with a host and a valid port,
+    and for a key that is not printable ASCII.
     """
 
     def __init__(
@@ -371,14 +372,23 @@ class HttpBackend:
         self.api_key = api_key or os.environ.get("ENTAIL_LLM_KEY", "")
         if not self.endpoint:
             raise BackendError("no endpoint: set ENTAIL_LLM_ENDPOINT or pass one")
-        if urllib.parse.urlsplit(self.endpoint).scheme not in ("http", "https"):
-            raise BackendError(f"endpoint {self.endpoint!r} is not an http(s) URL")
+        try:
+            parts = urllib.parse.urlsplit(self.endpoint)
+            host, _ = parts.hostname, parts.port  # ``port`` raises on a bad port
+        except ValueError as exc:  # unbalanced IPv6 brackets, a bad port
+            raise BackendError(f"endpoint {self.endpoint!r} is not a usable URL: {exc}") from None
+        if parts.scheme not in ("http", "https") or not host:
+            raise BackendError(f"endpoint {self.endpoint!r} is not an http(s) URL with a host")
+        if not (self.api_key.isascii() and self.api_key.isprintable()):
+            # no header can carry it; the message must not echo the key
+            raise BackendError("ENTAIL_LLM_KEY (or api_key) is not printable ASCII")
         self.model = model
         self.timeout = timeout
         self.max_retries = max_retries
         self.retry_wait = retry_wait
         self.exchange_log: list[dict] = []
         self._log_lock = threading.Lock()
+        self._client, self._error, self._request = _http_modules()
 
     def complete(self, request: BackendRequest) -> str:
         body = json.dumps(
@@ -389,7 +399,7 @@ class HttpBackend:
                 "max_tokens": 512,
             }
         ).encode("utf-8")
-        req = urllib.request.Request(
+        req = self._request.Request(
             self.endpoint,
             data=body,
             headers={
@@ -402,7 +412,7 @@ class HttpBackend:
         for attempt in range(self.max_retries + 1):
             wait = self.retry_wait * (attempt + 1)
             try:
-                with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+                with self._request.urlopen(req, timeout=self.timeout) as resp:
                     payload = json.loads(resp.read().decode("utf-8"))
                 text = payload["choices"][0]["message"]["content"]
                 if not isinstance(text, str):
@@ -412,7 +422,7 @@ class HttpBackend:
                         {"tag": request.tag, "prompt": request.prompt, "response": text}
                     )
                 return text
-            except urllib.error.HTTPError as exc:
+            except self._error.HTTPError as exc:
                 exc.close()  # the error holds the response's socket
                 if exc.code < 500 and exc.code != 429:
                     raise BackendError(f"HTTP {exc.code} from backend") from exc
@@ -420,12 +430,23 @@ class HttpBackend:
                 after = _retry_after(exc) if exc.code in (429, 503) else None
                 if after is not None:
                     wait = min(after, self.timeout)
-            except (OSError, http.client.HTTPException, ValueError, LookupError,
+            except (OSError, self._client.HTTPException, ValueError, LookupError,
                     TypeError) as exc:  # transport, encoding or reply shape
                 last_error = exc
             if attempt < self.max_retries and wait:
                 time.sleep(wait)
         raise BackendError(f"backend failed after retries: {last_error}") from last_error
+
+
+def _http_modules():
+    """``http.client``, ``urllib.error`` and ``urllib.request``, imported by
+    the ``HttpBackend`` being built rather than with this module: they pull in
+    ``ssl``, ``email`` and the OpenSSL libraries, which only this backend uses."""
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    return http.client, urllib.error, urllib.request
 
 
 def _retry_after(exc: urllib.error.HTTPError) -> Optional[float]:

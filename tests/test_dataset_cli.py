@@ -32,6 +32,7 @@ from entailqa.moe import MoeConfig, MoeParams
 from entailqa.pipeline import build_train_items, stage1_states, train
 from entailqa.synth import synthetic_corpus
 from entailqa.tree import parse_tree, serialize_tree
+from test_http_backend import BAD_ENDPOINTS
 
 
 def _load_perfbench_server():
@@ -792,10 +793,10 @@ class TestCli:
 
     @pytest.mark.parametrize("command", sorted(_FAILED_LIST))
     def test_http_without_endpoint_is_backend_error(self, small_run, monkeypatch, command):
-        """No endpoint, or one that is not an http(s) URL, exits 3 before
-        anything is written."""
+        """An endpoint that no request can reach exits 3 before anything is
+        written."""
         ds, cfg, tmp_path = small_run
-        for i, endpoint in enumerate([None, "nope", "ftp://x"]):
+        for i, endpoint in enumerate(BAD_ENDPOINTS):
             if endpoint is None:
                 monkeypatch.delenv("ENTAIL_LLM_ENDPOINT", raising=False)
             else:
@@ -804,6 +805,20 @@ class TestCli:
             argv = [command, str(ds), "--config", str(cfg), "--backend", "http", "--out", str(out)]
             assert cli_dispatch(argv) == 3, endpoint
             assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(_FAILED_LIST))
+    def test_http_key_no_header_can_carry_is_backend_error(self, small_run, monkeypatch, capsys, command):
+        """A key with a newline exits 3 before any request or artifact, and
+        no stderr line shows it."""
+        ds, cfg, tmp_path = small_run
+        monkeypatch.setenv("ENTAIL_LLM_ENDPOINT", "http://127.0.0.1:9/x")
+        monkeypatch.setenv("ENTAIL_LLM_KEY", "sk-secret\n")
+        out = tmp_path / "out"
+        argv = [command, str(ds), "--config", str(cfg), "--backend", "http", "--out", str(out)]
+        assert cli_dispatch(argv) == 3
+        err = capsys.readouterr().err
+        assert "ENTAIL_LLM_KEY" in err and "secret" not in err
+        assert not out.exists()
 
     def test_eval_consumes_run_output(self, small_run, capsys):
         ds, cfg, tmp_path = small_run

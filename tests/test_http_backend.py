@@ -1,10 +1,14 @@
 """HTTP backend wire-format tests against a local chat-completion stub."""
 
 import json
+import os
 import re
 import socket
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -171,15 +175,58 @@ def test_exhausted_retries(stub_factory):
     assert len(stub.seen) == 3
 
 
+# Endpoints that no request can reach: none, not http(s), no host, a port out
+# of range or not a number, unbalanced IPv6 brackets.
+BAD_ENDPOINTS = (
+    None, "nope", "ftp://x", "http://", "http:///v1/chat",
+    "http://host:99999/x", "http://host:abc/x", "http://[::1/x",
+)
+
+
 def test_env_endpoint_required(monkeypatch):
-    """No endpoint, or one that is not an http(s) URL, is a backend error."""
-    for endpoint in (None, "nope", "ftp://x"):
+    """An endpoint that no request can reach is a backend error at construction."""
+    for endpoint in BAD_ENDPOINTS:
         if endpoint is None:
             monkeypatch.delenv("ENTAIL_LLM_ENDPOINT", raising=False)
         else:
             monkeypatch.setenv("ENTAIL_LLM_ENDPOINT", endpoint)
         with pytest.raises(BackendError):
             HttpBackend()
+
+
+@pytest.mark.parametrize("key", ["sk-abc\n", "sk-\rabc", "sk-\x00abc", "sk-\u20acabc"])
+def test_key_no_header_can_carry_is_rejected_unechoed(key):
+    with pytest.raises(BackendError, match="ENTAIL_LLM_KEY") as info:
+        HttpBackend(endpoint="http://127.0.0.1:9/x", api_key=key)
+    assert "abc" not in str(info.value)
+
+
+def test_http_client_loads_only_with_an_http_backend(tmp_path):
+    """A mock run never imports the HTTP client (and with it ``ssl``); building
+    an ``HttpBackend`` does. A fresh interpreter, because pytest's own process
+    has already loaded ``http.server``."""
+    child = """
+import json, sys
+from entailqa.cli import cli_dispatch
+from entailqa.dataset import write_json
+from entailqa.synth import synthetic_corpus
+
+dataset, out = sys.argv[1:]
+write_json(dataset, synthetic_corpus(3, seed=1))
+rc = cli_dispatch(["run-pipeline", dataset, "--out", out])
+modules = ("http.client", "urllib.request", "ssl")
+after_run = [m for m in modules if m in sys.modules]
+from entailqa.llm import HttpBackend
+HttpBackend(endpoint="http://127.0.0.1:9/x")
+print(json.dumps([rc, after_run, "urllib.request" in sys.modules]))
+"""
+    src = Path(llm.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", child, str(tmp_path / "ds.json"), str(tmp_path / "out")]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, [], True]
 
 
 def test_env_vars_used(monkeypatch, stub_factory):
