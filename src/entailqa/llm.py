@@ -25,7 +25,7 @@ from typing import Optional, Protocol
 
 from .errors import BackendError, EmptyDecomposition, ParseError, TreeError, UnknownFactId
 from .facts import IMAGE, Evidence, FactBase, lookup_text, tokenize
-from .tree import EntailmentTree, parse_tree
+from .tree import EntailmentTree, parse_node_id, parse_tree
 
 FEEDBACK_WORD_BUDGET = 200
 
@@ -144,11 +144,7 @@ _COLORS = {
 }
 _NUMBERED_LINE = re.compile(r"^\s*\d+[.)]\s*(?P<body>.+?)\s*$")
 _TAGGED_ITEM = re.compile(r"^(?P<q>.+?)\s*\[(?P<eid>[^\]]+)\]$")
-_FEEDBACK_LINE = re.compile(
-    r"Facts:(?P<facts>.*?)  Answer:(?P<answer>.*?)  Question:(?P<question>.*?)$",
-    re.MULTILINE | re.DOTALL,
-)
-FEEDBACK_FACT_SEP = " | "
+_FEEDBACK_IDS = re.compile(r"Facts:(?P<ids>.*?)  Answer:")
 
 
 def _content_words(text: str) -> list[str]:
@@ -168,6 +164,10 @@ def _block(prompt: str, label: str) -> list[str]:
     if label + ":" not in lines:
         raise BackendError(f"mock could not find block '{label}:' in prompt")
     return [line for line in lines[lines.index(label + ":") + 1:] if line.strip()]
+
+
+def _fact_ids(prompt: str) -> list[str]:
+    return [line.split(": ", 1)[0] for line in _block(prompt, "facts")]
 
 
 class MockBackend:
@@ -190,9 +190,9 @@ class MockBackend:
     * refine_fact — restates wh-questions declaratively, e.g.
       ("what color is the horse", "brown") -> "the color of the horse is brown."
     * tree_structure — a scripted tree per question id when configured, else
-      a right-leaning chain over all facts; with a feedback block, a chain
-      whose leaf set is exactly the fed-back facts, each a whole " | "
-      element of the feedback line.
+      a right-leaning chain over all facts.
+    * feedback — a chain over exactly the fact ids named on the feedback
+      line (``Facts:fact2; fact5``), in the order of the facts block.
     * intermediate_infer — joins the premises with "; therefore ".
     """
 
@@ -293,30 +293,21 @@ class MockBackend:
         return f'the answer to "{question}" is {answer}.'
 
     def _do_tree_structure(self, prompt: str) -> str:
-        fact_texts = dict(line.split(": ", 1) for line in _block(prompt, "facts"))
-        feedback = _FEEDBACK_LINE.search(prompt)
-        if feedback:
-            # a fed-back fact is a whole element of the line, between two
-            # seps, so a fact text holding sep still matches; a matched
-            # element is taken out, so two facts with one text need it twice
-            sep = FEEDBACK_FACT_SEP
-            line = sep + feedback.group("facts").strip() + sep
-            ids = []
-            for fid, text in fact_texts.items():
-                at = line.find(sep + text + sep)
-                if at >= 0:
-                    ids.append(fid)
-                    line = line[:at] + line[at + len(sep + text):]
-            return self._chain(ids or list(fact_texts))
         try:
             question_id = _field_line(prompt, "question id")
         except BackendError:
             question_id = ""
         if question_id in self.scripted_trees:
             return self.scripted_trees[question_id]
-        return self._chain(list(fact_texts))
+        return self._chain(_fact_ids(prompt))
 
-    _do_feedback = _do_tree_structure
+    def _do_feedback(self, prompt: str) -> str:
+        ids = _fact_ids(prompt)
+        line = _FEEDBACK_IDS.search(prompt)
+        if line is None:
+            raise BackendError("mock could not find 'Facts:' in prompt")
+        fed_back = set(line.group("ids").split("; "))
+        return self._chain([fid for fid in ids if fid in fed_back])
 
     @staticmethod
     def _chain(ids: list[str]) -> str:
@@ -355,8 +346,9 @@ class HttpBackend:
     ``BackendError``. Every
     request/response pair is appended to ``exchange_log`` tagged with the
     template name. Construction raises ``BackendError``, before any request,
-    for an endpoint that is not an http(s) URL with a host and a valid port,
-    and for a key that is not printable ASCII.
+    for an endpoint that is not an http(s) URL with a host and a valid port
+    or that holds a user name or password, and for a key that is not
+    printable ASCII; no message shows the endpoint or the key.
     """
 
     def __init__(
@@ -372,13 +364,23 @@ class HttpBackend:
         self.api_key = api_key or os.environ.get("ENTAIL_LLM_KEY", "")
         if not self.endpoint:
             raise BackendError("no endpoint: set ENTAIL_LLM_ENDPOINT or pass one")
+        # no message shows the endpoint (or urlsplit's error, which may quote
+        # it): its userinfo would hold a password
         try:
             parts = urllib.parse.urlsplit(self.endpoint)
             host, _ = parts.hostname, parts.port  # ``port`` raises on a bad port
-        except ValueError as exc:  # unbalanced IPv6 brackets, a bad port
-            raise BackendError(f"endpoint {self.endpoint!r} is not a usable URL: {exc}") from None
-        if parts.scheme not in ("http", "https") or not host:
-            raise BackendError(f"endpoint {self.endpoint!r} is not an http(s) URL with a host")
+        except ValueError:  # unbalanced IPv6 brackets, a bad port
+            parts = host = None
+        if parts is None or parts.scheme not in ("http", "https") or not host:
+            raise BackendError(
+                "ENTAIL_LLM_ENDPOINT (or endpoint) is not an http(s) URL with a host "
+                "and a port in 0-65535"
+            )
+        if "@" in parts.netloc:  # urllib would take "user:pw@host" for the host
+            raise BackendError(
+                "ENTAIL_LLM_ENDPOINT (or endpoint) holds a user name or password; "
+                "pass the key as ENTAIL_LLM_KEY (or api_key)"
+            )
         if not (self.api_key.isascii() and self.api_key.isprintable()):
             # no header can carry it; the message must not echo the key
             raise BackendError("ENTAIL_LLM_KEY (or api_key) is not printable ASCII")
@@ -574,8 +576,11 @@ def generate_tree_structure(
 ) -> EntailmentTree:
     """Structure-only tree whose leaves are all in the fact base.
 
-    ``feedback`` is (retrieved fact texts, predicted answer); it prefixes the
-    prompt with the feedback template and tags the request ``feedback``.
+    ``feedback`` is (retrieved fact ids, predicted answer); it prefixes the
+    prompt with the feedback template, which names the facts by id
+    (``Facts:fact2; fact5``) for the facts block below it to resolve, and
+    tags the request ``feedback``. An id outside the fact base raises
+    ``UnknownFactId``, a malformed one ``TreeSyntaxError``, before any call.
     """
     if not len(fact_base):
         raise ValueError("fact base is empty")
@@ -588,11 +593,14 @@ def generate_tree_structure(
     )
     tag = "tree_structure"
     if feedback is not None:
-        facts, answer = feedback
+        fact_ids, answer = feedback
+        named = [parse_node_id(fid) for fid in fact_ids]
+        for node in named:
+            lookup_text(fact_base, node)
         prompt = render(
             "feedback",
             n=str(FEEDBACK_WORD_BUDGET),
-            f=FEEDBACK_FACT_SEP.join(facts),
+            f="; ".join(map(str, named)),
             a=answer,
             q=question,
         ) + prompt

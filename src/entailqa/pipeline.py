@@ -23,7 +23,7 @@ import numpy as np
 from . import metrics
 from .dataset import QAExample, RunConfig
 from .errors import EmptyEvidence, EntailQAError, MoeError, NonFiniteLoss, SchemaError, TreeError
-from .facts import IMAGE, TABLE, FactBase, add_fact, linearize_table, lookup_text, retrieve_evidence
+from .facts import IMAGE, TABLE, FactBase, add_fact, linearize_table, retrieve_evidence
 from .llm import (
     Backend,
     decompose_atomic,
@@ -48,7 +48,7 @@ from .moe import (
     losses,
 )
 from .refine import refine, tree_to_text
-from .tree import EntailmentTree, leaf_id, leaf_preorder, parse_node_id, parse_tree, score_tree
+from .tree import EntailmentTree, leaf_id, leaf_preorder, parse_tree, score_tree
 
 STOP_BUDGET = "budget"
 STOP_NO_IMPROVEMENT = "no_improvement"
@@ -293,10 +293,7 @@ def run_feedback_iteration(state: PipelineState, backend: Backend) -> PipelineSt
     if len(state.predicted_answers) != len(state.tree_versions):
         raise ValueError("the current tree has not been decoded")
     base = state.base
-    feedback = (
-        [lookup_text(base, parse_node_id(fid)) for fid in state.retrieved_fact_ids[-1]],
-        state.predicted_answers[-1],
-    )
+    feedback = (state.retrieved_fact_ids[-1], state.predicted_answers[-1])
     request = (backend, state.question, base, feedback)
     if state.last_request is not None:
         asked, version = state.last_request

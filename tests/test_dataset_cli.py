@@ -792,9 +792,9 @@ class TestCli:
             assert [p.name for p in out.iterdir()] == [_FAILED_LIST[command]]
 
     @pytest.mark.parametrize("command", sorted(_FAILED_LIST))
-    def test_http_without_endpoint_is_backend_error(self, small_run, monkeypatch, command):
+    def test_http_without_endpoint_is_backend_error(self, small_run, monkeypatch, capsys, command):
         """An endpoint that no request can reach exits 3 before anything is
-        written."""
+        written, and stderr does not show its password."""
         ds, cfg, tmp_path = small_run
         for i, endpoint in enumerate(BAD_ENDPOINTS):
             if endpoint is None:
@@ -804,6 +804,7 @@ class TestCli:
             out = tmp_path / f"out{i}"
             argv = [command, str(ds), "--config", str(cfg), "--backend", "http", "--out", str(out)]
             assert cli_dispatch(argv) == 3, endpoint
+            assert "s3cret" not in capsys.readouterr().err
             assert not out.exists()
 
     @pytest.mark.parametrize("command", sorted(_FAILED_LIST))

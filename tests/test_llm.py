@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from entailqa.errors import BackendError, EmptyDecomposition, ParseError, UnknownFactId
+from entailqa.errors import BackendError, EmptyDecomposition, ParseError, TreeSyntaxError, UnknownFactId
 from entailqa.facts import Evidence, FactBase, Table, add_fact, linearize_table
 from entailqa.llm import (
     BackendRequest,
@@ -15,7 +17,7 @@ from entailqa.llm import (
     text_qa,
     vqa_answer,
 )
-from entailqa.tree import serialize_tree
+from entailqa.tree import LEAF, serialize_tree
 
 
 def _structure(tree):
@@ -36,6 +38,19 @@ class CannedBackend:
         return self.responses[min(self.calls - 1, len(self.responses) - 1)]
 
 
+_FACT_TEXT = st.sampled_from(
+    ["a.", "the harbor | is deep.", "b; c.", "the\nmill  is old.", "fact1", "Facts:x  Answer:y"]
+) | st.text(min_size=1).filter(str.strip)
+
+
+@st.composite
+def _texts_and_fed_back(draw):
+    """Fact texts, and the ids of a non-empty subset of them in any order."""
+    texts = draw(st.lists(_FACT_TEXT, min_size=1, max_size=6))
+    order = draw(st.permutations([f"fact{k}" for k in range(1, len(texts) + 1)]))
+    return texts, order[: draw(st.integers(1, len(order)))]
+
+
 @pytest.fixture
 def image_evidence():
     return Evidence(id="img1", modality="image", content="", caption="a racing brown horse")
@@ -51,9 +66,9 @@ class TestTemplates:
             render("vqa", question="q?")
 
     def test_feedback_template_slots(self):
-        text = render("feedback", n="200", f="a. | b.", a="yes", q="why?")
+        text = render("feedback", n="200", f="fact1; fact2", a="yes", q="why?")
         assert "200 words" in text
-        assert "Facts:a. | b." in text
+        assert "Facts:fact1; fact2  Answer:yes  Question:why?" in text
 
     def test_block_items_go_one_to_a_line(self):
         text = render("table_qa", question="who\nwon?", rows_block=["row\none.", "  row  two. "])
@@ -255,39 +270,60 @@ class TestTreeStructure:
         assert _structure(out) == "fact1 & fact2 -> int1; fact3 & int1 -> answer"
 
     def test_feedback_controls_leaf_set(self, mock_backend, small_base):
-        feedback = (["the harbor is deep.", "the mill is old."], "deep")
+        feedback = (["fact3", "fact2"], "deep")
         out = generate_tree_structure(mock_backend, "q?", small_base, feedback=feedback)
         assert _structure(out) == "fact2 & fact3 -> answer"
 
-    def test_feedback_fact_reaches_the_prompt_as_one_line(self, mock_backend):
+    def test_feedback_fact_reaches_the_prompt_as_one_line(self):
+        """A fed-back fact is named by its id; its text, one-lined, is in the
+        facts block of the same prompt."""
         base = FactBase("q1")
-        for text in ("the falcon is fast.", "the  harbor is deep.", "the mill is old."):
+        for text in ("the falcon is fast.", "the  harbor\nis deep.", "the mill is old."):
             base = add_fact(base, text, "text", "e1")
-        feedback = (["the  harbor is deep.", "the mill is old."], "deep")
-        out = generate_tree_structure(mock_backend, "q?", base, feedback=feedback)
+        backend = RecordingBackend()
+        out = generate_tree_structure(backend, "q?", base, feedback=(["fact2 ", "\nfact3"], "deep"))
         assert _structure(out) == "fact2 & fact3 -> answer"
+        [(_, prompt)] = backend.prompts
+        assert "Facts:fact2; fact3  Answer:deep  Question:q?\n" in prompt
+        assert prompt.endswith("facts:\nfact1: the falcon is fast.\n"
+                               "fact2: the harbor is deep.\nfact3: the mill is old.")
 
     @pytest.mark.parametrize(
         "texts, fed_back, expected",
         [
-            # a fact text holding the separator is still one fact
+            # a fact text holding a separator is still one fact
             (("the falcon is fast.", "the harbor | is deep.", "the mill is old."),
-             ["the harbor | is deep.", "the mill is old."], "fact2 & fact3 -> answer"),
-            # a text fed back once takes the first fact with it, twice both
-            (("a.", "a.", "b."), ["a.", "b."], "fact1 & fact3 -> answer"),
-            (("a.", "a.", "b."), ["a.", "a."], "fact1 & fact2 -> answer"),
+             ["fact2", "fact3"], "fact2 & fact3 -> answer"),
+            # two equal texts are two facts, each named by its own id
+            (("a.", "a.", "b."), ["fact1", "fact3"], "fact1 & fact3 -> answer"),
+            (("a.", "a.", "b."), ["fact1", "fact2"], "fact1 & fact2 -> answer"),
         ],
     )
     def test_feedback_facts_match_whole_elements(self, mock_backend, texts, fed_back, expected):
+        """Each fed-back id is one whole fact, whatever its text holds."""
         base = FactBase("q1")
         for text in texts:
             base = add_fact(base, text, "text", "e1")
         out = generate_tree_structure(mock_backend, "q?", base, feedback=(fed_back, "deep"))
         assert _structure(out) == expected
 
+    @given(_texts_and_fed_back())
+    @settings(max_examples=60, deadline=None)
+    def test_feedback_ids_are_the_leaves(self, case):
+        """Whatever the fact texts hold (separators, newlines, repeats), the
+        mock's tree from fed-back ids has exactly those ids as leaves, in the
+        order of the facts block."""
+        texts, fed_back = case
+        base = FactBase("q1")
+        for text in texts:
+            base = add_fact(base, text, "text", "e1")
+        out = generate_tree_structure(MockBackend(), "q?", base, feedback=(fed_back, "a"))
+        leaves = [str(p) for step in out.steps for p in step.premises if p.kind == LEAF]
+        assert leaves == sorted(fed_back, key=lambda fid: int(fid[4:]))
+
     def test_feedback_overrides_script(self, small_base):
         backend = MockBackend(scripted_trees={"q1": "fact1 -> answer"})
-        feedback = (["the mill is old."], "old")
+        feedback = (["fact3"], "old")
         out = generate_tree_structure(backend, "q?", small_base, feedback=feedback)
         assert _structure(out) == "fact3 -> answer"
 
@@ -311,10 +347,21 @@ class TestTreeStructure:
 
     def test_feedback_request_tag(self, small_base):
         backend = CannedBackend("fact2 -> answer")
-        feedback = (["the harbor is deep."], "deep")
+        feedback = (["fact2"], "deep")
         generate_tree_structure(backend, "why?", small_base, feedback=feedback)
         assert [r.tag for r in backend.requests] == ["feedback"]
-        assert "Facts:the harbor is deep." in backend.requests[0].prompt
+        assert "Facts:fact2  Answer:deep" in backend.requests[0].prompt
+
+    @pytest.mark.parametrize(
+        "fact_id, error",
+        [("fact9", UnknownFactId), ("int1", UnknownFactId),
+         ("the harbor is deep.", TreeSyntaxError), ("fact2; fact3", TreeSyntaxError)],
+    )
+    def test_bad_feedback_id_fails_before_any_call(self, small_base, fact_id, error):
+        backend = CannedBackend("fact2 -> answer")
+        with pytest.raises(error):
+            generate_tree_structure(backend, "why?", small_base, feedback=(["fact2", fact_id], "deep"))
+        assert backend.calls == 0
 
 
 class TestInferIntermediate:
@@ -348,7 +395,7 @@ class TestMockDeterminism:
             mock_backend.complete(BackendRequest(prompt="p", tag="mystery"))
 
     @pytest.mark.parametrize(
-        "tag", ["decompose_question", "table_qa", "tree_structure", "intermediate_infer"]
+        "tag", ["decompose_question", "table_qa", "tree_structure", "feedback", "intermediate_infer"]
     )
     def test_prompt_without_its_block_label_is_backend_error(self, mock_backend, tag):
         with pytest.raises(BackendError, match="block"):
@@ -400,7 +447,7 @@ def test_every_prompt_byte_for_byte():
     text_qa(backend, question, "the falcon is crimson.")
     refine_to_fact(backend, question, "crimson")
     generate_tree_structure(backend, question, base)
-    feedback = (["the falcon is crimson.", "the harbor is deep."], "crimson")
+    feedback = (["fact1", "fact2"], "crimson")
     generate_tree_structure(backend, question, base, feedback=feedback)
     infer_intermediate(backend, ["the falcon is crimson.", "the harbor is deep."])
     assert backend.prompts == [
@@ -452,7 +499,7 @@ def test_every_prompt_byte_for_byte():
             "feedback",
             "Given the following potentially relevant facts and the potentially correct "
             "answer, please generate entailment tree in 200 words. "
-            "Facts:the falcon is crimson. | the harbor is deep.  Answer:crimson  "
+            "Facts:fact1; fact2  Answer:crimson  "
             "Question:what color is the falcon?\n\n" + _TREE_PROMPT,
         ),
         (

@@ -6,7 +6,7 @@ import pytest
 
 from entailqa import moe, pipeline
 from entailqa.dataset import QAExample, RunConfig, dataset_from_dict, run_config_from_dict
-from entailqa.errors import EmptyEvidence
+from entailqa.errors import EmptyEvidence, TreeSyntaxError, UnknownFactId
 from entailqa.facts import Evidence, FactBase, Table, lookup_text
 from entailqa.llm import MockBackend, generate_tree_structure
 from entailqa.moe import (
@@ -282,10 +282,7 @@ class TestFeedbackIteration:
 
     @staticmethod
     def _feedback(state):
-        return (
-            [lookup_text(state.base, parse_node_id(fid)) for fid in state.retrieved_fact_ids[-1]],
-            state.predicted_answers[-1],
-        )
+        return state.retrieved_fact_ids[-1], state.predicted_answers[-1]
 
     def _stage1_decoded(self):
         examples = synthetic_examples(6, seed=3)
@@ -361,6 +358,28 @@ class TestFeedbackIteration:
         version = state.tree_versions[-1]
         premises = [lookup_text(small_base, parse_node_id(fid)) for fid in fed_back]
         assert version.node_text(ANSWER) == "; therefore ".join(premises)
+
+    @pytest.mark.parametrize(
+        "fact_id, error", [("fact99", UnknownFactId), ("the harbor is deep.", TreeSyntaxError)]
+    )
+    def test_bad_fed_back_id_fails_its_example_alone(self, fact_id, error):
+        """A retrieved id outside the fact base, or not an id, fails its
+        example with no backend call; the other examples go on."""
+        examples = synthetic_examples(4, seed=3)
+        config = run_config_from_dict({})
+        states = stage1_states(examples, config, MockBackend())
+        predict_states(states.values(), MoeParams.init(config.moe, config.seed))
+        bad = states[examples[1].id]
+        bad.retrieved_fact_ids[-1] = ["fact1", fact_id]
+        backend = _CountingBackend()
+        pipeline._map_examples(
+            2, lambda ex, state: run_feedback_iteration(state, backend), examples, states
+        )
+        assert bad.error_class is error and len(bad.tree_versions) == 1
+        others = [s for s in states.values() if s is not bad]
+        assert not any(s.failed for s in others)
+        assert all(len(s.tree_versions) == 2 for s in others)
+        assert backend.tags.count("feedback") == len(others)
 
     def test_requires_a_tree(self, mock_backend, small_base):
         state = PipelineState(question_id="q", question="q?", base=small_base)
