@@ -20,11 +20,10 @@ import math
 import re
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Literal, Optional, Union
 
 from .errors import SchemaError, TreeError
 from .facts import MODALITIES, TABLE, Evidence, Table
-from .moe import MoeConfig
 from .tree import parse_tree
 
 _EVIDENCE_ID_RE = re.compile(r"[^\s\[\]]+")
@@ -58,6 +57,63 @@ class TrainingConfig:
             raise ValueError("steps, learning_rate and weight_decay must be non-negative")
         if self.batch_size_retrieval < 1 or self.batch_size_qa < 1:
             raise ValueError("batch sizes must be >= 1")
+
+
+GateId = Literal["A", "B"]
+GATE_A: GateId = "A"
+GATE_B: GateId = "B"
+
+
+@dataclass(frozen=True)
+class MoeConfig:
+    embed_dim: int = 16
+    vocab_size: int = 2048
+    n_frg_experts: int = 2
+    n_qa_experts: int = 2
+    n_shared_experts: int = 2
+    top_k: int = 2
+    max_seq_len: int = 512
+
+    def __post_init__(self):
+        counts = (
+            self.embed_dim,
+            self.n_frg_experts,
+            self.n_qa_experts,
+            self.n_shared_experts,
+            self.top_k,
+            self.max_seq_len,
+        )
+        if any(c < 1 for c in counts):
+            raise ValueError("all counts must be >= 1")
+        if self.vocab_size < 2:
+            raise ValueError("vocab_size must be >= 2")
+        if self.top_k > self.n_frg_experts + self.n_shared_experts:
+            raise ValueError("top_k exceeds the FRG gate pool")
+        if self.top_k > self.n_qa_experts + self.n_shared_experts:
+            raise ValueError("top_k exceeds the QA gate pool")
+
+    @property
+    def n_experts(self) -> int:
+        return self.n_frg_experts + self.n_qa_experts + self.n_shared_experts
+
+    @property
+    def frg_expert_ids(self) -> tuple[int, ...]:
+        return tuple(range(self.n_frg_experts))
+
+    @property
+    def qa_expert_ids(self) -> tuple[int, ...]:
+        return tuple(range(self.n_frg_experts, self.n_frg_experts + self.n_qa_experts))
+
+    @property
+    def shared_expert_ids(self) -> tuple[int, ...]:
+        return tuple(range(self.n_frg_experts + self.n_qa_experts, self.n_experts))
+
+    def pool(self, gate: GateId) -> tuple[int, ...]:
+        if gate == GATE_A:
+            return self.frg_expert_ids + self.shared_expert_ids
+        if gate == GATE_B:
+            return self.qa_expert_ids + self.shared_expert_ids
+        raise ValueError(f"unknown gate: {gate!r}")
 
 
 _UNHASHED = ("workers", "http_timeout", "http_max_retries")

@@ -8,6 +8,7 @@ a trained dense retriever and makes no recall claims.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -150,17 +151,25 @@ def lookup_text(base: FactBase, node: NodeId) -> str:
 
 
 def linearize_table(table: Table) -> list[str]:
-    """One sentence per row: "row one's Season is 2010, Winner is Super Saver."."""
+    """One sentence per row: "row one's Season is 2010, Winner is Super Saver.".
+    A name or cell that is empty, holds ", " or '"', or holds the word "is" at
+    an end or between spaces is a JSON string: 'Winner is "Paris, France"'."""
     if not table.rows or not table.header:
         raise EmptyTable("table has no rows or no columns")
     sentences = []
     for k, row in enumerate(table.rows, start=1):
         ordinal = _ORDINALS[k - 1] if k <= len(_ORDINALS) else str(k)
         cells = ", ".join(
-            f"{col} is {cell}" for col, cell in zip(table.header, row)
+            f"{_quoted(col)} is {_quoted(cell)}" for col, cell in zip(table.header, row)
         )
         sentences.append(f"row {ordinal}'s {cells}.")
     return sentences
+
+
+def _quoted(text: str) -> str:
+    if not text or '"' in text or ", " in text or " is " in f" {text} ":
+        return json.dumps(text, ensure_ascii=False)
+    return text
 
 
 def retrieve_evidence(

@@ -145,6 +145,9 @@ _COLORS = {
 _NUMBERED_LINE = re.compile(r"^\s*\d+[.)]\s*(?P<body>.+?)\s*$")
 _TAGGED_ITEM = re.compile(r"^(?P<q>.+?)\s*\[(?P<eid>[^\]]+)\]$")
 _FEEDBACK_IDS = re.compile(r"Facts:(?P<ids>.*?)  Answer:")
+_ROW_PREFIX = re.compile(r"^row \S+'s ")
+_ROW_TEXT = r'"(?:[^"\\]|\\.)*"|.*?'  # a JSON string, else the shortest text
+_ROW_CELL = re.compile(rf"(?P<col>{_ROW_TEXT}) is (?P<cell>{_ROW_TEXT})(?:, |\Z)")
 
 
 def _content_words(text: str) -> list[str]:
@@ -166,6 +169,16 @@ def _block(prompt: str, label: str) -> list[str]:
     return [line for line in lines[lines.index(label + ":") + 1:] if line.strip()]
 
 
+def _row_cells(row: str) -> list[tuple[str, str]]:
+    """The (column, cell) pairs of a ``linearize_table`` sentence."""
+    body = _ROW_PREFIX.sub("", row, count=1).removesuffix(".")
+    return [(_unquoted(m["col"]), _unquoted(m["cell"])) for m in _ROW_CELL.finditer(body)]
+
+
+def _unquoted(text: str) -> str:
+    return json.loads(text) if text.startswith('"') else text
+
+
 def _fact_ids(prompt: str) -> list[str]:
     return [line.split(": ", 1)[0] for line in _block(prompt, "facts")]
 
@@ -184,7 +197,7 @@ class MockBackend:
     * table_qa — picks the row sentence with the largest word overlap, then
       answers with the cell of a column named in the question whose value is
       not already part of the question; no such column gives "unknown". A
-      row's cells end only at a ", " that starts the next "<column> is".
+      name or cell in double quotes is read as a JSON string.
     * text_qa — best-overlap passage sentence, answer = its first content
       words (up to four) that are absent from the question, else "unknown".
     * refine_fact — restates wh-questions declaratively, e.g.
@@ -244,15 +257,9 @@ class MockBackend:
         rows = _block(prompt, "rows")
         q_words = set(tokenize(question))
         best = max(rows, key=lambda r: (len(q_words & set(tokenize(r))), -rows.index(r)))
-        body = re.sub(r"^row \S+'s\s+", "", best).rstrip(".")
-        cells = []
-        for part in re.split(r", (?=[^,]* is )", body):
-            col, sep, value = part.partition(" is ")
-            if sep:
-                cells.append((col.strip(), value.strip()))
         mentioned = [
             (col, value)
-            for col, value in cells
+            for col, value in _row_cells(best)
             if set(tokenize(col)) and set(tokenize(col)) <= q_words
         ]
         for col, value in mentioned:

@@ -35,16 +35,13 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable, Iterator, Literal, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .dataset import GATE_A, GATE_B, GateId, MoeConfig
 from .errors import LengthMismatch, NoFacts, NonFiniteLoss, SchemaError, SequenceTooLong
 from .facts import tokenize
-
-GateId = Literal["A", "B"]
-GATE_A: GateId = "A"
-GATE_B: GateId = "B"
 
 EOS_ID = 0
 
@@ -94,59 +91,7 @@ def decode_answer(ids: Sequence[int], lexicon: dict[int, str]) -> str:
     return " ".join(words)
 
 
-# --- configuration and parameters --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MoeConfig:
-    embed_dim: int = 16
-    vocab_size: int = 2048
-    n_frg_experts: int = 2
-    n_qa_experts: int = 2
-    n_shared_experts: int = 2
-    top_k: int = 2
-    max_seq_len: int = 512
-
-    def __post_init__(self):
-        counts = (
-            self.embed_dim,
-            self.n_frg_experts,
-            self.n_qa_experts,
-            self.n_shared_experts,
-            self.top_k,
-            self.max_seq_len,
-        )
-        if any(c < 1 for c in counts):
-            raise ValueError("all counts must be >= 1")
-        if self.vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2")
-        if self.top_k > self.n_frg_experts + self.n_shared_experts:
-            raise ValueError("top_k exceeds the FRG gate pool")
-        if self.top_k > self.n_qa_experts + self.n_shared_experts:
-            raise ValueError("top_k exceeds the QA gate pool")
-
-    @property
-    def n_experts(self) -> int:
-        return self.n_frg_experts + self.n_qa_experts + self.n_shared_experts
-
-    @property
-    def frg_expert_ids(self) -> tuple[int, ...]:
-        return tuple(range(self.n_frg_experts))
-
-    @property
-    def qa_expert_ids(self) -> tuple[int, ...]:
-        return tuple(range(self.n_frg_experts, self.n_frg_experts + self.n_qa_experts))
-
-    @property
-    def shared_expert_ids(self) -> tuple[int, ...]:
-        return tuple(range(self.n_frg_experts + self.n_qa_experts, self.n_experts))
-
-    def pool(self, gate: GateId) -> tuple[int, ...]:
-        if gate == GATE_A:
-            return self.frg_expert_ids + self.shared_expert_ids
-        if gate == GATE_B:
-            return self.qa_expert_ids + self.shared_expert_ids
-        raise ValueError(f"unknown gate: {gate!r}")
+# --- parameters -----------------------------------------------------------------
 
 
 class MoeParams:

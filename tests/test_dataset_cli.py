@@ -1010,3 +1010,27 @@ def test_readme_examples_load():
     run_config_from_dict(data)
     # the loader ignores unknown top-level keys; the example must name none
     assert set(data) <= {f.name for f in fields(RunConfig)}
+
+
+def test_data_and_prompt_layers_import_without_numpy():
+    """The package and its data and prompt modules load neither numpy, the
+    MoE core nor the thread pool; ``cli`` loads all of them, and ``moe``
+    re-exports the config from ``dataset``. A fresh interpreter, because
+    pytest's own process has already loaded them."""
+    heavy = ("numpy", "entailqa.moe", "entailqa.pipeline", "concurrent.futures")
+    child = f"""
+import importlib, json, sys
+import entailqa
+for name in ("tree", "facts", "metrics", "errors", "dataset", "synth", "llm", "refine"):
+    importlib.import_module("entailqa." + name)
+light = [m for m in {heavy!r} if m in sys.modules]
+import entailqa.cli, entailqa.dataset, entailqa.moe
+full = [m for m in {heavy!r} if m in sys.modules]
+print(json.dumps([light, full, entailqa.moe.MoeConfig is entailqa.dataset.MoeConfig]))
+"""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], list(heavy), True]

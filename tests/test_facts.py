@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from entailqa.errors import EmptyTable, EmptyText, UnknownFactId
@@ -25,6 +27,23 @@ class TestLinearize:
         assert linearize_table(Table(header=("A",), rows=(("x",),))) == [
             "row one's A is x."
         ]
+
+    def test_cell_that_could_read_as_two_is_quoted(self):
+        table = Table(header=("Winner", "Note"), rows=(("Paris, France", 'the "big" one'),))
+        assert linearize_table(table) == [
+            'row one\'s Winner is "Paris, France", Note is "the \\"big\\" one".'
+        ]
+
+    @pytest.mark.parametrize("text", ["", "is", "is big", "this is", "a is b", "Zürich, CH"])
+    def test_names_and_cells_that_could_be_misread_are_json_strings(self, text):
+        quoted = json.dumps(text, ensure_ascii=False)
+        table = Table(header=(text,), rows=((text,),))
+        assert linearize_table(table) == [f"row one's {quoted} is {quoted}."]
+
+    @pytest.mark.parametrize("text", ["Super Saver", "3.5", "a,b", "island", "his"])
+    def test_other_names_and_cells_are_written_as_they_are(self, text):
+        table = Table(header=(text,), rows=((text,),))
+        assert linearize_table(table) == [f"row one's {text} is {text}."]
 
     def test_numeric_ordinals_past_twenty(self):
         rows = tuple((str(i),) for i in range(25))

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entailqa import llm
 from entailqa.errors import BackendError, EmptyDecomposition, ParseError, TreeSyntaxError, UnknownFactId
 from entailqa.facts import Evidence, FactBase, Table, add_fact, linearize_table
 from entailqa.llm import (
@@ -41,6 +42,13 @@ class CannedBackend:
 _FACT_TEXT = st.sampled_from(
     ["a.", "the harbor | is deep.", "b; c.", "the\nmill  is old.", "fact1", "Facts:x  Answer:y"]
 ) | st.text(min_size=1).filter(str.strip)
+
+
+# One-line strings, weighted towards the row sentence's separators.
+_CELL = (
+    st.lists(st.sampled_from(["is", " is ", ", ", ",", '"', "\\", ".", " ", "ü", "x"]), max_size=6).map("".join)
+    | st.text()
+).map(lambda text: " ".join(text.split()))
 
 
 @st.composite
@@ -190,6 +198,21 @@ class TestTableQa:
         rows = linearize_table(table)
         answer = table_qa(mock_backend, "what is the winner of season 2010?", rows)
         assert answer == "Paris, France"
+
+    def test_cell_holding_both_separators_stays_whole(self, mock_backend):
+        table = Table(header=("season", "winner"), rows=(("2009", "Rome"), ("2010", "Paris, which is big")))
+        rows = linearize_table(table)
+        answer = table_qa(mock_backend, "what is the winner of season 2010?", rows)
+        assert answer == "Paris, which is big"
+
+    @given(st.lists(st.tuples(_CELL, _CELL), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_row_sentence_reads_back_cell_for_cell(self, pairs):
+        """For any one-line names and cells, the mock reads the row sentence
+        of the table_qa prompt back into exactly those (column, cell) pairs."""
+        table = Table(header=tuple(col for col, _ in pairs), rows=(tuple(cell for _, cell in pairs),))
+        prompt = render("table_qa", question="q?", rows_block=linearize_table(table))
+        assert llm._row_cells(llm._block(prompt, "rows")[0]) == pairs
 
     def test_no_column_match(self, mock_backend):
         rows = ["row one's Season is 2010, Winner is Super Saver."]
