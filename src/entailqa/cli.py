@@ -1,12 +1,11 @@
 """Command-line surface tying the modules together.
 
-Subcommands: build-factbase, gen-tree, refine-tree, train, run-pipeline,
-eval, route-demo. Exit codes: 0 success, 1 usage, 2 data error, 3 backend
-error. The five dataset commands fail an example alone and list it under
-``failed`` (the stage-1 commands in ``<suffix>.manifest.json``); they exit 0
-while any example is left, else 3 if every example failed a backend error
-and 2 if not. Every artifact file embeds the config hash and seed that
-produced it.
+Subcommands: refine-tree, train, run-pipeline, eval. Exit codes: 0 success,
+1 usage, 2 data error, 3 backend error. The three dataset commands fail an
+example alone and list it under ``failed`` (refine-tree in
+``tree.manifest.json``); they exit 0 while any example is left, else 3 if
+every example failed a backend error and 2 if not. Every artifact file
+embeds the config hash and seed that produced it.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ import ctypes
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .dataset import (
     RunConfig,
@@ -30,7 +27,7 @@ from .dataset import (
 )
 from .errors import EntailQAError, GatewayError, SchemaError
 from .llm import HttpBackend, MockBackend
-from .moe import GATE_A, GATE_B, MoeParams, route
+from .moe import MoeParams
 from .pipeline import build_train_items, evaluate_predictions, run_pipeline, stage1_states, train
 from .tree import parse_node_id, serialize_tree
 
@@ -54,17 +51,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="entailqa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, needs_dataset in [
-        ("build-factbase", True),
-        ("gen-tree", True),
-        ("refine-tree", True),
-        ("train", True),
-        ("run-pipeline", True),
-        ("route-demo", False),
-    ]:
+    for name in ("refine-tree", "train", "run-pipeline"):
         p = sub.add_parser(name, parents=[common])
-        if needs_dataset:
-            p.add_argument("dataset", help="dataset JSON file")
+        p.add_argument("dataset", help="dataset JSON file")
 
     p = sub.add_parser("eval", parents=[common])
     p.add_argument("--pred", required=True, help="predictions JSON file")
@@ -92,21 +81,6 @@ def _stamp(config: RunConfig, payload: dict) -> dict:
     return {"config_hash": config.config_hash(), "seed": config.seed, **payload}
 
 
-# Stage-1 commands: the file suffix each writes per example, and its payload
-# from the example's stage-1 state.
-_STAGE1_ARTIFACTS = {
-    "build-factbase": ("factbase", lambda state: state.base.to_json_dict()),
-    "gen-tree": (
-        "structure",
-        lambda state: {
-            "question_id": state.question_id,
-            "dsl": serialize_tree(state.tree_versions[0], include_texts=False),
-        },
-    ),
-    "refine-tree": ("tree", lambda state: state.tree_versions[0].to_json_dict()),
-}
-
-
 def _exit_code(states: dict) -> int:
     """The one exit rule of the dataset commands (see the module docstring)."""
     if any(not state.failed for state in states.values()):
@@ -125,18 +99,18 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _cmd_stage1(args, config: RunConfig) -> int:
-    suffix, payload = _STAGE1_ARTIFACTS[args.command]
+def _cmd_refine_tree(args, config: RunConfig) -> int:
     examples = load_dataset(args.dataset)
     backend = _make_backend(config)
     out = _out_dir(args)
     states = stage1_states(examples, config, backend)
     for qid, state in states.items():
         if not state.failed:
-            write_json(out / f"{qid}.{suffix}.json", _stamp(config, payload(state)))
+            write_json(out / f"{qid}.factbase.json", _stamp(config, state.base.to_json_dict()))
+            write_json(out / f"{qid}.tree.json", _stamp(config, state.tree_versions[0].to_json_dict()))
     failed = sorted(qid for qid, state in states.items() if state.failed)
     summary = {"examples": len(examples), "failed": failed}
-    write_json(out / f"{suffix}.manifest.json", _stamp(config, summary))
+    write_json(out / "tree.manifest.json", _stamp(config, summary))
     return _exit_code(states)
 
 
@@ -204,29 +178,11 @@ def _cmd_eval(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_route_demo(args, config: RunConfig) -> int:
-    params = MoeParams.init(config.moe, config.seed)
-    rng = np.random.default_rng(config.seed)
-    tokens = rng.normal(size=(8, config.moe.embed_dim))
-    for gate in (GATE_A, GATE_B):
-        decision = route(params, config.moe, tokens, gate)
-        pool = config.moe.pool(gate)
-        sys.stdout.write(f"gate {gate} pool={list(pool)}\n")
-        for i in range(tokens.shape[0]):
-            picks = ", ".join(
-                f"expert {int(e)} @ {v:.4f}"
-                for e, v in zip(decision.indices[i], decision.values[i])
-            )
-            sys.stdout.write(f"  token {i}: {picks}\n")
-    return 0
-
-
 _COMMANDS = {
-    **dict.fromkeys(_STAGE1_ARTIFACTS, _cmd_stage1),
+    "refine-tree": _cmd_refine_tree,
     "train": _cmd_train,
     "run-pipeline": _cmd_run_pipeline,
     "eval": _cmd_eval,
-    "route-demo": _cmd_route_demo,
 }
 
 

@@ -328,8 +328,6 @@ def small_run(tmp_path):
 
 # The file in which each dataset command lists its failed example ids.
 _FAILED_LIST = {
-    "build-factbase": "factbase.manifest.json",
-    "gen-tree": "structure.manifest.json",
     "refine-tree": "tree.manifest.json",
     "train": "training.json",
     "run-pipeline": "manifest.json",
@@ -338,8 +336,9 @@ _FAILED_LIST = {
 
 class TestCli:
     def test_unknown_subcommand_is_usage_error(self, capsys):
-        assert cli_dispatch(["frobnicate"]) == 1
-        assert "usage error" in capsys.readouterr().err
+        for command in ("frobnicate", "build-factbase", "gen-tree", "route-demo"):
+            assert cli_dispatch([command]) == 1, command
+            assert "usage error" in capsys.readouterr().err
 
     def test_missing_dataset_is_data_error(self, tmp_path, capsys):
         rc = cli_dispatch(["run-pipeline", str(tmp_path / "nope.json")])
@@ -520,7 +519,7 @@ class TestCli:
     def test_artifacts_do_not_depend_on_workers(self, small_run):
         self._same_at_one_and_four_workers(small_run)
 
-    @pytest.mark.parametrize("command", ["build-factbase", "gen-tree", "refine-tree"])
+    @pytest.mark.parametrize("command", ["refine-tree"])
     def test_stage1_artifacts_do_not_depend_on_workers(self, small_run, command):
         self._same_at_one_and_four_workers(small_run, command)
 
@@ -602,18 +601,18 @@ class TestCli:
         assert len(prompts) == len(set(prompts))
 
     def test_build_factbase_and_trees(self, small_run):
-        ds, cfg, tmp_path = small_run
-        for command, suffix in [
-            ("build-factbase", "factbase"),
-            ("gen-tree", "structure"),
-            ("refine-tree", "tree"),
-        ]:
-            out = tmp_path / command
-            rc = cli_dispatch([command, str(ds), "--config", str(cfg), "--out", str(out)])
-            assert rc == 0
-            assert (out / f"syn0000.{suffix}.json").exists()
+        """refine-tree writes each example's stamped stage-1 fact base and
+        tree, as ``stage1_states`` builds them on the same inputs."""
+        ds, cfg, _ = small_run
+        out = self._run_at(small_run, "refine", "refine-tree")
+        config = load_run_config(cfg)
+        stamp = {"config_hash": config.config_hash(), "seed": config.seed}
+        for qid, state in stage1_states(load_dataset(ds), config, MockBackend()).items():
+            tree = state.tree_versions[0].to_json_dict()
+            assert read_json(out / f"{qid}.factbase.json") == {**stamp, **state.base.to_json_dict()}
+            assert read_json(out / f"{qid}.tree.json") == {**stamp, **tree}
 
-    def test_gen_tree_writes_the_stage1_structure(self, small_run, monkeypatch):
+    def test_refine_tree_writes_the_stage1_structure(self, small_run, monkeypatch):
         ds, cfg, tmp_path = small_run
         tags = []
         complete = MockBackend.complete
@@ -623,17 +622,13 @@ class TestCli:
             return complete(self, request)
 
         monkeypatch.setattr(MockBackend, "complete", counting)
-        gen, refined = tmp_path / "gen", tmp_path / "refine"
-        for command, out in (("gen-tree", gen), ("refine-tree", refined)):
-            rc = cli_dispatch([command, str(ds), "--config", str(cfg), "--out", str(out)])
-            assert rc == 0
-            if command == "gen-tree":
-                assert tags.count("tree_structure") == 6  # one per example
+        out = tmp_path / "refine"
+        rc = cli_dispatch(["refine-tree", str(ds), "--config", str(cfg), "--out", str(out)])
+        assert rc == 0
+        assert tags.count("tree_structure") == 6  # one per example
         for example in load_dataset(ds):
-            dsl = json.loads((gen / f"{example.id}.structure.json").read_text())["dsl"]
-            tree = json.loads((refined / f"{example.id}.tree.json").read_text())
+            dsl = json.loads((out / f"{example.id}.tree.json").read_text())["dsl"]
             assert serialize_tree(parse_tree(dsl)) == dsl
-            assert dsl == serialize_tree(parse_tree(tree["dsl"]), include_texts=False)
 
     def test_train_writes_checkpoint(self, small_run):
         ds, cfg, tmp_path = small_run
@@ -752,9 +747,9 @@ class TestCli:
             predictions = json.loads((out / "predictions.json").read_text())["predictions"]
             assert [p["id"] for p in predictions] == left
         else:
-            suffix = _FAILED_LIST[command].split(".")[0]
-            written = sorted(p.name for p in out.glob(f"*.{suffix}.json"))
-            assert written == [f"{i}.{suffix}.json" for i in left]
+            for suffix in ("factbase", "tree"):
+                written = sorted(p.name for p in out.glob(f"*.{suffix}.json"))
+                assert written == [f"{i}.{suffix}.json" for i in left]
 
     @pytest.mark.parametrize(
         "fault, code",
@@ -788,7 +783,7 @@ class TestCli:
         assert json.loads((out / _FAILED_LIST[command]).read_text())["failed"] == sorted(ids)
         assert not (out / "checkpoint.json").exists()
         assert not (out / "predictions.json").exists()
-        if command in ("build-factbase", "gen-tree", "refine-tree"):
+        if command == "refine-tree":
             assert [p.name for p in out.iterdir()] == [_FAILED_LIST[command]]
 
     @pytest.mark.parametrize("command", sorted(_FAILED_LIST))
@@ -872,7 +867,8 @@ class TestCli:
     def test_negative_seed_flag_is_data_error(self, small_run, capsys):
         ds, cfg, tmp_path = small_run
         out = tmp_path / "out"
-        for argv in (["train", str(ds)], ["run-pipeline", str(ds)], ["route-demo"]):
+        eval_argv = ["eval", "--pred", str(tmp_path / "pred.json"), "--gold", str(ds)]
+        for argv in (["train", str(ds)], ["run-pipeline", str(ds)], eval_argv):
             argv += ["--config", str(cfg), "--seed", "-1", "--out", str(out)]
             assert cli_dispatch(argv) == 2
             err = capsys.readouterr().err
@@ -920,12 +916,6 @@ class TestCli:
         for (name, got), (_, want) in zip(loaded.blocks(), expected.blocks(), strict=True):
             assert got.dtype == want.dtype and np.array_equal(got, want), name
 
-    def test_route_demo(self, small_run, capsys):
-        _, cfg, _ = small_run
-        assert cli_dispatch(["route-demo", "--config", str(cfg)]) == 0
-        out = capsys.readouterr().out
-        assert "gate A" in out and "gate B" in out
-
     def test_seed_flag_overrides(self, small_run):
         """--seed and --backend give the config of the file with those keys
         set, and the file is still checked first."""
@@ -940,11 +930,15 @@ class TestCli:
         assert m1["config_hash"] != m2["config_hash"]
         data = {"seed": 11, "backend": "http", "moe": {"vocab_size": 512}}
         write_json(cfg, data)
-        argv = ["route-demo", "--config", str(cfg), "--seed", "3", "--backend", "mock"]
-        config = cli._load_config(cli._build_parser().parse_args(argv))
+        pred = tmp_path / "pred.json"
+        write_json(pred, {"predictions": []})
+        argv = ["eval", "--pred", str(pred), "--gold", str(ds), "--config", str(cfg), "--seed", "3"]
+        argv += ["--out", str(tmp_path / "eval")]
+        config = cli._load_config(cli._build_parser().parse_args(argv + ["--backend", "mock"]))
         assert config == run_config_from_dict({**data, "seed": 3, "backend": "mock"})
+        assert cli_dispatch(argv) == 0
         write_json(cfg, {"seed": -1})
-        assert cli_dispatch(["route-demo", "--config", str(cfg), "--seed", "3"]) == 2
+        assert cli_dispatch(argv) == 2
 
     def test_module_runs_as_a_script(self, tmp_path):
         src = Path(__file__).resolve().parent.parent / "src"
