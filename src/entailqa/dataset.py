@@ -4,7 +4,7 @@ Dataset files look like::
 
     {"examples": [{"id": ..., "question": ..., "answer": str | [str],
                    "evidence": [{"id", "modality", "content" | {"header","rows"},
-                                 "caption"?, "gold"?}],
+                                 "caption"?}],
                    "gold_support_ids"?: [...], "gold_tree"?: "fact1 -> answer"}]}
 
 Schema violations raise ``SchemaError`` carrying a JSON-pointer location.
@@ -127,7 +127,6 @@ class RunConfig:
     backend: str = "mock"
     seed: int = 0
     iteration_budget: int = 2
-    min_delta: float = 0.0
     validation_fraction: float = 0.25
     retrieval_top_n: int = 4
     decode_answer_len: int = 8
@@ -283,12 +282,7 @@ def _parse_evidence(data: dict, pointer: str) -> Evidence:
                 "text evidence needs non-empty content",
                 f"{pointer}/content",
             )
-    is_gold = data.get("gold")
-    if is_gold is not None:
-        _expect(isinstance(is_gold, bool), "gold must be a boolean", f"{pointer}/gold")
-    return Evidence(
-        id=ev_id, modality=modality, content=content, caption=caption, is_gold=is_gold
-    )
+    return Evidence(id=ev_id, modality=modality, content=content, caption=caption)
 
 
 def parse_example(data: dict, pointer: str) -> QAExample:

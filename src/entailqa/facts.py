@@ -59,7 +59,6 @@ class Evidence:
     modality: str
     content: object = ""  # str for text/image, Table for tables
     caption: Optional[str] = None
-    is_gold: Optional[bool] = None
 
     def __post_init__(self):
         if self.modality not in MODALITIES:

@@ -23,6 +23,7 @@ import urllib.parse
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
+from .dataset import RunConfig
 from .errors import BackendError, EmptyDecomposition, ParseError, TreeError, UnknownFactId
 from .facts import IMAGE, Evidence, FactBase, lookup_text, tokenize
 from .tree import EntailmentTree, parse_node_id, parse_tree
@@ -192,8 +193,10 @@ class MockBackend:
       ``what does <id> say about <first content words of the question>?``
     * decompose_atomic — splits the sub-question on `` and ``.
     * vqa — no shared word between question and caption gives "unknown";
-      a "color" cue picks the first color word in the caption; otherwise the
-      first caption content word absent from the question.
+      a "color" cue picks the first color word in the caption; a "many" or
+      "number" cue picks the first all-digit caption word; otherwise (or when
+      the cued word is absent) the first caption content word absent from
+      the question.
     * table_qa — picks the row sentence with the largest word overlap, then
       answers with the cell of a column named in the question whose value is
       not already part of the question; no such column gives "unknown". A
@@ -362,9 +365,9 @@ class HttpBackend:
         self,
         endpoint: Optional[str] = None,
         api_key: Optional[str] = None,
-        model: str = "gpt-3.5-turbo",
-        timeout: float = 60.0,
-        max_retries: int = 2,
+        model: str = RunConfig.http_model,
+        timeout: float = RunConfig.http_timeout,
+        max_retries: int = RunConfig.http_max_retries,
         retry_wait: float = 1.0,
     ):
         self.endpoint = endpoint or os.environ.get("ENTAIL_LLM_ENDPOINT", "")

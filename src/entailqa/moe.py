@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dataset import GATE_A, GATE_B, GateId, MoeConfig
+from .dataset import GATE_A, GATE_B, GateId, MoeConfig, TrainingConfig
 from .errors import LengthMismatch, NoFacts, NonFiniteLoss, SchemaError, SequenceTooLong
 from .facts import tokenize
 
@@ -229,12 +229,6 @@ class TrainItem:
             object.__setattr__(self, "n_tokens", len(seq))
             object.__setattr__(self, "bag_hashes", bag)
             object.__setattr__(self, "bag_counts", counts)
-
-    def without_frg(self) -> "TrainItem":
-        return replace(self, frg_targets=None)
-
-    def without_qa(self) -> "TrainItem":
-        return replace(self, qa_targets=None)
 
 
 def _check_queries(config: MoeConfig, count: int, noun: str) -> None:
@@ -856,7 +850,7 @@ def backward_and_step(
     config: MoeConfig,
     batch: Sequence[TrainItem],
     learning_rate: float,
-    weight_decay: float = 0.01,
+    weight_decay: float = TrainingConfig.weight_decay,
 ) -> tuple[MoeParams, float]:
     """One AdamW step on the joint loss; params are updated in place.
 

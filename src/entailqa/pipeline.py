@@ -113,7 +113,7 @@ class PipelineState:
 
 
 def run_stage1(
-    example: QAExample, backend: Backend, top_n: int = 4
+    example: QAExample, backend: Backend, top_n: int = RunConfig.retrieval_top_n
 ) -> tuple[FactBase, EntailmentTree]:
     """Retrieve, decompose, answer per modality, refine facts, build the tree."""
     if not example.evidence:
@@ -236,7 +236,9 @@ def _record_version(
 
 
 def predict_states(
-    states: Iterable[PipelineState], params: MoeParams, decode_answer_len: int = 8
+    states: Iterable[PipelineState],
+    params: MoeParams,
+    decode_answer_len: int = RunConfig.decode_answer_len,
 ) -> None:
     """Stage-2 inference for every tree version not yet decoded, over every
     state that has not failed, on the calling thread.
@@ -269,7 +271,9 @@ def predict_states(
 
 
 def predict_pending(
-    state: PipelineState, params: MoeParams, decode_answer_len: int = 8
+    state: PipelineState,
+    params: MoeParams,
+    decode_answer_len: int = RunConfig.decode_answer_len,
 ) -> None:
     """``predict_states`` for one state."""
     predict_states([state], params, decode_answer_len)
@@ -307,13 +311,11 @@ def run_feedback_iteration(state: PipelineState, backend: Backend) -> PipelineSt
     return state
 
 
-def should_stop(
-    scores: Sequence[float], budget: int, min_delta: float = 0.0
-) -> tuple[bool, Optional[str]]:
+def should_stop(scores: Sequence[float], budget: int) -> tuple[bool, Optional[str]]:
     """Stop on a flat validation metric, else on the iteration budget."""
     if not scores:
         raise ValueError("need at least one validation score")
-    if len(scores) >= 2 and scores[-1] - scores[-2] <= min_delta:
+    if len(scores) >= 2 and scores[-1] <= scores[-2]:
         return True, STOP_NO_IMPROVEMENT
     if len(scores) >= budget:
         return True, STOP_BUDGET
@@ -356,8 +358,8 @@ def train(
     if not items:
         return []
     rng = np.random.default_rng(config.seed)
-    frg_pool = [item.without_qa() for item in items if item.frg_targets]
-    qa_pool = [item.without_frg() for item in items if item.qa_targets]
+    frg_pool = [replace(item, qa_targets=None) for item in items if item.frg_targets]
+    qa_pool = [replace(item, frg_targets=None) for item in items if item.qa_targets]
     curve = []
     for _ in range(config.training.steps):
         batch: list[TrainItem] = []
@@ -488,7 +490,7 @@ def run_pipeline(
         if em is None:
             reason = STOP_NO_VALIDATION
         else:
-            _, reason = should_stop(history, config.iteration_budget, config.min_delta)
+            _, reason = should_stop(history, config.iteration_budget)
     for state in states.values():
         if not state.failed:
             state.stopped_reason = reason

@@ -15,13 +15,7 @@ from typing import Iterable
 from .errors import MissingText
 from .facts import FactBase, lookup_text
 from .llm import Backend, infer_intermediate
-from .tree import (
-    LEAF,
-    EntailmentStep,
-    EntailmentTree,
-    NodeId,
-    split_subtrees,
-)
+from .tree import LEAF, EntailmentStep, EntailmentTree, NodeId, canonical_steps
 
 
 def refine(
@@ -50,13 +44,13 @@ def refine(
     }
     # children-before-parents order guarantees premises are filled on arrival
     conclusion_texts: dict[NodeId, str] = {}
-    for conclusion, premises in split_subtrees(structure):
+    for step in canonical_steps(structure):
         premise_texts = tuple(
-            texts[p] if p.kind == LEAF else conclusion_texts[p] for p in premises
+            texts[p] if p.kind == LEAF else conclusion_texts[p] for p in step.premises
         )
         if premise_texts not in inferred:
             inferred[premise_texts] = infer_intermediate(backend, list(premise_texts))
-        conclusion_texts[conclusion] = inferred[premise_texts]
+        conclusion_texts[step.conclusion] = inferred[premise_texts]
 
     steps = tuple(
         EntailmentStep(s.premises, s.conclusion, conclusion_texts[s.conclusion])
@@ -76,16 +70,16 @@ def tree_to_text(tree: EntailmentTree) -> str:
     concludes with the root text.
     """
     sentences = []
-    for conclusion, premises in split_subtrees(tree):
+    for step in canonical_steps(tree):
         parts = []
-        for p in premises:
+        for p in step.premises:
             text = tree.node_text(p)
             if not text:
                 raise MissingText(f"{p} has no text")
             parts.append(text)
-        conclusion_text = tree.node_text(conclusion)
+        conclusion_text = step.conclusion_text
         if not conclusion_text:
-            raise MissingText(f"{conclusion} has no text")
+            raise MissingText(f"{step.conclusion} has no text")
         sentences.append(
             f"because {' and '.join(parts)}, we conclude {conclusion_text}."
         )

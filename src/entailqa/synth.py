@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import random
 
-from .dataset import QAExample, dataset_from_dict
+from .dataset import QAExample, RunConfig, dataset_from_dict
 from .facts import Evidence, retrieve_evidence
 from .tree import (
     ANSWER,
+    MAX_NODES,
     EntailmentStep,
     EntailmentTree,
     NodeId,
@@ -61,50 +62,40 @@ def random_tree(
 
     ``texts``: "none" leaves every text unset, "conclusions" fills only
     intermediate/root texts (what the DSL serializes), "full" also fills
-    leaf texts.
+    leaf texts. Raises ``ValueError``, before any draw, when a tree of
+    ``max_leaves`` leaves each under its own chain of one-child steps would
+    exceed ``MAX_NODES``.
     """
+    if max_leaves * max_depth + 1 > MAX_NODES:
+        raise ValueError(f"max_leaves * max_depth + 1 exceeds MAX_NODES ({MAX_NODES})")
     leaf_budget = rng.randint(1, max_leaves)
     leaf_counter = [0]
     int_counter = [0]
     steps: list[EntailmentStep] = []
 
-    def build(depth: int, budget: int) -> NodeId:
-        if depth >= max_depth or budget == 1 or rng.random() < 0.35:
+    def build(depth: int, budget: int) -> tuple[NodeId, int]:
+        """The node at ``depth`` (0 is the root) and its leaf count."""
+        if depth and (depth >= max_depth or budget == 1 or rng.random() < 0.35):
             leaf_counter[0] += 1
-            return leaf_id(leaf_counter[0])
+            return leaf_id(leaf_counter[0]), 1
         n_children = rng.randint(1, min(3, budget))
         children = []
         used = 0
         for i in range(n_children):
             reserve = n_children - i - 1
-            child = build(depth + 1, budget - used - reserve)
+            child, n_leaves = build(depth + 1, budget - used - reserve)
             children.append(child)
-            used += _leaves_under(child)
-        int_counter[0] += 1
-        node = intermediate_id(int_counter[0])
-        steps.append(_step(children, node))
-        return node
-
-    def _leaves_under(node: NodeId) -> int:
-        if node.kind == "leaf":
-            return 1
-        premises = next(s.premises for s in steps if s.conclusion == node)
-        return sum(_leaves_under(p) for p in premises)
-
-    def _step(premises: list[NodeId], conclusion: NodeId) -> EntailmentStep:
+            used += n_leaves
+        if depth:
+            int_counter[0] += 1
+            node = intermediate_id(int_counter[0])
+        else:
+            node = ANSWER
         text = random_sentence(rng) if texts in ("conclusions", "full") else None
-        return EntailmentStep(tuple(premises), conclusion, text)
+        steps.append(EntailmentStep(tuple(children), node, text))
+        return node, used
 
-    n_children = rng.randint(1, min(3, leaf_budget))
-    children = []
-    used = 0
-    for i in range(n_children):
-        reserve = n_children - i - 1
-        child = build(1, leaf_budget - used - reserve)
-        children.append(child)
-        used += _leaves_under(child)
-    steps.append(_step(children, ANSWER))
-
+    build(0, leaf_budget)
     leaves = {
         leaf_id(i): random_sentence(rng) if texts == "full" else None
         for i in range(1, leaf_counter[0] + 1)
@@ -119,7 +110,9 @@ _DISTRACTORS = 3  # distractor sentences per example
 _TWO_HOP_FRACTION = 0.5
 
 
-def synthetic_corpus(n_examples: int, seed: int = 0, retrieval_top_n: int = 4) -> dict:
+def synthetic_corpus(
+    n_examples: int, seed: int = 0, retrieval_top_n: int = RunConfig.retrieval_top_n
+) -> dict:
     """Dataset-JSON dict of attribute-lookup questions with gold trees.
 
     Gold trees reference the fact ids that the deterministic retrieval order

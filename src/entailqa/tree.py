@@ -1,4 +1,4 @@
-"""Entailment tree DSL: parse, validate, serialize, split, and score.
+"""Entailment tree DSL: parse, validate, serialize, and score.
 
 A tree is written as semicolon-separated steps, e.g.::
 
@@ -301,7 +301,8 @@ def _parse_step(segment: str) -> EntailmentStep:
 # --- serialization --------------------------------------------------------------
 
 
-def _canonical_steps(tree: EntailmentTree) -> list[EntailmentStep]:
+def canonical_steps(tree: EntailmentTree) -> list[EntailmentStep]:
+    """The steps children-before-parents: deepest conclusion first, ties by id."""
     depths = tree.depths()
     return sorted(
         tree.steps, key=lambda s: (-depths[s.conclusion], s.conclusion)
@@ -311,20 +312,13 @@ def _canonical_steps(tree: EntailmentTree) -> list[EntailmentStep]:
 def serialize_tree(tree: EntailmentTree, include_texts: bool = True) -> str:
     """Canonical printer: steps children-before-parents, premises in id order."""
     parts = []
-    for step in _canonical_steps(tree):
+    for step in canonical_steps(tree):
         lhs = " & ".join(p.render() for p in sorted(step.premises))
         rhs = step.conclusion.render()
         if include_texts and step.conclusion_text is not None:
             rhs = f"{rhs}: {step.conclusion_text}"
         parts.append(f"{lhs} -> {rhs}")
     return "; ".join(parts)
-
-
-def split_subtrees(tree: EntailmentTree) -> list[tuple[NodeId, list[NodeId]]]:
-    """One (conclusion, direct children) entry per step, deepest first."""
-    return [
-        (step.conclusion, list(step.premises)) for step in _canonical_steps(tree)
-    ]
 
 
 # --- scoring --------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entailqa import cli
+from entailqa import cli, llm, moe, pipeline, synth
 from entailqa.cli import cli_dispatch
 from entailqa.dataset import (
     RunConfig,
@@ -120,6 +121,11 @@ class TestLoadDataset:
             dataset_from_dict(data)
         assert "/examples/1/evidence/0/content/rows/0" in str(excinfo.value)
 
+    def test_evidence_gold_key_is_ignored(self):
+        data = _fixture_dict()
+        data["examples"][2]["evidence"][0]["gold"] = "yes"
+        assert dataset_from_dict(data) == dataset_from_dict(_fixture_dict())
+
     def test_duplicate_example_ids(self):
         data = _fixture_dict()
         data["examples"][1]["id"] = "a"
@@ -169,6 +175,23 @@ class TestLoadDataset:
             load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "function, parameter, default",
+    [
+        (llm.HttpBackend, "model", RunConfig.http_model),
+        (llm.HttpBackend, "timeout", RunConfig.http_timeout),
+        (llm.HttpBackend, "max_retries", RunConfig.http_max_retries),
+        (pipeline.run_stage1, "top_n", RunConfig.retrieval_top_n),
+        (pipeline.predict_states, "decode_answer_len", RunConfig.decode_answer_len),
+        (pipeline.predict_pending, "decode_answer_len", RunConfig.decode_answer_len),
+        (moe.backward_and_step, "weight_decay", TrainingConfig.weight_decay),
+        (synth.synthetic_corpus, "retrieval_top_n", RunConfig.retrieval_top_n),
+    ],
+)
+def test_keyword_default_is_the_config_default(function, parameter, default):
+    assert inspect.signature(function).parameters[parameter].default == default
+
+
 class TestRunConfig:
     def test_defaults(self):
         config = RunConfig()
@@ -179,7 +202,7 @@ class TestRunConfig:
         assert config.moe.top_k == 2
         assert MoeConfig() == config.moe
         assert run_config_from_dict({}) == config
-        assert config.config_hash() == "cae55212a543"
+        assert config.config_hash() == "22acfd7da60f"
 
     def test_file_seed_matches_library_seed(self):
         config, library = run_config_from_dict({"seed": 5}), RunConfig(seed=5)
@@ -191,6 +214,9 @@ class TestRunConfig:
 
     def test_deleted_http_max_in_flight_is_ignored(self):
         assert run_config_from_dict({"http_max_in_flight": 0}) == RunConfig()
+
+    def test_deleted_min_delta_is_ignored(self):
+        assert run_config_from_dict({"min_delta": 0.05}) == RunConfig()
 
     def test_hash_is_stable_and_sensitive(self):
         a = run_config_from_dict({"seed": 1})
@@ -230,7 +256,6 @@ class TestRunConfig:
             backend="http",
             seed=9,
             iteration_budget=4,
-            min_delta=0.01,
             validation_fraction=0.5,
             retrieval_top_n=3,
             decode_answer_len=5,
@@ -399,10 +424,10 @@ class TestCli:
         "text",
         [
             '{"training": {"learning_rate": NaN}}',
-            '{"min_delta": -Infinity}',
-            '{"min_delta": 1e999}',
+            '{"validation_fraction": -Infinity}',
+            '{"validation_fraction": 1e999}',
             '{"training": {"learning_rate": "nan"}}',
-            '{"min_delta": "-inf"}',
+            '{"validation_fraction": "-inf"}',
         ],
     )
     def test_non_finite_number_is_data_error(self, small_run, tmp_path, capsys, text):

@@ -162,6 +162,18 @@ class TestVqa:
         answer = vqa_answer(mock_backend, "when did gold rust", image_evidence)
         assert answer == "unknown"
 
+    @pytest.mark.parametrize(
+        "caption, expected",
+        [
+            ("two horses graze in a field with 3 foals", "3"),
+            ("brown horses graze in the field", "brown"),
+        ],
+    )
+    def test_count_keyword(self, mock_backend, caption, expected):
+        ev = Evidence(id="i", modality="image", content="", caption=caption)
+        answer = vqa_answer(mock_backend, "how many horses graze in the field", ev)
+        assert answer == expected
+
     def test_head_noun_fallback(self, mock_backend):
         ev = Evidence(id="i", modality="image", content="", caption="a falcon over the reef")
         answer = vqa_answer(mock_backend, "what flies over the reef", ev)

@@ -591,7 +591,9 @@ def seeded_items(n, vocab, seed=0):
 
 def split_batch(items, n_frg):
     """The training step's batch shape: retrieval-only items, then answer-only."""
-    return [i.without_qa() for i in items[:n_frg]] + [i.without_frg() for i in items[n_frg:]]
+    return [replace(i, qa_targets=None) for i in items[:n_frg]] + [
+        replace(i, frg_targets=None) for i in items[n_frg:]
+    ]
 
 
 @pytest.fixture
@@ -664,7 +666,7 @@ class TestBatchedStep:
         item = TrainItem("the falcon is fast", "what is fast?", ("a b", ""), (0,), None)
         assert item.n_tokens == 7
         assert [len(h) for h in item.fact_hashes] == [2, 0]
-        assert item.without_qa().bag_hashes is item.bag_hashes
+        assert replace(item, qa_targets=None).bag_hashes is item.bag_hashes
         seq = core._token_hashes("the falcon is fast what is fast?")
         assert [1 + int(h) % 31 for h in seq] == token_ids("the falcon is fast what is fast?", 32)
         bag, counts = np.unique(seq, return_counts=True)
@@ -684,8 +686,8 @@ class TestBatchedStep:
         examples = synthetic_examples(200, seed=11)
         states = stage1_states(examples, config, MockBackend())
         items = build_train_items(examples, states, config.moe)
-        batch = [i.without_qa() for i in items if i.frg_targets][:32]
-        batch += [i.without_frg() for i in items if i.qa_targets][:12]
+        batch = [replace(i, qa_targets=None) for i in items if i.frg_targets][:32]
+        batch += [replace(i, frg_targets=None) for i in items if i.qa_targets][:12]
         params = MoeParams.init(config.moe, config.seed)
         for _ in range(3):
             batch_gradients(params, config.moe, batch)

@@ -412,10 +412,6 @@ class TestShouldStop:
     def test_single_score_continues(self):
         assert should_stop([0.50], 2) == (False, None)
 
-    def test_min_delta(self):
-        assert should_stop([0.50, 0.54], 5, 0.05) == (True, STOP_NO_IMPROVEMENT)
-        assert should_stop([0.50, 0.60], 5, 0.05) == (False, None)
-
     def test_needs_scores(self):
         with pytest.raises(ValueError):
             should_stop([], 2)

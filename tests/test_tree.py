@@ -12,13 +12,13 @@ from entailqa.tree import (
     EntailmentTree,
     NodeId,
     TreeScore,
+    canonical_steps,
     intermediate_id,
     leaf_id,
     leaf_preorder,
     parse_tree,
     score_tree,
     serialize_tree,
-    split_subtrees,
 )
 
 
@@ -145,16 +145,30 @@ class TestSerialize:
             EntailmentStep((leaf_id(1),), ANSWER, "x; fact2 -> int9 y")
 
 
+def test_random_tree_rejects_bounds_past_the_node_limit():
+    # 32 leaves each under its own chain of five one-child steps, plus the
+    # root, would be 193 nodes; seed 476 draws a 65-node tree at these bounds
+    rng = random.Random(476)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        random_tree(rng, 6, 32, texts="none")
+    assert rng.getstate() == state
+
+
+def _step_pairs(tree):
+    return [(s.conclusion, s.premises) for s in canonical_steps(tree)]
+
+
 class TestSplit:
     def test_single_subtree(self):
         tree = parse_tree("fact1 & fact2 -> answer")
-        assert split_subtrees(tree) == [(ANSWER, [leaf_id(1), leaf_id(2)])]
+        assert _step_pairs(tree) == [(ANSWER, (leaf_id(1), leaf_id(2)))]
 
     def test_children_before_parents(self):
         tree = parse_tree("fact1 & fact2 -> int1: X; int1 & fact3 -> answer")
-        assert split_subtrees(tree) == [
-            (intermediate_id(1), [leaf_id(1), leaf_id(2)]),
-            (ANSWER, [intermediate_id(1), leaf_id(3)]),
+        assert _step_pairs(tree) == [
+            (intermediate_id(1), (leaf_id(1), leaf_id(2))),
+            (ANSWER, (intermediate_id(1), leaf_id(3))),
         ]
 
     def test_split_covers_exactly_the_step_set(self):
@@ -163,7 +177,7 @@ class TestSplit:
             tree = random_tree(rng)
             entries = {
                 (conclusion, frozenset(premises))
-                for conclusion, premises in split_subtrees(tree)
+                for conclusion, premises in _step_pairs(tree)
             }
             steps = {
                 (s.conclusion, frozenset(s.premises)) for s in tree.steps
@@ -174,7 +188,7 @@ class TestSplit:
         tree = parse_tree(
             "fact1 -> int1; fact2 & int1 -> int2; fact3 -> int3; int2 & int3 -> answer"
         )
-        conclusions = [c for c, _ in split_subtrees(tree)]
+        conclusions = [s.conclusion for s in canonical_steps(tree)]
         depths = tree.depths()
         assert all(
             depths[a] >= depths[b]
