@@ -29,6 +29,7 @@ from .facts import IMAGE, Evidence, FactBase, lookup_text, tokenize
 from .tree import EntailmentTree, parse_node_id, parse_tree
 
 FEEDBACK_WORD_BUDGET = 200
+_PAIR_SEP = " answer: "  # between the question and the answer of a refine_fact pair
 
 # --- prompt templates ---------------------------------------------------------
 
@@ -62,9 +63,9 @@ TEMPLATES: dict[str, str] = {
         "passage: {passage}"
     ),
     "refine_fact": (
-        "Rewrite the question and its answer as one short declarative sentence.\n\n"
-        "question: {question}\n"
-        "answer: {answer}"
+        "Rewrite each question and its answer as one short declarative sentence.\n"
+        "Reply with a numbered list only, one sentence per pair, in the order of the pairs.\n\n"
+        "pairs:\n{pairs_block}"
     ),
     "tree_structure": (
         "Build an entailment tree that explains the hypothesis from the numbered facts.\n"
@@ -149,6 +150,11 @@ _FEEDBACK_IDS = re.compile(r"Facts:(?P<ids>.*?)  Answer:")
 _ROW_PREFIX = re.compile(r"^row \S+'s ")
 _ROW_TEXT = r'"(?:[^"\\]|\\.)*"|.*?'  # a JSON string, else the shortest text
 _ROW_CELL = re.compile(rf"(?P<col>{_ROW_TEXT}) is (?P<cell>{_ROW_TEXT})(?:, |\Z)")
+_WH_OF = re.compile(
+    r"(?:what|which|who|whose|where|when|how)\s+(.+?)\s+(?:is|are|was|were)\s+(.+)$",
+    re.IGNORECASE,
+)
+_WH_IS = re.compile(r"(?:what|who|where|when)\s+(?:is|are|was|were)\s+(.+)$", re.IGNORECASE)
 
 
 def _content_words(text: str) -> list[str]:
@@ -180,6 +186,29 @@ def _unquoted(text: str) -> str:
     return json.loads(text) if text.startswith('"') else text
 
 
+def _pair(line: str) -> tuple[str, str]:
+    """The (question, answer) of a ``refine_fact`` line ``N. question: <q> answer: <a>``."""
+    rest = line.partition("question: ")[2]
+    if rest.startswith('"'):
+        question, end = json.JSONDecoder().raw_decode(rest)
+        answer = rest[end:].removeprefix(_PAIR_SEP)
+    else:
+        question, _, answer = rest.partition(_PAIR_SEP)
+    return question, _unquoted(answer)
+
+
+def _restate(question: str, answer: str) -> str:
+    """The mock's declarative restatement of one (question, answer) pair."""
+    question = question.rstrip("?").strip()
+    m = _WH_OF.match(question)
+    if m:
+        return f"the {m.group(1)} of {m.group(2)} is {answer}."
+    m = _WH_IS.match(question)
+    if m:
+        return f"{m.group(1)} is {answer}."
+    return f'the answer to "{question}" is {answer}.'
+
+
 def _fact_ids(prompt: str) -> list[str]:
     return [line.split(": ", 1)[0] for line in _block(prompt, "facts")]
 
@@ -203,8 +232,10 @@ class MockBackend:
       name or cell in double quotes is read as a JSON string.
     * text_qa — best-overlap passage sentence, answer = its first content
       words (up to four) that are absent from the question, else "unknown".
-    * refine_fact — restates wh-questions declaratively, e.g.
+    * refine_fact — restates each numbered (question, answer) pair
+      declaratively, one numbered line per pair, e.g.
       ("what color is the horse", "brown") -> "the color of the horse is brown."
+      A question or answer in double quotes is read as a JSON string.
     * tree_structure — a scripted tree per question id when configured, else
       a right-leaning chain over all facts.
     * feedback — a chain over exactly the fact ids named on the feedback
@@ -283,24 +314,8 @@ class MockBackend:
         return " ".join(answer) if answer else "unknown"
 
     def _do_refine_fact(self, prompt: str) -> str:
-        question = _field_line(prompt, "question").rstrip("?").strip()
-        answer = _field_line(prompt, "answer")
-        m = re.match(
-            r"(?:what|which|who|whose|where|when|how)\s+(.+?)\s+"
-            r"(?:is|are|was|were)\s+(.+)$",
-            question,
-            re.IGNORECASE,
-        )
-        if m:
-            return f"the {m.group(1)} of {m.group(2)} is {answer}."
-        m = re.match(
-            r"(?:what|who|where|when)\s+(?:is|are|was|were)\s+(.+)$",
-            question,
-            re.IGNORECASE,
-        )
-        if m:
-            return f"{m.group(1)} is {answer}."
-        return f'the answer to "{question}" is {answer}.'
+        facts = (_restate(*_pair(line)) for line in _block(prompt, "pairs"))
+        return "\n".join(f"{i}. {fact}" for i, fact in enumerate(facts, start=1))
 
     def _do_tree_structure(self, prompt: str) -> str:
         try:
@@ -343,6 +358,8 @@ class MockBackend:
 
 # --- HTTP backend ------------------------------------------------------------------
 
+_MAX_REPLY_BYTES = 1 << 20  # a 512-token reply is a few KB
+
 
 class HttpBackend:
     """Chat-completion-style HTTP backend.
@@ -350,10 +367,10 @@ class HttpBackend:
     POSTs ``{"model", "messages", "temperature": 0.0, "max_tokens": 512}``
     with a bearer key and reads the string ``choices[0].message.content``.
     Retries server errors, 429 (rate limited), transport faults and malformed
-    replies up to ``max_retries`` times, waiting ``retry_wait`` times the
-    attempt number, or what a 429/503 response's delta-seconds
-    ``Retry-After`` asks for, capped at ``timeout``, then raises
-    ``BackendError``. Every
+    replies (a body longer than ``_MAX_REPLY_BYTES``, 1 MiB, is one) up to
+    ``max_retries`` times, waiting ``retry_wait`` times the attempt number,
+    or what a 429/503 response's delta-seconds ``Retry-After`` asks for,
+    capped at ``timeout``, then raises ``BackendError``. Every
     request/response pair is appended to ``exchange_log`` tagged with the
     template name. Construction raises ``BackendError``, before any request,
     for an endpoint that is not an http(s) URL with a host and a valid port
@@ -425,7 +442,12 @@ class HttpBackend:
             wait = self.retry_wait * (attempt + 1)
             try:
                 with self._request.urlopen(req, timeout=self.timeout) as resp:
-                    payload = json.loads(resp.read().decode("utf-8"))
+                    raw = resp.read(_MAX_REPLY_BYTES + 1)
+                    if len(raw) > _MAX_REPLY_BYTES:
+                        raise ValueError(f"reply longer than {_MAX_REPLY_BYTES} bytes")
+                    if resp.length:  # the body ended before its Content-Length
+                        raise self._client.IncompleteRead(raw, resp.length)
+                payload = json.loads(raw.decode("utf-8"))
                 text = payload["choices"][0]["message"]["content"]
                 if not isinstance(text, str):
                     raise TypeError(f"content is {type(text).__name__}, not a string")
@@ -443,7 +465,7 @@ class HttpBackend:
                 if after is not None:
                     wait = min(after, self.timeout)
             except (OSError, self._client.HTTPException, ValueError, LookupError,
-                    TypeError) as exc:  # transport, encoding or reply shape
+                    TypeError, RecursionError) as exc:  # transport, encoding or reply shape
                 last_error = exc
             if attempt < self.max_retries and wait:
                 time.sleep(wait)
@@ -571,11 +593,37 @@ def text_qa(backend: Backend, sub_question: str, passage: str) -> str:
     return _call(backend, "text_qa", prompt, _parse_short)
 
 
-def refine_to_fact(backend: Backend, question: str, answer: str) -> str:
-    if not question.strip() or not answer.strip():
-        raise ValueError("refine_to_fact needs a question and an answer")
-    prompt = render("refine_fact", question=question, answer=answer)
-    return _call(backend, "refine_fact", prompt, _parse_short)
+def refine_to_facts(backend: Backend, pairs: list[tuple[str, str]]) -> list[str]:
+    """One declarative fact per (question, answer) pair, in order, from one call.
+
+    Each pair is one numbered line ``N. question: <q> answer: <a>``; a text
+    that starts with '"' or holds " answer:" goes as a JSON string. A reply
+    that does not number one fact per pair is a ``ParseError``.
+    """
+    if not pairs or not all(question.strip() and answer.strip() for question, answer in pairs):
+        raise ValueError("refine_to_facts needs pairs, each with a question and an answer")
+    block = [
+        f"{i}. question: {_pair_text(question)}{_PAIR_SEP}{_pair_text(answer)}"
+        for i, (question, answer) in enumerate(pairs, start=1)
+    ]
+
+    def parser(response: str) -> list[str]:
+        facts = _parse_numbered(response)
+        if len(facts) != len(pairs):
+            raise ParseError(f"{len(facts)} facts for {len(pairs)} pairs: {response!r}")
+        return facts
+
+    prompt = render("refine_fact", pairs_block=block)
+    return _call(backend, "refine_fact", prompt, parser)
+
+
+def _pair_text(text: str) -> str:
+    """``text`` on one line, as a JSON string when a reader could take it for
+    a quoted text or split it at a wrong " answer: "."""
+    text = _one_line(text)
+    if text.startswith('"') or _PAIR_SEP.rstrip() in text:
+        return json.dumps(text, ensure_ascii=False)
+    return text
 
 
 def generate_tree_structure(

@@ -29,7 +29,7 @@ from .llm import (
     decompose_atomic,
     decompose_question,
     generate_tree_structure,
-    refine_to_fact,
+    refine_to_facts,
     table_qa,
     text_qa,
     vqa_answer,
@@ -115,29 +115,32 @@ class PipelineState:
 def run_stage1(
     example: QAExample, backend: Backend, top_n: int = RunConfig.retrieval_top_n
 ) -> tuple[FactBase, EntailmentTree]:
-    """Retrieve, decompose, answer per modality, refine facts, build the tree."""
+    """Retrieve, decompose, answer per modality, refine every answer to a fact
+    in one call, build the tree."""
     if not example.evidence:
         raise EmptyEvidence(f"example {example.id} has no evidence")
     retrieved = retrieve_evidence(example.question, list(example.evidence), top_n)
     by_id = {ev.id: ev for ev in retrieved}
 
-    base = FactBase(example.id)
+    sources, pairs = [], []  # the evidence of each (question, answer) pair
     for sub in decompose_question(backend, example.question, retrieved):
         ev = by_id[sub.evidence_id]
         if ev.modality == IMAGE:
-            # lazy: each atomic question is answered just before its fact is refined
-            pairs = (
+            answered = [
                 (atomic, vqa_answer(backend, atomic, ev))
                 for atomic in decompose_atomic(backend, sub.question, ev)
-            )
+            ]
         elif ev.modality == TABLE:
             rows = linearize_table(ev.content)
-            pairs = [(sub.question, table_qa(backend, sub.question, rows))]
+            answered = [(sub.question, table_qa(backend, sub.question, rows))]
         else:
-            pairs = [(sub.question, text_qa(backend, sub.question, str(ev.content)))]
-        for question, answer in pairs:
-            text = refine_to_fact(backend, question, answer)
-            base = add_fact(base, text, ev.modality, ev.id, origin=(question, answer))
+            answered = [(sub.question, text_qa(backend, sub.question, str(ev.content)))]
+        sources += [ev] * len(answered)
+        pairs += answered
+
+    base = FactBase(example.id)
+    for ev, pair, text in zip(sources, pairs, refine_to_facts(backend, pairs)):
+        base = add_fact(base, text, ev.modality, ev.id, origin=pair)
 
     structure = generate_tree_structure(backend, example.question, base)
     return base, refine(structure, base, backend)

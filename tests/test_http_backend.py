@@ -298,8 +298,13 @@ def _response(body: bytes, length: int = -1) -> bytes:
         _response(b"[1]"),
         _response(b'{"choices": "x"}'),
         _response(b'{"choices": [{"message": {"content": 5}}]}'),  # content not a string
+        _response(b"[" * 200_000),  # json.loads raises RecursionError
+        _response(b'{"choices": [{"message": {"content": "x"}}]}', length=100),  # valid, but short
     ],
-    ids=["disconnect", "status-line", "truncated", "not-utf8", "null", "list", "choices-str", "content-int"],
+    ids=[
+        "disconnect", "status-line", "truncated", "not-utf8", "null", "list", "choices-str",
+        "content-int", "deep-nesting", "truncated-json",
+    ],
 )
 def test_malformed_traffic_is_retried_then_backend_error(reply):
     stub = _RawStub(reply)
@@ -312,3 +317,19 @@ def test_malformed_traffic_is_retried_then_backend_error(reply):
     assert not stub.thread.is_alive()
     assert stub.requests == 2
     assert backend.exchange_log == []
+
+
+def test_reply_longer_than_the_cap_is_retried_then_backend_error(monkeypatch):
+    body = b'{"choices": [{"message": {"content": "ok"}}]}'
+    stub = _RawStub(_response(body))
+    try:
+        backend = HttpBackend(endpoint=stub.url, api_key="k", max_retries=1, retry_wait=0.0)
+        monkeypatch.setattr(llm, "_MAX_REPLY_BYTES", len(body))
+        assert backend.complete(BackendRequest(prompt="p", tag="vqa")) == "ok"
+        monkeypatch.setattr(llm, "_MAX_REPLY_BYTES", len(body) - 1)
+        with pytest.raises(BackendError, match=f"reply longer than {len(body) - 1} bytes"):
+            backend.complete(BackendRequest(prompt="p", tag="vqa"))
+    finally:
+        stub.close()
+    assert stub.requests == 3
+    assert len(backend.exchange_log) == 1

@@ -12,7 +12,7 @@ from entailqa.llm import (
     decompose_question,
     generate_tree_structure,
     infer_intermediate,
-    refine_to_fact,
+    refine_to_facts,
     render,
     table_qa,
     text_qa,
@@ -265,26 +265,74 @@ class TestTextQa:
             text_qa(mock_backend, "q?", "  ")
 
 
+# One-line texts, weighted towards what a refine_fact pair line could be misread at.
+_PAIR_TEXT = (
+    st.lists(st.sampled_from(["answer:", " answer: ", "question: ", '"', "\\", "?", " ", "ü", "x"]), max_size=6)
+    .map("".join)
+    | st.text()
+).map(lambda text: " ".join(text.split())).filter(bool)
+
+
 class TestRefineToFact:
     def test_wh_attribute_restatement(self, mock_backend):
-        out = refine_to_fact(mock_backend, "what color is the horse", "brown")
-        assert out == "the color of the horse is brown."
+        out = refine_to_facts(mock_backend, [("what color is the horse", "brown")])
+        assert out == ["the color of the horse is brown."]
 
     def test_wh_copula_restatement(self, mock_backend):
-        out = refine_to_fact(mock_backend, "what is the capital of France?", "Paris")
-        assert out == "the capital of France is Paris."
+        out = refine_to_facts(mock_backend, [("what is the capital of France?", "Paris")])
+        assert out == ["the capital of France is Paris."]
 
     def test_fallback_restatement(self, mock_backend):
-        out = refine_to_fact(mock_backend, "does the horse race", "yes")
-        assert out == 'the answer to "does the horse race" is yes.'
+        out = refine_to_facts(mock_backend, [("does the horse race", "yes")])
+        assert out == ['the answer to "does the horse race" is yes.']
 
     def test_unknown_answer_still_returned(self, mock_backend):
-        out = refine_to_fact(mock_backend, "what color is the horse", "unknown")
-        assert "unknown" in out
+        out = refine_to_facts(mock_backend, [("what color is the horse", "unknown")])
+        assert "unknown" in out[0]
 
     def test_empty_answer_precondition(self, mock_backend):
         with pytest.raises(ValueError):
-            refine_to_fact(mock_backend, "q?", "")
+            refine_to_facts(mock_backend, [("what color is the horse", "brown"), ("q?", "")])
+        with pytest.raises(ValueError):
+            refine_to_facts(mock_backend, [])
+
+    def test_every_pair_in_one_call_in_order(self):
+        backend = RecordingBackend()
+        pairs = [("what color is the horse", "brown"), ("does the horse race", "yes")]
+        out = refine_to_facts(backend, pairs)
+        assert out == ["the color of the horse is brown.", 'the answer to "does the horse race" is yes.']
+        assert [tag for tag, _ in backend.prompts] == ["refine_fact"]
+
+    @pytest.mark.parametrize("reply", ["1. a.", "1. a.\n2. b.\n3. c."], ids=["too-few", "too-many"])
+    def test_wrong_fact_count_is_asked_once_more(self, reply):
+        pairs = [("q1?", "a"), ("q2?", "b")]
+        backend = CannedBackend(reply, "1. x.\n2. y.")
+        assert refine_to_facts(backend, pairs) == ["x.", "y."]
+        assert backend.calls == 2
+        backend = CannedBackend(reply)
+        with pytest.raises(ParseError, match="facts for 2 pairs"):
+            refine_to_facts(backend, pairs)
+        assert backend.calls == 2  # exactly one retry
+
+    def test_separator_in_question_or_answer_round_trips(self, mock_backend):
+        pairs = [
+            ("what is the answer: the first", "it"),
+            ('what is "quoted"', '"x" answer: y'),
+        ]
+        assert refine_to_facts(mock_backend, pairs) == [
+            "the answer: the first is it.",
+            '"quoted" is "x" answer: y.',
+        ]
+
+    @given(st.lists(st.tuples(_PAIR_TEXT, _PAIR_TEXT), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_pair_lines_read_back_pair_for_pair(self, pairs):
+        """For any one-line questions and answers, the mock reads the pair
+        lines of the refine_fact prompt back into exactly those pairs."""
+        backend = RecordingBackend()
+        refine_to_facts(backend, pairs)
+        [(_, prompt)] = backend.prompts
+        assert [llm._pair(line) for line in llm._block(prompt, "pairs")] == pairs
 
 
 class TestTreeStructure:
@@ -430,7 +478,8 @@ class TestMockDeterminism:
             mock_backend.complete(BackendRequest(prompt="p", tag="mystery"))
 
     @pytest.mark.parametrize(
-        "tag", ["decompose_question", "table_qa", "tree_structure", "feedback", "intermediate_infer"]
+        "tag",
+        ["decompose_question", "table_qa", "refine_fact", "tree_structure", "feedback", "intermediate_infer"],
     )
     def test_prompt_without_its_block_label_is_backend_error(self, mock_backend, tag):
         with pytest.raises(BackendError, match="block"):
@@ -480,7 +529,7 @@ def test_every_prompt_byte_for_byte():
     vqa_answer(backend, question, image)
     table_qa(backend, "who was the Winner in 2010?", linearize_table(table.content))
     text_qa(backend, question, "the falcon is crimson.")
-    refine_to_fact(backend, question, "crimson")
+    refine_to_facts(backend, [(question, "crimson"), ("what is the answer: the first?", "it")])
     generate_tree_structure(backend, question, base)
     feedback = (["fact1", "fact2"], "crimson")
     generate_tree_structure(backend, question, base, feedback=feedback)
@@ -525,9 +574,11 @@ def test_every_prompt_byte_for_byte():
         ),
         (
             "refine_fact",
-            "Rewrite the question and its answer as one short declarative sentence.\n\n"
-            "question: what color is the falcon?\n"
-            "answer: crimson",
+            "Rewrite each question and its answer as one short declarative sentence.\n"
+            "Reply with a numbered list only, one sentence per pair, in the order of the pairs.\n\n"
+            "pairs:\n"
+            "1. question: what color is the falcon? answer: crimson\n"
+            '2. question: "what is the answer: the first?" answer: it',
         ),
         ("tree_structure", _TREE_PROMPT),
         (

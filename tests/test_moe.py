@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from entailqa import moe as core
 from entailqa.cli import _keep_freed_heap
@@ -537,6 +539,87 @@ class TestBackward:
         for e in range(tiny_config.n_experts):
             touched = np.any(grads["expert_w1"][e]) or np.any(grads["expert_w2"][e])
             assert touched == (e in selected), e
+
+
+_SWEEP_WORDS = ("the", "falcon", "harbor", "is", "deep", "red", "mill", "old", "reef", "far")
+
+
+def _words(lo, hi):
+    return st.lists(st.sampled_from(_SWEEP_WORDS), min_size=lo, max_size=hi).map(" ".join)
+
+
+@st.composite
+def _sweep_shapes(draw):
+    """A config over every routing shape, a parameter seed and 1-5 items, each
+    with both targets or one, over facts of 0-4 words."""
+    n_frg, n_qa, n_shared = (draw(st.integers(1, 3)) for _ in range(3))
+    config = MoeConfig(
+        embed_dim=draw(st.integers(2, 6)),
+        vocab_size=draw(st.integers(4, 40)),
+        n_frg_experts=n_frg,
+        n_qa_experts=n_qa,
+        n_shared_experts=n_shared,
+        top_k=draw(st.integers(1, min(n_frg, n_qa) + n_shared)),
+        max_seq_len=12,
+    )
+    items = []
+    for _ in range(draw(st.integers(1, 5))):
+        facts = tuple(draw(st.lists(_words(0, 4), min_size=1, max_size=3)))
+        targets = draw(st.sampled_from(["both", "frg", "qa"]))
+        frg = draw(st.lists(st.integers(0, len(facts) - 1), min_size=1, max_size=3))
+        qa = answer_token_targets(draw(_words(1, 2)), config.vocab_size)
+        items.append(
+            TrainItem(
+                draw(_words(1, 6)),
+                draw(_words(0, 4)),
+                facts,
+                tuple(frg) if targets != "qa" else None,
+                qa if targets != "frg" else None,
+            )
+        )
+    return config, draw(st.integers(0, 2**32 - 1)), items
+
+
+class TestGradientSweep:
+    @given(_sweep_shapes())
+    @settings(max_examples=50, deadline=None)
+    def test_directional_derivative_of_every_block(self, shape):
+        """Each block's gradient along a random direction v matches
+        (L(θ+εv) − L(θ−εv)) / 2ε, for draws whose routing is the same at
+        θ−εv, θ and θ+εv (a top-K switch is a kink of the loss, not a bug)."""
+        config, seed, batch = shape
+        for item in batch:
+            check_train_item(item, config)
+        params = MoeParams.init(config, seed % 1000)
+        rng = np.random.default_rng(seed)
+        routed = []
+        route_rows = core.route
+
+        def recording(params, config, feats, gate):
+            decision = route_rows(params, config, feats, gate)
+            routed.append(decision.indices.copy())
+            return decision
+
+        eps = 1e-6
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "route", recording)
+            _, grads = batch_gradients(params, config, batch)
+            at_theta = routed.copy()
+            routed.clear()
+            checks = []
+            for name, arr in params.blocks():
+                v = rng.standard_normal(arr.shape)
+                orig = arr.copy()
+                arr += eps * v
+                up = batch_loss(params, config, batch)
+                arr[...] = orig - eps * v
+                down = batch_loss(params, config, batch)
+                arr[...] = orig
+                checks.append((name, (up - down) / (2 * eps), float(np.vdot(grads[name], v))))
+        calls = len(at_theta)  # each loss routes as the gradient pass did
+        assume(all(np.array_equal(a, at_theta[i % calls]) for i, a in enumerate(routed)))
+        for name, fd, analytic in checks:
+            assert abs(fd - analytic) / max(1.0, abs(fd), abs(analytic)) < 1e-7, name
 
 
 class TestOptimizerAndState:

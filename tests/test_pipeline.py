@@ -1,12 +1,14 @@
+import random
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from entailqa import moe, pipeline
+from entailqa import llm, moe, pipeline
 from entailqa.dataset import QAExample, RunConfig, dataset_from_dict, run_config_from_dict
-from entailqa.errors import EmptyEvidence, TreeSyntaxError, UnknownFactId
+from entailqa.errors import EmptyEvidence, ParseError, TreeSyntaxError, UnknownFactId
 from entailqa.facts import Evidence, FactBase, Table, lookup_text
 from entailqa.llm import MockBackend, generate_tree_structure
 from entailqa.moe import (
@@ -51,6 +53,24 @@ def _text_example(example_id="ex1"):
         ),
         gold_answer="crimson",
     )
+
+
+def _mixed_corpus(n, seed):
+    """``synthetic_examples`` with each evidence item kept as text or turned,
+    by a seeded draw, into a captioned image or a one-row table."""
+    rng = random.Random(seed)
+    examples = []
+    for example in synthetic_examples(n, seed=seed):
+        evidence = []
+        for ev in example.evidence:
+            modality = rng.choice(["text", "image", "table"])
+            if modality == "image":
+                ev = Evidence(id=ev.id, modality="image", content="", caption=ev.content)
+            elif modality == "table":
+                ev = Evidence(id=ev.id, modality="table", content=Table(("fact",), ((ev.content,),)))
+            evidence.append(ev)
+        examples.append(replace(example, evidence=tuple(evidence)))
+    return examples
 
 
 def _mixed_example():
@@ -124,7 +144,7 @@ class TestStage1:
             "fact1 & fact3 -> int1; fact2 & int1 -> answer"
         )
 
-    def test_image_calls_interleave_per_atomic_question(self):
+    def test_image_pairs_are_refined_in_one_call(self):
         class TwoAtomicBackend(MockBackend):
             def __init__(self):
                 super().__init__()
@@ -147,11 +167,10 @@ class TestStage1:
         )
         backend = TwoAtomicBackend()
         base, _ = run_stage1(example, backend)
-        assert backend.tags[:7] == [
+        assert backend.tags[:6] == [
             "decompose_question",
             "decompose_atomic",
             "vqa",
-            "refine_fact",
             "vqa",
             "refine_fact",
             "tree_structure",
@@ -160,6 +179,47 @@ class TestStage1:
             ("what color is the horse?", "brown"),
             ("what is the horse doing?", "racing"),
         ]
+
+    def test_one_refine_call_per_example_that_reaches_refinement(self):
+        examples = _mixed_corpus(6, seed=3) + [replace(_text_example("bare"), evidence=())]
+        assert {ev.modality for ex in examples for ev in ex.evidence} == {"text", "image", "table"}
+        backend = _CountingBackend()
+        states = stage1_states(examples, RunConfig(workers=2), backend)
+        assert [i for i, state in states.items() if state.failed] == ["bare"]  # no evidence
+        assert backend.tags.count("refine_fact") == len(examples) - 1
+        assert backend.tags.count("tree_structure") == len(examples) - 1
+        pairs = backend.tags.count("vqa") + backend.tags.count("table_qa") + backend.tags.count("text_qa")
+        assert sum(len(state.base) for state in states.values() if state.base) == pairs
+
+    def test_refine_reply_one_fact_short_twice_fails_its_example_alone(self):
+        class ShortRefineBackend(MockBackend):
+            """Drops the last fact of every refine reply whose prompt holds ``marker``."""
+
+            def __init__(self, marker):
+                super().__init__()
+                self.marker = marker
+                self.short_replies = 0
+
+            def _do_refine_fact(self, prompt):
+                reply = super()._do_refine_fact(prompt)
+                if self.marker not in prompt:
+                    return reply
+                self.short_replies += 1
+                return reply.rsplit("\n", 1)[0]
+
+        examples = synthetic_examples(4, seed=6)
+        bad = examples[1]
+        # the mock's sub-questions end "say about <first four content words>?"
+        marker = f"say about {' '.join(llm._content_words(bad.question)[:4])}? answer:"
+        backend = ShortRefineBackend(marker)
+        states = stage1_states(examples, RunConfig(workers=2), backend)
+        assert backend.short_replies == 2  # asked once more, short again
+        assert states[bad.id].error_class is ParseError
+        assert states[bad.id].error.startswith("ParseError: 3 facts for 4 pairs")
+        for example in examples:
+            if example is not bad:
+                assert not states[example.id].failed
+                assert len(states[example.id].base) == RunConfig.retrieval_top_n
 
     def test_unknown_answer_still_stored_as_fact(self, mock_backend):
         example = QAExample(
