@@ -82,8 +82,10 @@ TEMPLATES: dict[str, str] = {
         "Facts:{f}  Answer:{a}  Question:{q}\n\n"
     ),
     "intermediate_infer": (
-        "State the single conclusion that follows from the premises, as one short sentence.\n\n"
-        "premises:\n{premises_block}"
+        "State the conclusion of each numbered step as one short sentence. A step's premises\n"
+        "are a JSON array: a string is a premise text, a number N the conclusion of step N.\n"
+        "Reply with a numbered list only, one conclusion per step, in the order of the steps.\n\n"
+        "steps:\n{steps_block}"
     ),
 }
 
@@ -209,6 +211,19 @@ def _restate(question: str, answer: str) -> str:
     return f'the answer to "{question}" is {answer}.'
 
 
+def _step_premises(line: str, earlier: int) -> list[str | int]:
+    """The texts and step numbers (of ``earlier`` steps) of a step line."""
+    try:
+        premises = json.loads(line.partition(". ")[2])
+    except ValueError:
+        premises = None
+    if isinstance(premises, list) and premises and all(
+        isinstance(p, str) or (type(p) is int and 0 < p <= earlier) for p in premises
+    ):
+        return premises
+    raise BackendError(f"mock could not read the premises of step line {line!r}")
+
+
 def _fact_ids(prompt: str) -> list[str]:
     return [line.split(": ", 1)[0] for line in _block(prompt, "facts")]
 
@@ -240,7 +255,8 @@ class MockBackend:
       a right-leaning chain over all facts.
     * feedback — a chain over exactly the fact ids named on the feedback
       line (``Facts:fact2; fact5``), in the order of the facts block.
-    * intermediate_infer — joins the premises with "; therefore ".
+    * intermediate_infer — joins each step's premises with "; therefore ",
+      a number N standing for step N's conclusion.
     """
 
     def __init__(self, scripted_trees: Optional[dict[str, str]] = None):
@@ -349,11 +365,13 @@ class MockBackend:
         return "; ".join(steps)
 
     def _do_intermediate_infer(self, prompt: str) -> str:
-        matches = map(_NUMBERED_LINE.match, _block(prompt, "premises"))
-        premises = [m.group("body") for m in matches if m]
-        if not premises:
-            raise BackendError("mock found no premises to join")
-        return "; therefore ".join(premises)
+        conclusions: list[str] = []
+        for line in _block(prompt, "steps"):
+            premises = _step_premises(line, len(conclusions))
+            conclusions.append("; therefore ".join(
+                p if isinstance(p, str) else conclusions[p - 1] for p in premises
+            ))
+        return "\n".join(f"{i}. {c}" for i, c in enumerate(conclusions, start=1))
 
 
 # --- HTTP backend ------------------------------------------------------------------
@@ -440,13 +458,10 @@ class HttpBackend:
         last_error: Optional[Exception] = None
         for attempt in range(self.max_retries + 1):
             wait = self.retry_wait * (attempt + 1)
+            deadline = time.monotonic() + self.timeout
             try:
                 with self._request.urlopen(req, timeout=self.timeout) as resp:
-                    raw = resp.read(_MAX_REPLY_BYTES + 1)
-                    if len(raw) > _MAX_REPLY_BYTES:
-                        raise ValueError(f"reply longer than {_MAX_REPLY_BYTES} bytes")
-                    if resp.length:  # the body ended before its Content-Length
-                        raise self._client.IncompleteRead(raw, resp.length)
+                    raw = self._body(resp, deadline)
                 payload = json.loads(raw.decode("utf-8"))
                 text = payload["choices"][0]["message"]["content"]
                 if not isinstance(text, str):
@@ -470,6 +485,24 @@ class HttpBackend:
             if attempt < self.max_retries and wait:
                 time.sleep(wait)
         raise BackendError(f"backend failed after retries: {last_error}") from last_error
+
+    def _body(self, resp, deadline: float) -> bytes:
+        """The body, read in chunks, each with the time left to ``deadline``."""
+        sock, raw = resp.fp.raw._sock, bytearray()  # no public handle on the socket
+        while resp.length != 0:  # None: no Content-Length, read to the end
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError(f"reply not read within {self.timeout} s")
+            sock.settimeout(left)
+            chunk = resp.read1(_MAX_REPLY_BYTES + 1 - len(raw))
+            if not chunk:
+                break
+            raw += chunk
+            if len(raw) > _MAX_REPLY_BYTES:
+                raise ValueError(f"reply longer than {_MAX_REPLY_BYTES} bytes")
+        if resp.length:  # the body ended before its Content-Length
+            raise self._client.IncompleteRead(bytes(raw), resp.length)
+        return bytes(raw)
 
 
 def _http_modules():
@@ -507,16 +540,20 @@ def _call(backend: Backend, tag: str, prompt: str, parser):
 
 
 def _parse_numbered(response: str) -> list[str]:
-    items = []
-    for line in response.splitlines():
-        if not line.strip():
-            continue
-        m = _NUMBERED_LINE.match(line)
-        if m:
-            items.append(m.group("body"))
+    items = [m.group("body") for m in map(_NUMBERED_LINE.match, response.splitlines()) if m]
     if not items:
         raise ParseError(f"no numbered list in response: {response!r}")
     return items
+
+
+def _parse_count(count: int, items: str, per: str):
+    def parser(response: str) -> list[str]:
+        found = _parse_numbered(response)
+        if len(found) != count:
+            raise ParseError(f"{len(found)} {items} for {count} {per}: {response!r}")
+        return found
+
+    return parser
 
 
 def _parse_short(response: str) -> str:
@@ -606,15 +643,8 @@ def refine_to_facts(backend: Backend, pairs: list[tuple[str, str]]) -> list[str]
         f"{i}. question: {_pair_text(question)}{_PAIR_SEP}{_pair_text(answer)}"
         for i, (question, answer) in enumerate(pairs, start=1)
     ]
-
-    def parser(response: str) -> list[str]:
-        facts = _parse_numbered(response)
-        if len(facts) != len(pairs):
-            raise ParseError(f"{len(facts)} facts for {len(pairs)} pairs: {response!r}")
-        return facts
-
     prompt = render("refine_fact", pairs_block=block)
-    return _call(backend, "refine_fact", prompt, parser)
+    return _call(backend, "refine_fact", prompt, _parse_count(len(pairs), "facts", "pairs"))
 
 
 def _pair_text(text: str) -> str:
@@ -673,10 +703,17 @@ def generate_tree_structure(
     return _call(backend, tag, prompt, parser)
 
 
-def infer_intermediate(backend: Backend, premise_texts: list[str]) -> str:
-    """Single-sentence conclusion inferred from already-filled child texts."""
-    if not premise_texts:
-        raise ValueError("no premises to infer from")
-    block = [f"{i}. {text}" for i, text in enumerate(premise_texts, start=1)]
-    prompt = render("intermediate_infer", premises_block=block)
-    return _call(backend, "intermediate_infer", prompt, _parse_short)
+def infer_conclusions(backend: Backend, steps: list[tuple[str | int, ...]]) -> list[str]:
+    """One conclusion per step, in order, from one call. A premise is a text
+    or the number N of an earlier step, for its conclusion; each step goes as
+    a line ``N. [<premise>, ...]``. A reply with another count is a ParseError."""
+    if not steps or not all(
+        step and all(isinstance(p, str) or 0 < p < i for p in step)
+        for i, step in enumerate(steps, start=1)
+    ):
+        raise ValueError("every step needs premises: texts or earlier steps")
+    lines = ([p if isinstance(p, int) else _one_line(p) for p in step] for step in steps)
+    block = [f"{i}. {json.dumps(line, ensure_ascii=False)}" for i, line in enumerate(lines, 1)]
+    prompt = render("intermediate_infer", steps_block=block)
+    parser = _parse_count(len(steps), "conclusions", "steps")
+    return _call(backend, "intermediate_infer", prompt, parser)

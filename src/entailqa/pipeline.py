@@ -291,9 +291,10 @@ def run_feedback_iteration(state: PipelineState, backend: Backend) -> PipelineSt
     base and feedback, that tree is appended again with no backend call. The
     backend is taken to be deterministic (``HttpBackend`` posts
     ``temperature`` 0.0). A tree from stage 1 or appended by hand is never
-    reused. For the same reason a regenerated step whose ordered premise
-    texts a step of any version of this example has takes that step's
-    conclusion with no ``intermediate_infer`` call.
+    reused. A regenerated tree's conclusions are asked for in one
+    ``intermediate_infer`` call; for the same reason a step whose ordered
+    premise texts a step of any version of this example has takes that
+    step's conclusion unasked, and a tree whose every step does makes none.
     """
     if not state.tree_versions:
         raise ValueError("state has no current tree")

@@ -1,9 +1,7 @@
 """Fill the node texts of a structure-only entailment tree.
 
-The structure is split into one subtree per internal node (children before
-parents); leaf nodes take their fact text from the fact base, every other
-node's text is inferred from its already-filled children via the backend,
-and the filled subtrees are merged back into one complete tree. The root
+Leaf nodes take their fact text from the fact base; every other node's text
+is inferred from its children's, all of them in one backend call. The root
 keeps the answer placeholder id with an inferred text, which is never
 treated as the predicted answer.
 """
@@ -14,8 +12,8 @@ from typing import Iterable
 
 from .errors import MissingText
 from .facts import FactBase, lookup_text
-from .llm import Backend, infer_intermediate
-from .tree import LEAF, EntailmentStep, EntailmentTree, NodeId, canonical_steps
+from .llm import Backend, infer_conclusions
+from .tree import EntailmentStep, EntailmentTree, NodeId, canonical_steps
 
 
 def refine(
@@ -26,41 +24,35 @@ def refine(
 ) -> EntailmentTree:
     """Return a fully-texted copy of ``structure``; the input is not mutated.
 
-    A step whose ordered premise texts a step of a filled tree in
-    ``earlier``, or an earlier step of this one, already has takes that
-    step's conclusion without a backend call.
+    Its conclusions are asked for in one ``infer_conclusions`` call. A step
+    whose ordered premise texts a step of a filled tree in ``earlier``
+    already has takes that step's conclusion unasked, and one whose premises
+    equal those of a step asked for shares its entry.
 
     Raises UnknownFactId when a leaf is not in the base; backend failures
     propagate.
     """
-    texts: dict[NodeId, str] = {}
-    for leaf in structure.leaves:
-        texts[leaf] = lookup_text(base, leaf)
-
+    leaves = {leaf: lookup_text(base, leaf) for leaf in structure.leaves}
     inferred = {
         tuple(map(tree.node_text, step.premises)): step.conclusion_text
         for tree in earlier
         for step in tree.steps
     }
-    # children-before-parents order guarantees premises are filled on arrival
-    conclusion_texts: dict[NodeId, str] = {}
+    # each node's text, or the number of the asked step that concludes it
+    known: dict[NodeId, str | int] = dict(leaves)
+    asked: dict[tuple[str | int, ...], int] = {}
     for step in canonical_steps(structure):
-        premise_texts = tuple(
-            texts[p] if p.kind == LEAF else conclusion_texts[p] for p in step.premises
-        )
-        if premise_texts not in inferred:
-            inferred[premise_texts] = infer_intermediate(backend, list(premise_texts))
-        conclusion_texts[step.conclusion] = inferred[premise_texts]
-
+        premises = tuple(known[p] for p in step.premises)
+        if premises in inferred:
+            known[step.conclusion] = inferred[premises]
+        else:
+            known[step.conclusion] = asked.setdefault(premises, len(asked) + 1)
+    conclusions = infer_conclusions(backend, list(asked)) if asked else []
+    texts = {node: v if isinstance(v, str) else conclusions[v - 1] for node, v in known.items()}
     steps = tuple(
-        EntailmentStep(s.premises, s.conclusion, conclusion_texts[s.conclusion])
-        for s in structure.steps
+        EntailmentStep(s.premises, s.conclusion, texts[s.conclusion]) for s in structure.steps
     )
-    return EntailmentTree(
-        hypothesis=structure.hypothesis,
-        leaves={leaf: texts[leaf] for leaf in structure.leaves},
-        steps=steps,
-    )
+    return EntailmentTree(hypothesis=structure.hypothesis, leaves=leaves, steps=steps)
 
 
 def tree_to_text(tree: EntailmentTree) -> str:

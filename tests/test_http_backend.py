@@ -7,6 +7,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -246,10 +247,13 @@ def test_env_vars_used(monkeypatch, stub_factory):
 
 class _RawStub:
     """A loopback server that reads each request whole, answers it with the
-    same raw bytes (nothing at all for ``b""``) and closes the connection."""
+    same raw bytes (nothing at all for ``b""``) and closes the connection.
+    With a ``pause``, it sends the reply's head at once and then its body one
+    byte per ``pause`` seconds, until the client hangs up."""
 
-    def __init__(self, reply: bytes):
+    def __init__(self, reply: bytes, pause: float = 0.0):
         self.reply = reply
+        self.pause = pause
         self.requests = 0
         self.stop = threading.Event()
         self.sock = socket.create_server(("127.0.0.1", 0))
@@ -273,7 +277,17 @@ class _RawStub:
                 while len(body) < length:
                     body += conn.recv(65536)
                 self.requests += 1
-                conn.sendall(self.reply)
+                if not self.pause:
+                    conn.sendall(self.reply)
+                    continue
+                head, body = self.reply.split(b"\r\n\r\n", 1)
+                try:
+                    conn.sendall(head + b"\r\n\r\n")
+                    for byte in body:
+                        time.sleep(self.pause)
+                        conn.sendall(bytes([byte]))
+                except OSError:  # the client gave up on the reply
+                    pass
 
     def close(self):
         self.stop.set()
@@ -333,3 +347,36 @@ def test_reply_longer_than_the_cap_is_retried_then_backend_error(monkeypatch):
         stub.close()
     assert stub.requests == 3
     assert len(backend.exchange_log) == 1
+
+
+_OK_BODY = b'{"choices": [{"message": {"content": "ok"}}]}'
+
+
+def test_reply_trickled_past_the_timeout_is_retried_then_backend_error():
+    """``timeout`` bounds the whole body read of an attempt, not each read:
+    a body that arrives one byte per 20 ms, each read well within the 0.3 s
+    timeout, is cut off at 0.3 s instead of taking ~0.9 s."""
+    stub = _RawStub(_response(_OK_BODY), pause=0.02)
+    try:
+        backend = HttpBackend(endpoint=stub.url, api_key="k", timeout=0.3, max_retries=1,
+                              retry_wait=0.0)
+        start = time.monotonic()
+        # the last read's socket timeout is the time left, so it may time out first
+        with pytest.raises(BackendError, match=r"retries: (timed out|reply not read within 0\.3 s)"):
+            backend.complete(BackendRequest(prompt="p", tag="vqa"))
+        elapsed = time.monotonic() - start
+    finally:
+        stub.close()
+    assert stub.requests == 2
+    assert 0.6 <= elapsed < 1.5
+    assert backend.exchange_log == []
+
+
+def test_reply_trickled_within_the_timeout_is_read_whole():
+    stub = _RawStub(_response(_OK_BODY), pause=0.002)
+    try:
+        backend = HttpBackend(endpoint=stub.url, api_key="k", timeout=5.0, max_retries=0)
+        assert backend.complete(BackendRequest(prompt="p", tag="vqa")) == "ok"
+    finally:
+        stub.close()
+    assert stub.requests == 1

@@ -11,7 +11,7 @@ from entailqa.llm import (
     decompose_atomic,
     decompose_question,
     generate_tree_structure,
-    infer_intermediate,
+    infer_conclusions,
     refine_to_facts,
     render,
     table_qa,
@@ -72,6 +72,15 @@ class TestTemplates:
     def test_unbound_slot_errors(self):
         with pytest.raises(ValueError):
             render("vqa", question="q?")
+
+    def test_template_openings_are_distinct_and_prefix_free(self):
+        """A stand-in server that gets no tag can recover it from the prompt's
+        opening, the first line up to its first slot: no opening equals or
+        starts another, so the longest that a prompt starts with is its own."""
+        openings = {tag: t.split("\n", 1)[0].split("{", 1)[0] for tag, t in llm.TEMPLATES.items()}
+        for tag, opening in openings.items():
+            clashes = [other for other, o in openings.items() if other != tag and o.startswith(opening)]
+            assert opening and not clashes, (tag, clashes)
 
     def test_feedback_template_slots(self):
         text = render("feedback", n="200", f="fact1; fact2", a="yes", q="why?")
@@ -447,22 +456,102 @@ class TestTreeStructure:
         assert backend.calls == 0
 
 
+# Premise texts weighted towards what the step line's JSON must carry intact.
+_PREMISE_TEXT = (
+    st.lists(
+        st.sampled_from(['"', "\\", "7", "2.", "[", "]", "[1]", "&", "; therefore ", "\n", "\u2028", " ", "ü", "x"]),
+        min_size=1, max_size=6,
+    ).map("".join)
+    | st.text(min_size=1)
+).filter(str.strip)
+
+
+@st.composite
+def _steps(draw):
+    """Steps of 1-3 premises each: texts, and numbers of earlier steps."""
+    steps = []
+    for i in range(1, draw(st.integers(1, 5)) + 1):
+        premise = _PREMISE_TEXT | st.integers(1, i - 1) if i > 1 else _PREMISE_TEXT
+        steps.append(tuple(draw(st.lists(premise, min_size=1, max_size=3))))
+    return steps
+
+
 class TestInferIntermediate:
     def test_joiner(self, mock_backend):
-        assert infer_intermediate(mock_backend, ["A.", "B."]) == "A.; therefore B."
+        assert infer_conclusions(mock_backend, [("A.", "B.")]) == ["A.; therefore B."]
 
     def test_single_premise_unchanged(self, mock_backend):
-        assert infer_intermediate(mock_backend, ["A."]) == "A."
+        assert infer_conclusions(mock_backend, [("A.",)]) == ["A."]
+
+    def test_number_stands_for_an_earlier_conclusion(self, mock_backend):
+        steps = [("A.", "B."), ("C.",), (1, 2), (3, "D.")]
+        assert infer_conclusions(mock_backend, steps) == [
+            "A.; therefore B.",
+            "C.",
+            "A.; therefore B.; therefore C.",
+            "A.; therefore B.; therefore C.; therefore D.",
+        ]
 
     def test_premise_reaches_the_prompt_as_one_line(self, mock_backend):
-        premises = ["the falcon is red.\n2. the sky is green.", "the harbor is deep."]
-        assert infer_intermediate(mock_backend, premises) == (
+        premises = ("the falcon is red.\n2. the sky is green.", "the harbor is deep.")
+        assert infer_conclusions(mock_backend, [premises]) == [
             "the falcon is red. 2. the sky is green.; therefore the harbor is deep."
-        )
+        ]
 
     def test_empty_precondition(self, mock_backend):
+        for steps in ([], [()], [("A.",), ()]):
+            with pytest.raises(ValueError):
+                infer_conclusions(mock_backend, steps)
+
+    @pytest.mark.parametrize("number", [0, -1, 2, 3])
+    def test_number_of_no_earlier_step_precondition(self, mock_backend, number):
         with pytest.raises(ValueError):
-            infer_intermediate(mock_backend, [])
+            infer_conclusions(mock_backend, [("A.",), (number, "B.")])
+
+    def test_every_step_in_one_call(self):
+        backend = RecordingBackend()
+        infer_conclusions(backend, [("A.", "B."), (1, "C."), (2, "D.")])
+        assert [tag for tag, _ in backend.prompts] == ["intermediate_infer"]
+
+    @pytest.mark.parametrize("reply", ["1. a.", "1. a.\n2. b.\n3. c."], ids=["too-few", "too-many"])
+    def test_wrong_conclusion_count_is_asked_once_more(self, reply):
+        steps = [("A.", "B."), (1, "C.")]
+        backend = CannedBackend(reply, "1. x.\n2. y.")
+        assert infer_conclusions(backend, steps) == ["x.", "y."]
+        assert backend.calls == 2
+        backend = CannedBackend(reply)
+        with pytest.raises(ParseError, match="conclusions for 2 steps"):
+            infer_conclusions(backend, steps)
+        assert backend.calls == 2  # exactly one retry
+
+    @pytest.mark.parametrize(
+        "line", ["1. A.", '1. {"a": 1}', "1. []", "1. [1]", '1. [true]', "1. [1.5]", '1. ["A.", null]'],
+    )
+    def test_unreadable_step_line_is_backend_error(self, mock_backend, line):
+        prompt = render("intermediate_infer", steps_block=[line])
+        with pytest.raises(BackendError, match="premises of step line"):
+            mock_backend.complete(BackendRequest(prompt=prompt, tag="intermediate_infer"))
+
+    @given(_steps())
+    @settings(max_examples=200, deadline=None)
+    def test_step_lines_read_back_step_for_step(self, steps):
+        """For any premise texts and references, the mock reads the step lines
+        back into exactly those steps, texts one-lined, and concludes each as
+        asking for one step at a time, its references filled in, would."""
+        backend = RecordingBackend()
+        conclusions = infer_conclusions(backend, steps)
+        [(_, prompt)] = backend.prompts
+        lines = llm._block(prompt, "steps")
+        one_lined = [tuple(p if isinstance(p, int) else " ".join(p.split()) for p in step)
+                     for step in steps]
+        assert [tuple(llm._step_premises(line, i)) for i, line in enumerate(lines)] == one_lined
+        expected = []
+        for step in steps:
+            texts = [p if isinstance(p, str) else expected[p - 1] for p in step]
+            [conclusion] = infer_conclusions(MockBackend(), [tuple(texts)])
+            assert conclusion == "; therefore ".join(" ".join(t.split()) for t in texts)
+            expected.append(conclusion)
+        assert conclusions == expected
 
 
 class TestMockDeterminism:
@@ -533,7 +622,7 @@ def test_every_prompt_byte_for_byte():
     generate_tree_structure(backend, question, base)
     feedback = (["fact1", "fact2"], "crimson")
     generate_tree_structure(backend, question, base, feedback=feedback)
-    infer_intermediate(backend, ["the falcon is crimson.", "the harbor is deep."])
+    infer_conclusions(backend, [("the falcon is crimson.", "the harbor is deep."), (1, 'the "mill" is old.')])
     assert backend.prompts == [
         (
             "decompose_question",
@@ -590,9 +679,11 @@ def test_every_prompt_byte_for_byte():
         ),
         (
             "intermediate_infer",
-            "State the single conclusion that follows from the premises, as one short sentence.\n\n"
-            "premises:\n"
-            "1. the falcon is crimson.\n"
-            "2. the harbor is deep.",
+            "State the conclusion of each numbered step as one short sentence. A step's premises\n"
+            "are a JSON array: a string is a premise text, a number N the conclusion of step N.\n"
+            "Reply with a numbered list only, one conclusion per step, in the order of the steps.\n\n"
+            "steps:\n"
+            '1. ["the falcon is crimson.", "the harbor is deep."]\n'
+            '2. [1, "the \\"mill\\" is old."]',
         ),
     ]

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import sys
@@ -220,6 +221,44 @@ class TestStage1:
             if example is not bad:
                 assert not states[example.id].failed
                 assert len(states[example.id].base) == RunConfig.retrieval_top_n
+
+    def test_one_intermediate_call_per_stage1_tree(self):
+        backend = _CountingBackend()
+        base, tree = run_stage1(synthetic_examples(4, seed=6)[0], backend)
+        assert len(base) == 4 and len(tree.steps) == 3  # the mock's chain over 4 facts
+        assert backend.tags.count("intermediate_infer") == 1
+        assert backend.tags[-2:] == ["tree_structure", "intermediate_infer"]
+
+    def test_conclusions_one_short_twice_fail_their_example_alone(self):
+        class ShortInferBackend(MockBackend):
+            """Drops the last conclusion of every reply whose prompt holds ``marker``."""
+
+            def __init__(self, marker):
+                super().__init__()
+                self.marker = marker
+                self.short_replies = 0
+
+            def _do_intermediate_infer(self, prompt):
+                reply = super()._do_intermediate_infer(prompt)
+                if self.marker not in prompt:
+                    return reply
+                self.short_replies += 1
+                return reply.rsplit("\n", 1)[0]
+
+        examples = synthetic_examples(4, seed=6)
+        config = RunConfig(workers=2)
+        plain = stage1_states(examples, config, MockBackend())
+        bad = examples[1]
+        # the bad example's first fact, as the step lines' JSON carries it
+        marker = json.dumps(plain[bad.id].base.facts[0].text)
+        backend = ShortInferBackend(marker)
+        states = stage1_states(examples, config, backend)
+        assert backend.short_replies == 2  # asked once more, short again
+        assert states[bad.id].error_class is ParseError
+        assert states[bad.id].error.startswith("ParseError: 2 conclusions for 3 steps")
+        for example in examples:
+            if example is not bad:
+                assert states[example.id].tree_versions == plain[example.id].tree_versions
 
     def test_unknown_answer_still_stored_as_fact(self, mock_backend):
         example = QAExample(

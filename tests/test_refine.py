@@ -4,6 +4,7 @@ import pytest
 
 from entailqa.errors import MissingText, UnknownFactId
 from entailqa.facts import FactBase, add_fact, lookup_text
+from entailqa.llm import MockBackend
 from entailqa.refine import refine, tree_to_text
 from entailqa.synth import random_sentence, random_tree
 from entailqa.tree import ANSWER, EntailmentTree, intermediate_id, parse_tree, serialize_tree
@@ -22,6 +23,16 @@ def oracle_fill(tree: EntailmentTree, base: FactBase) -> dict:
     for step in tree.steps:
         texts[step.conclusion] = text_of(step.conclusion)
     return texts
+
+
+class CountingMock(MockBackend):
+    """The mock, counting its calls."""
+
+    calls = 0
+
+    def complete(self, request):
+        self.calls += 1
+        return super().complete(request)
 
 
 def base_for(tree: EntailmentTree, rng: random.Random) -> FactBase:
@@ -60,12 +71,15 @@ class TestRefine:
         assert structure.leaves[sorted(structure.leaves)[0]] is None
         assert structure.node_text(ANSWER) is None
 
-    def test_matches_recursive_oracle_on_random_trees(self, mock_backend):
+    def test_matches_recursive_oracle_on_random_trees(self):
         rng = random.Random(8)
+        backend = CountingMock()
         for _ in range(100):
             tree = random_tree(rng, texts="none")
             base = base_for(tree, rng)
-            filled = refine(tree, base, mock_backend)
+            backend.calls = 0
+            filled = refine(tree, base, backend)
+            assert backend.calls == 1  # every step in one call
             expected = oracle_fill(tree, base)
             for leaf in filled.leaves:
                 assert filled.leaves[leaf] == expected[leaf]
