@@ -29,7 +29,6 @@ from .facts import IMAGE, Evidence, FactBase, lookup_text, tokenize
 from .tree import EntailmentTree, parse_node_id, parse_tree
 
 FEEDBACK_WORD_BUDGET = 200
-_PAIR_SEP = " answer: "  # between the question and the answer of a refine_fact pair
 
 # --- prompt templates ---------------------------------------------------------
 
@@ -64,6 +63,7 @@ TEMPLATES: dict[str, str] = {
     ),
     "refine_fact": (
         "Rewrite each question and its answer as one short declarative sentence.\n"
+        "Each pair is a JSON array: the question, then its answer.\n"
         "Reply with a numbered list only, one sentence per pair, in the order of the pairs.\n\n"
         "pairs:\n{pairs_block}"
     ),
@@ -188,17 +188,6 @@ def _unquoted(text: str) -> str:
     return json.loads(text) if text.startswith('"') else text
 
 
-def _pair(line: str) -> tuple[str, str]:
-    """The (question, answer) of a ``refine_fact`` line ``N. question: <q> answer: <a>``."""
-    rest = line.partition("question: ")[2]
-    if rest.startswith('"'):
-        question, end = json.JSONDecoder().raw_decode(rest)
-        answer = rest[end:].removeprefix(_PAIR_SEP)
-    else:
-        question, _, answer = rest.partition(_PAIR_SEP)
-    return question, _unquoted(answer)
-
-
 def _restate(question: str, answer: str) -> str:
     """The mock's declarative restatement of one (question, answer) pair."""
     question = question.rstrip("?").strip()
@@ -211,17 +200,31 @@ def _restate(question: str, answer: str) -> str:
     return f'the answer to "{question}" is {answer}.'
 
 
-def _step_premises(line: str, earlier: int) -> list[str | int]:
-    """The texts and step numbers (of ``earlier`` steps) of a step line."""
-    try:
-        premises = json.loads(line.partition(". ")[2])
-    except ValueError:
-        premises = None
-    if isinstance(premises, list) and premises and all(
-        isinstance(p, str) or (type(p) is int and 0 < p <= earlier) for p in premises
-    ):
-        return premises
-    raise BackendError(f"mock could not read the premises of step line {line!r}")
+def _json_rows(prompt: str, label: str, fits) -> list[list]:
+    """The JSON array on each ``N. <array>`` line of block ``label``; an array
+    that is empty or that ``fits(row, earlier rows)`` rejects is an error."""
+    rows: list[list] = []
+    for line in _block(prompt, label):
+        try:
+            row = json.loads(line.partition(". ")[2])
+        except ValueError:
+            row = None
+        if not (isinstance(row, list) and row and fits(row, len(rows))):
+            raise BackendError(f"mock could not read the {label} line {line!r}")
+        rows.append(row)
+    return rows
+
+
+def _is_pair(row: list, earlier: int) -> bool:
+    return len(row) == 2 and all(isinstance(text, str) for text in row)
+
+
+def _is_step(row: list, earlier: int) -> bool:
+    return all(isinstance(p, str) or (type(p) is int and 0 < p <= earlier) for p in row)
+
+
+def _numbered(items) -> str:
+    return "\n".join(f"{i}. {item}" for i, item in enumerate(items, start=1))
 
 
 def _fact_ids(prompt: str) -> list[str]:
@@ -247,10 +250,9 @@ class MockBackend:
       name or cell in double quotes is read as a JSON string.
     * text_qa — best-overlap passage sentence, answer = its first content
       words (up to four) that are absent from the question, else "unknown".
-    * refine_fact — restates each numbered (question, answer) pair
-      declaratively, one numbered line per pair, e.g.
+    * refine_fact — restates each numbered ``["<question>", "<answer>"]``
+      pair declaratively, one numbered line per pair, e.g.
       ("what color is the horse", "brown") -> "the color of the horse is brown."
-      A question or answer in double quotes is read as a JSON string.
     * tree_structure — a scripted tree per question id when configured, else
       a right-leaning chain over all facts.
     * feedback — a chain over exactly the fact ids named on the feedback
@@ -274,13 +276,12 @@ class MockBackend:
         question = _field_line(prompt, "question")
         keywords = " ".join(_content_words(question)[:4]) or "it"
         eids = [line.split(" ", 1)[0] for line in _block(prompt, "evidence")]
-        asks = (f"what does {eid} say about {keywords}? [{eid}]" for eid in eids)
-        return "\n".join(f"{i}. {ask}" for i, ask in enumerate(asks, start=1))
+        return _numbered(f"what does {eid} say about {keywords}? [{eid}]" for eid in eids)
 
     def _do_decompose_atomic(self, prompt: str) -> str:
         sub_question = _field_line(prompt, "sub-question").rstrip("?")
         parts = [p.strip() for p in re.split(r"\band\b", sub_question) if p.strip()]
-        return "\n".join(f"{i + 1}. {p}?" for i, p in enumerate(parts))
+        return _numbered(f"{p}?" for p in parts)
 
     def _do_vqa(self, prompt: str) -> str:
         question = _field_line(prompt, "question")
@@ -330,8 +331,7 @@ class MockBackend:
         return " ".join(answer) if answer else "unknown"
 
     def _do_refine_fact(self, prompt: str) -> str:
-        facts = (_restate(*_pair(line)) for line in _block(prompt, "pairs"))
-        return "\n".join(f"{i}. {fact}" for i, fact in enumerate(facts, start=1))
+        return _numbered(_restate(*pair) for pair in _json_rows(prompt, "pairs", _is_pair))
 
     def _do_tree_structure(self, prompt: str) -> str:
         try:
@@ -366,12 +366,11 @@ class MockBackend:
 
     def _do_intermediate_infer(self, prompt: str) -> str:
         conclusions: list[str] = []
-        for line in _block(prompt, "steps"):
-            premises = _step_premises(line, len(conclusions))
+        for premises in _json_rows(prompt, "steps", _is_step):
             conclusions.append("; therefore ".join(
                 p if isinstance(p, str) else conclusions[p - 1] for p in premises
             ))
-        return "\n".join(f"{i}. {c}" for i, c in enumerate(conclusions, start=1))
+        return _numbered(conclusions)
 
 
 # --- HTTP backend ------------------------------------------------------------------
@@ -546,16 +545,6 @@ def _parse_numbered(response: str) -> list[str]:
     return items
 
 
-def _parse_count(count: int, items: str, per: str):
-    def parser(response: str) -> list[str]:
-        found = _parse_numbered(response)
-        if len(found) != count:
-            raise ParseError(f"{len(found)} {items} for {count} {per}: {response!r}")
-        return found
-
-    return parser
-
-
 def _parse_short(response: str) -> str:
     text = response.strip()
     if not text:
@@ -631,29 +620,12 @@ def text_qa(backend: Backend, sub_question: str, passage: str) -> str:
 
 
 def refine_to_facts(backend: Backend, pairs: list[tuple[str, str]]) -> list[str]:
-    """One declarative fact per (question, answer) pair, in order, from one call.
-
-    Each pair is one numbered line ``N. question: <q> answer: <a>``; a text
-    that starts with '"' or holds " answer:" goes as a JSON string. A reply
-    that does not number one fact per pair is a ``ParseError``.
-    """
+    """One declarative fact per (question, answer) pair, in order, from one
+    call. Each pair goes as a line ``N. ["<question>", "<answer>"]``. A reply
+    that does not number one fact per pair is a ``ParseError``."""
     if not pairs or not all(question.strip() and answer.strip() for question, answer in pairs):
         raise ValueError("refine_to_facts needs pairs, each with a question and an answer")
-    block = [
-        f"{i}. question: {_pair_text(question)}{_PAIR_SEP}{_pair_text(answer)}"
-        for i, (question, answer) in enumerate(pairs, start=1)
-    ]
-    prompt = render("refine_fact", pairs_block=block)
-    return _call(backend, "refine_fact", prompt, _parse_count(len(pairs), "facts", "pairs"))
-
-
-def _pair_text(text: str) -> str:
-    """``text`` on one line, as a JSON string when a reader could take it for
-    a quoted text or split it at a wrong " answer: "."""
-    text = _one_line(text)
-    if text.startswith('"') or _PAIR_SEP.rstrip() in text:
-        return json.dumps(text, ensure_ascii=False)
-    return text
+    return _ask_each(backend, "refine_fact", "pairs", pairs, "facts")
 
 
 def generate_tree_structure(
@@ -712,8 +684,21 @@ def infer_conclusions(backend: Backend, steps: list[tuple[str | int, ...]]) -> l
         for i, step in enumerate(steps, start=1)
     ):
         raise ValueError("every step needs premises: texts or earlier steps")
-    lines = ([p if isinstance(p, int) else _one_line(p) for p in step] for step in steps)
+    return _ask_each(backend, "intermediate_infer", "steps", steps, "conclusions")
+
+
+def _ask_each(backend: Backend, tag: str, label: str, rows: list, answers: str) -> list[str]:
+    """One numbered answer per row, in order, from one ``tag`` call. Row N
+    goes in block ``label`` as the line ``N. <JSON array>``, its texts
+    one-lined; a reply that numbers another count is a ParseError."""
+    lines = ([_one_line(x) if isinstance(x, str) else x for x in row] for row in rows)
     block = [f"{i}. {json.dumps(line, ensure_ascii=False)}" for i, line in enumerate(lines, 1)]
-    prompt = render("intermediate_infer", steps_block=block)
-    parser = _parse_count(len(steps), "conclusions", "steps")
-    return _call(backend, "intermediate_infer", prompt, parser)
+    prompt = render(tag, **{f"{label}_block": block})
+
+    def parser(response: str) -> list[str]:
+        found = _parse_numbered(response)
+        if len(found) != len(rows):
+            raise ParseError(f"{len(found)} {answers} for {len(rows)} {label}: {response!r}")
+        return found
+
+    return _call(backend, tag, prompt, parser)

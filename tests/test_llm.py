@@ -274,12 +274,14 @@ class TestTextQa:
             text_qa(mock_backend, "q?", "  ")
 
 
-# One-line texts, weighted towards what a refine_fact pair line could be misread at.
+# Pair texts weighted towards what the pair line's JSON must carry intact.
 _PAIR_TEXT = (
-    st.lists(st.sampled_from(["answer:", " answer: ", "question: ", '"', "\\", "?", " ", "ü", "x"]), max_size=6)
-    .map("".join)
-    | st.text()
-).map(lambda text: " ".join(text.split())).filter(bool)
+    st.lists(
+        st.sampled_from(["answer:", " answer: ", "question: ", '"', "\\", "?", "[", '", "', "\n", "\u2028", " ", "ü", "x"]),
+        min_size=1, max_size=6,
+    ).map("".join)
+    | st.text(min_size=1)
+).filter(str.strip)
 
 
 class TestRefineToFact:
@@ -336,12 +338,13 @@ class TestRefineToFact:
     @given(st.lists(st.tuples(_PAIR_TEXT, _PAIR_TEXT), min_size=1, max_size=4))
     @settings(max_examples=200, deadline=None)
     def test_pair_lines_read_back_pair_for_pair(self, pairs):
-        """For any one-line questions and answers, the mock reads the pair
-        lines of the refine_fact prompt back into exactly those pairs."""
+        """For any questions and answers, the mock reads the pair lines of the
+        refine_fact prompt back into exactly those pairs, texts one-lined."""
         backend = RecordingBackend()
         refine_to_facts(backend, pairs)
         [(_, prompt)] = backend.prompts
-        assert [llm._pair(line) for line in llm._block(prompt, "pairs")] == pairs
+        one_lined = [tuple(" ".join(text.split()) for text in pair) for pair in pairs]
+        assert [tuple(row) for row in llm._json_rows(prompt, "pairs", llm._is_pair)] == one_lined
 
 
 class TestTreeStructure:
@@ -525,12 +528,24 @@ class TestInferIntermediate:
         assert backend.calls == 2  # exactly one retry
 
     @pytest.mark.parametrize(
-        "line", ["1. A.", '1. {"a": 1}', "1. []", "1. [1]", '1. [true]', "1. [1.5]", '1. ["A.", null]'],
+        "tag, line",
+        [
+            pytest.param("intermediate_infer", line, id=line)
+            for line in ["1. A.", '1. {"a": 1}', "1. []", "1. [1]", '1. [true]', "1. [1.5]", '1. ["A.", null]']
+        ] + [
+            pytest.param("refine_fact", line, id=f"refine_fact-{line}")
+            for line in [
+                "1. what is it? crimson", '1. ["q"]', '1. ["q", 1]', '1. ["q", "a", "b"]', "1. []",
+                "1. question: q? answer: a",
+            ]
+        ],
     )
-    def test_unreadable_step_line_is_backend_error(self, mock_backend, line):
-        prompt = render("intermediate_infer", steps_block=[line])
-        with pytest.raises(BackendError, match="premises of step line"):
-            mock_backend.complete(BackendRequest(prompt=prompt, tag="intermediate_infer"))
+    def test_unreadable_step_line_is_backend_error(self, mock_backend, tag, line):
+        """A step or pair line that is not a JSON array of the right items."""
+        label = {"intermediate_infer": "steps", "refine_fact": "pairs"}[tag]
+        prompt = render(tag, **{f"{label}_block": [line]})
+        with pytest.raises(BackendError, match=f"could not read the {label} line"):
+            mock_backend.complete(BackendRequest(prompt=prompt, tag=tag))
 
     @given(_steps())
     @settings(max_examples=200, deadline=None)
@@ -541,10 +556,9 @@ class TestInferIntermediate:
         backend = RecordingBackend()
         conclusions = infer_conclusions(backend, steps)
         [(_, prompt)] = backend.prompts
-        lines = llm._block(prompt, "steps")
         one_lined = [tuple(p if isinstance(p, int) else " ".join(p.split()) for p in step)
                      for step in steps]
-        assert [tuple(llm._step_premises(line, i)) for i, line in enumerate(lines)] == one_lined
+        assert [tuple(row) for row in llm._json_rows(prompt, "steps", llm._is_step)] == one_lined
         expected = []
         for step in steps:
             texts = [p if isinstance(p, str) else expected[p - 1] for p in step]
@@ -664,10 +678,11 @@ def test_every_prompt_byte_for_byte():
         (
             "refine_fact",
             "Rewrite each question and its answer as one short declarative sentence.\n"
+            "Each pair is a JSON array: the question, then its answer.\n"
             "Reply with a numbered list only, one sentence per pair, in the order of the pairs.\n\n"
             "pairs:\n"
-            "1. question: what color is the falcon? answer: crimson\n"
-            '2. question: "what is the answer: the first?" answer: it',
+            '1. ["what color is the falcon?", "crimson"]\n'
+            '2. ["what is the answer: the first?", "it"]',
         ),
         ("tree_structure", _TREE_PROMPT),
         (

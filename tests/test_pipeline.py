@@ -211,7 +211,8 @@ class TestStage1:
         examples = synthetic_examples(4, seed=6)
         bad = examples[1]
         # the mock's sub-questions end "say about <first four content words>?"
-        marker = f"say about {' '.join(llm._content_words(bad.question)[:4])}? answer:"
+        words = " ".join(llm._content_words(bad.question)[:4])
+        marker = f'say about {words}?", "'
         backend = ShortRefineBackend(marker)
         states = stage1_states(examples, RunConfig(workers=2), backend)
         assert backend.short_replies == 2  # asked once more, short again
