@@ -66,12 +66,14 @@ class Evidence:
         if (self.modality == TABLE) != isinstance(self.content, Table):
             raise ValueError("table modality iff content is a Table")
 
-    def retrieval_text(self) -> str:
+    def answer_texts(self) -> list[str]:
+        """What the evidence shows: its caption, linearized rows or passage."""
         if self.modality == TABLE:
-            return " ".join(linearize_table(self.content))
-        if self.modality == IMAGE:
-            return self.caption or ""
-        return str(self.content)
+            return linearize_table(self.content)
+        return [(self.caption or "") if self.modality == IMAGE else str(self.content)]
+
+    def retrieval_text(self) -> str:
+        return " ".join(self.answer_texts())
 
 
 @dataclass(frozen=True)
@@ -151,8 +153,9 @@ def lookup_text(base: FactBase, node: NodeId) -> str:
 
 def linearize_table(table: Table) -> list[str]:
     """One sentence per row: "row one's Season is 2010, Winner is Super Saver.".
-    A name or cell that is empty, holds ", " or '"', or holds the word "is" at
-    an end or between spaces is a JSON string: 'Winner is "Paris, France"'."""
+    A name or cell that is empty, that one-lining would change, that holds ", "
+    or '"', or that holds the word "is" at an end or between spaces is a JSON
+    string: 'Winner is "Paris, France"'."""
     if not table.rows or not table.header:
         raise EmptyTable("table has no rows or no columns")
     sentences = []
@@ -166,7 +169,8 @@ def linearize_table(table: Table) -> list[str]:
 
 
 def _quoted(text: str) -> str:
-    if not text or '"' in text or ", " in text or " is " in f" {text} ":
+    one_line = text == " ".join(text.split())
+    if not (text and one_line) or '"' in text or ", " in text or " is " in f" {text} ":
         return json.dumps(text, ensure_ascii=False)
     return text
 

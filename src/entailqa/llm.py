@@ -1,7 +1,7 @@
 """Uniform backend interface for every generative call, plus prompt templates.
 
-All operations build a prompt from a named template, send a single
-``BackendRequest`` to the backend through ``_call``, and run the response
+Every call builds a prompt from a named template, sends it as one
+``BackendRequest`` to the backend through ``_call``, and runs the response
 through exactly one parser with a one-retry policy. Two backends ship:
 
 * ``MockBackend`` — deterministic, offline; its behaviors are part of the test
@@ -25,12 +25,17 @@ from typing import Optional, Protocol
 
 from .dataset import RunConfig
 from .errors import BackendError, EmptyDecomposition, ParseError, TreeError, UnknownFactId
-from .facts import IMAGE, Evidence, FactBase, lookup_text, tokenize
+from .facts import IMAGE, TABLE, TEXT, Evidence, FactBase, lookup_text, tokenize
 from .tree import EntailmentTree, parse_node_id, parse_tree
 
 FEEDBACK_WORD_BUDGET = 200
 
 # --- prompt templates ---------------------------------------------------------
+
+_ANSWER_EACH = (  # the reply and block of the three answer templates
+    "Reply with a numbered list only, one answer per question, in the order of the questions.\n\n"
+    "questions:\n{questions_block}"
+)
 
 TEMPLATES: dict[str, str] = {
     "decompose_question": (
@@ -41,25 +46,23 @@ TEMPLATES: dict[str, str] = {
         "evidence:\n{evidence_block}"
     ),
     "decompose_atomic": (
-        "Split the sub-question about an image into atomic questions, each answerable\n"
-        "from the image alone. Reply with a numbered list only.\n\n"
-        "sub-question: {sub_question}\n"
-        "image {evidence_id}: {caption}"
+        "Split each sub-question about an image into atomic questions, each answerable\n"
+        "from its image alone. Each item is a JSON array: the sub-question, then the image caption.\n"
+        "Reply with a numbered list only, one JSON array of atomic questions per item, in order.\n\n"
+        "sub-questions:\n{sub-questions_block}"
     ),
     "vqa": (
-        "Answer the question about the image in as few words as possible.\n\n"
-        "question: {question}\n"
-        "image caption: {caption}"
+        "Answer each question about an image in as few words as possible.\n"
+        "Each question is a JSON array: the question, then the image caption.\n" + _ANSWER_EACH
     ),
     "table_qa": (
-        "Answer the question using only the table rows below. Reply with the answer only.\n\n"
-        "question: {question}\n"
-        "rows:\n{rows_block}"
+        "Answer each question using only the table rows given with it.\n"
+        "Each question is a JSON array: the question, then one sentence per table row.\n"
+        + _ANSWER_EACH
     ),
     "text_qa": (
-        "Answer the question using only the passage. Reply with a short answer.\n\n"
-        "question: {question}\n"
-        "passage: {passage}"
+        "Answer each question using only the passage given with it, in a few words.\n"
+        "Each question is a JSON array: the question, then the passage.\n" + _ANSWER_EACH
     ),
     "refine_fact": (
         "Rewrite each question and its answer as one short declarative sentence.\n"
@@ -200,6 +203,34 @@ def _restate(question: str, answer: str) -> str:
     return f'the answer to "{question}" is {answer}.'
 
 
+def _answer_image(question: str, caption: str) -> str:
+    q_words, c_words = set(tokenize(question)), tokenize(caption)
+    if not q_words & set(c_words):
+        return "unknown"
+    picks = [w for w in c_words if {"color", "colour"} & q_words and w in _COLORS]
+    picks += [w for w in c_words if {"many", "number"} & q_words and w.isdigit()]
+    picks += [w for w in c_words if w not in q_words and w not in _STOPWORDS]
+    return picks[0] if picks else "unknown"
+
+
+def _answer_table(question: str, rows: list[str]) -> str:
+    q_words = set(tokenize(question))
+    best = max(rows, key=lambda r: len(q_words & set(tokenize(r))))  # the first of a tie
+    for col, value in _row_cells(best):
+        named = set(tokenize(col))
+        if named and named <= q_words and not set(tokenize(value)) <= q_words:
+            return _one_line(value)  # a quoted cell may hold a line break
+    return "unknown"
+
+
+def _answer_text(question: str, passage: str) -> str:
+    sentences = [s.strip() for s in passage.split(". ") if s.strip()]
+    q_words = set(tokenize(question))
+    best = max(sentences, key=lambda s: len(q_words & set(tokenize(s))))
+    answer = [w for w in _content_words(best) if w not in q_words][:4]
+    return " ".join(answer) if answer else "unknown"
+
+
 def _json_rows(prompt: str, label: str, fits) -> list[list]:
     """The JSON array on each ``N. <array>`` line of block ``label``; an array
     that is empty or that ``fits(row, earlier rows)`` rejects is an error."""
@@ -216,7 +247,11 @@ def _json_rows(prompt: str, label: str, fits) -> list[list]:
 
 
 def _is_pair(row: list, earlier: int) -> bool:
-    return len(row) == 2 and all(isinstance(text, str) for text in row)
+    return len(row) == 2 and _is_table_row(row, earlier)
+
+
+def _is_table_row(row: list, earlier: int) -> bool:
+    return len(row) >= 2 and all(isinstance(text, str) for text in row)
 
 
 def _is_step(row: list, earlier: int) -> bool:
@@ -238,7 +273,10 @@ class MockBackend:
 
     * decompose_question — one sub-question per listed evidence item:
       ``what does <id> say about <first content words of the question>?``
-    * decompose_atomic — splits the sub-question on `` and ``.
+    * decompose_atomic — splits each row's sub-question on `` and ``, one
+      JSON array of the parts a row.
+    * vqa, table_qa, text_qa — one answer a ``["<question>", <context>...]``
+      row, the context a caption, row sentences or a passage:
     * vqa — no shared word between question and caption gives "unknown";
       a "color" cue picks the first color word in the caption; a "many" or
       "number" cue picks the first all-digit caption word; otherwise (or when
@@ -259,6 +297,8 @@ class MockBackend:
       line (``Facts:fact2; fact5``), in the order of the facts block.
     * intermediate_infer — joins each step's premises with "; therefore ",
       a number N standing for step N's conclusion.
+
+    A row that is not a JSON array of its tag's items is a ``BackendError``.
     """
 
     def __init__(self, scripted_trees: Optional[dict[str, str]] = None):
@@ -279,56 +319,19 @@ class MockBackend:
         return _numbered(f"what does {eid} say about {keywords}? [{eid}]" for eid in eids)
 
     def _do_decompose_atomic(self, prompt: str) -> str:
-        sub_question = _field_line(prompt, "sub-question").rstrip("?")
-        parts = [p.strip() for p in re.split(r"\band\b", sub_question) if p.strip()]
-        return _numbered(f"{p}?" for p in parts)
+        splits = (re.split(r"\band\b", sub.rstrip("?"))
+                  for sub, _ in _json_rows(prompt, "sub-questions", _is_pair))
+        return _numbered(json.dumps([f"{p.strip()}?" for p in ps if p.strip()]) for ps in splits)
 
     def _do_vqa(self, prompt: str) -> str:
-        question = _field_line(prompt, "question")
-        caption = _field_line(prompt, "image caption")
-        q_words, c_words = tokenize(question), tokenize(caption)
-        if not set(q_words) & set(c_words):
-            return "unknown"
-        if "color" in q_words or "colour" in q_words:
-            for w in c_words:
-                if w in _COLORS:
-                    return w
-        if "many" in q_words or "number" in q_words:
-            for w in c_words:
-                if w.isdigit():
-                    return w
-        q_set = set(q_words)
-        for w in c_words:
-            if w not in q_set and w not in _STOPWORDS:
-                return w
-        return "unknown"
+        return _numbered(_answer_image(*row) for row in _json_rows(prompt, "questions", _is_pair))
 
     def _do_table_qa(self, prompt: str) -> str:
-        question = _field_line(prompt, "question")
-        rows = _block(prompt, "rows")
-        q_words = set(tokenize(question))
-        best = max(rows, key=lambda r: (len(q_words & set(tokenize(r))), -rows.index(r)))
-        mentioned = [
-            (col, value)
-            for col, value in _row_cells(best)
-            if set(tokenize(col)) and set(tokenize(col)) <= q_words
-        ]
-        for col, value in mentioned:
-            if not set(tokenize(value)) <= q_words:
-                return value
-        return "unknown"
+        rows = _json_rows(prompt, "questions", _is_table_row)
+        return _numbered(_answer_table(question, table) for question, *table in rows)
 
     def _do_text_qa(self, prompt: str) -> str:
-        question = _field_line(prompt, "question")
-        passage = _field_line(prompt, "passage")
-        sentences = [s.strip() for s in passage.split(". ") if s.strip()]
-        q_words = set(tokenize(question))
-        best = max(
-            sentences,
-            key=lambda s: (len(q_words & set(tokenize(s))), -sentences.index(s)),
-        )
-        answer = [w for w in _content_words(best) if w not in q_words][:4]
-        return " ".join(answer) if answer else "unknown"
+        return _numbered(_answer_text(*row) for row in _json_rows(prompt, "questions", _is_pair))
 
     def _do_refine_fact(self, prompt: str) -> str:
         return _numbered(_restate(*pair) for pair in _json_rows(prompt, "pairs", _is_pair))
@@ -580,43 +583,43 @@ def decompose_question(
     return _call(backend, "decompose_question", prompt, parser)
 
 
-def decompose_atomic(
-    backend: Backend, sub_question: str, evidence: Evidence
-) -> list[str]:
-    """Second-level split of an image sub-question into atomic questions."""
-    if evidence.modality != IMAGE:
-        raise ValueError("decompose_atomic expects image evidence")
-    if not sub_question.strip():
-        raise ValueError("empty sub-question")
-    prompt = render(
-        "decompose_atomic",
-        sub_question=sub_question,
-        evidence_id=evidence.id,
-        caption=evidence.caption or "",
-    )
-    return _call(backend, "decompose_atomic", prompt, _parse_numbered)
+def decompose_atomic(backend: Backend, subs: list[tuple[str, Evidence]]) -> list[list[str]]:
+    """Each (sub-question, image) pair's atomic questions, in order, from one
+    call; a reply line not a JSON array of questions is a ParseError."""
+    if not subs or not all(ev.modality == IMAGE and sub.strip() for sub, ev in subs):
+        raise ValueError("decompose_atomic needs image sub-questions")
+    rows = [(sub, *ev.answer_texts()) for sub, ev in subs]
+    return _ask_each(backend, "decompose_atomic", "sub-questions", rows, "lines", _atomic)
 
 
-def vqa_answer(backend: Backend, atomic_question: str, evidence: Evidence) -> str:
-    if evidence.modality != IMAGE:
-        raise ValueError("vqa_answer expects image evidence")
-    prompt = render("vqa", question=atomic_question, caption=evidence.caption or "")
-    return _call(backend, "vqa", prompt, _parse_short)
+def _atomic(line: str) -> list[str]:
+    try:
+        questions = json.loads(line)
+    except (ValueError, RecursionError):
+        questions = None
+    if isinstance(questions, list) and questions and all(
+        isinstance(q, str) and q.strip() for q in questions
+    ):
+        return questions
+    raise ParseError(f"not a JSON array of atomic questions: {line!r}")
 
 
-def table_qa(backend: Backend, sub_question: str, linearized_rows: list[str]) -> str:
-    if not linearized_rows:
-        raise ValueError("no linearized rows")
-    prompt = render("table_qa", question=sub_question, rows_block=linearized_rows)
-    return _call(backend, "table_qa", prompt, _parse_short)
+_ANSWER_TAGS = {IMAGE: "vqa", TABLE: "table_qa", TEXT: "text_qa"}
 
 
-def text_qa(backend: Backend, sub_question: str, passage: str) -> str:
-    """Text-modality path: answer the sub-question over the snippet."""
-    if not passage.strip():
-        raise ValueError("empty passage")
-    prompt = render("text_qa", question=sub_question, passage=passage)
-    return _call(backend, "text_qa", prompt, _parse_short)
+def answer_questions(backend: Backend, questions: list[tuple[str, Evidence]]) -> list[str]:
+    """One answer per (question, evidence) pair, in order, from one call per
+    modality present; a pair's row is its question, then ``answer_texts()``."""
+    rows = [(question, *ev.answer_texts()) for question, ev in questions]
+    if not rows or not all(text.strip() for row in rows for text in row):
+        raise ValueError("answer_questions needs questions and evidence texts")
+    answers: dict[int, str] = {}
+    for modality, tag in _ANSWER_TAGS.items():
+        asked = [i for i, (_, ev) in enumerate(questions) if ev.modality == modality]
+        if asked:
+            found = _ask_each(backend, tag, "questions", [rows[i] for i in asked], "answers")
+            answers.update(zip(asked, found))
+    return [answers[i] for i in range(len(rows))]
 
 
 def refine_to_facts(backend: Backend, pairs: list[tuple[str, str]]) -> list[str]:
@@ -687,18 +690,18 @@ def infer_conclusions(backend: Backend, steps: list[tuple[str | int, ...]]) -> l
     return _ask_each(backend, "intermediate_infer", "steps", steps, "conclusions")
 
 
-def _ask_each(backend: Backend, tag: str, label: str, rows: list, answers: str) -> list[str]:
-    """One numbered answer per row, in order, from one ``tag`` call. Row N
-    goes in block ``label`` as the line ``N. <JSON array>``, its texts
-    one-lined; a reply that numbers another count is a ParseError."""
+def _ask_each(backend: Backend, tag: str, label: str, rows: list, answers: str, read=str) -> list:
+    """One numbered answer per row, in order, each through ``read``, from one
+    ``tag`` call. Row N goes in block ``label`` as the line ``N. <JSON array>``,
+    its texts one-lined; another count of answers is a ParseError."""
     lines = ([_one_line(x) if isinstance(x, str) else x for x in row] for row in rows)
     block = [f"{i}. {json.dumps(line, ensure_ascii=False)}" for i, line in enumerate(lines, 1)]
     prompt = render(tag, **{f"{label}_block": block})
 
-    def parser(response: str) -> list[str]:
+    def parser(response: str) -> list:
         found = _parse_numbered(response)
         if len(found) != len(rows):
             raise ParseError(f"{len(found)} {answers} for {len(rows)} {label}: {response!r}")
-        return found
+        return [read(answer) for answer in found]
 
     return _call(backend, tag, prompt, parser)

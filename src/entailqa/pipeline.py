@@ -23,16 +23,14 @@ import numpy as np
 from . import metrics
 from .dataset import QAExample, RunConfig
 from .errors import EmptyEvidence, EntailQAError, MoeError, NonFiniteLoss, SchemaError, TreeError
-from .facts import IMAGE, TABLE, FactBase, add_fact, linearize_table, retrieve_evidence
+from .facts import IMAGE, FactBase, add_fact, retrieve_evidence
 from .llm import (
     Backend,
+    answer_questions,
     decompose_atomic,
     decompose_question,
     generate_tree_structure,
     refine_to_facts,
-    table_qa,
-    text_qa,
-    vqa_answer,
 )
 from .moe import (
     MoeConfig,
@@ -115,31 +113,24 @@ class PipelineState:
 def run_stage1(
     example: QAExample, backend: Backend, top_n: int = RunConfig.retrieval_top_n
 ) -> tuple[FactBase, EntailmentTree]:
-    """Retrieve, decompose, answer per modality, refine every answer to a fact
-    in one call, build the tree."""
+    """Retrieve, decompose, split the image sub-questions into atomic ones,
+    answer in one call per modality, refine every answer to a fact in one
+    call, build the tree. Facts keep the sub-question order."""
     if not example.evidence:
         raise EmptyEvidence(f"example {example.id} has no evidence")
     retrieved = retrieve_evidence(example.question, list(example.evidence), top_n)
     by_id = {ev.id: ev for ev in retrieved}
-
-    sources, pairs = [], []  # the evidence of each (question, answer) pair
-    for sub in decompose_question(backend, example.question, retrieved):
-        ev = by_id[sub.evidence_id]
-        if ev.modality == IMAGE:
-            answered = [
-                (atomic, vqa_answer(backend, atomic, ev))
-                for atomic in decompose_atomic(backend, sub.question, ev)
-            ]
-        elif ev.modality == TABLE:
-            rows = linearize_table(ev.content)
-            answered = [(sub.question, table_qa(backend, sub.question, rows))]
-        else:
-            answered = [(sub.question, text_qa(backend, sub.question, str(ev.content)))]
-        sources += [ev] * len(answered)
-        pairs += answered
+    subs = [(sub.question, by_id[sub.evidence_id])
+            for sub in decompose_question(backend, example.question, retrieved)]
+    images = [sub for sub in subs if sub[1].modality == IMAGE]
+    atomic = iter(decompose_atomic(backend, images) if images else ())
+    questions = []  # (question, evidence), an image's atomic questions in its place
+    for question, ev in subs:
+        questions += [(q, ev) for q in next(atomic)] if ev.modality == IMAGE else [(question, ev)]
+    pairs = [(q, answer) for (q, _), answer in zip(questions, answer_questions(backend, questions))]
 
     base = FactBase(example.id)
-    for ev, pair, text in zip(sources, pairs, refine_to_facts(backend, pairs)):
+    for (_, ev), pair, text in zip(questions, pairs, refine_to_facts(backend, pairs)):
         base = add_fact(base, text, ev.modality, ev.id, origin=pair)
 
     structure = generate_tree_structure(backend, example.question, base)

@@ -34,7 +34,10 @@ class TestLinearize:
             'row one\'s Winner is "Paris, France", Note is "the \\"big\\" one".'
         ]
 
-    @pytest.mark.parametrize("text", ["", "is", "is big", "this is", "a is b", "Zürich, CH"])
+    @pytest.mark.parametrize(
+        "text",
+        ["", "is", "is big", "this is", "a is b", "Zürich, CH", " ", "a,\nb", "\u2028is\u2028", " x", "a  b"],
+    )
     def test_names_and_cells_that_could_be_misread_are_json_strings(self, text):
         quoted = json.dumps(text, ensure_ascii=False)
         table = Table(header=(text,), rows=((text,),))

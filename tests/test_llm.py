@@ -3,20 +3,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entailqa import llm
-from entailqa.errors import BackendError, EmptyDecomposition, ParseError, TreeSyntaxError, UnknownFactId
-from entailqa.facts import Evidence, FactBase, Table, add_fact, linearize_table
+from entailqa.errors import (
+    BackendError,
+    EmptyDecomposition,
+    EmptyTable,
+    ParseError,
+    TreeSyntaxError,
+    UnknownFactId,
+)
+from entailqa.facts import Evidence, FactBase, Table, add_fact
 from entailqa.llm import (
     BackendRequest,
     MockBackend,
+    answer_questions,
     decompose_atomic,
     decompose_question,
     generate_tree_structure,
     infer_conclusions,
     refine_to_facts,
     render,
-    table_qa,
-    text_qa,
-    vqa_answer,
 )
 from entailqa.tree import LEAF, serialize_tree
 
@@ -64,14 +69,28 @@ def image_evidence():
     return Evidence(id="img1", modality="image", content="", caption="a racing brown horse")
 
 
+def _answer(backend, question, evidence):
+    """The one answer ``answer_questions`` gives for one question."""
+    [answer] = answer_questions(backend, [(question, evidence)])
+    return answer
+
+
+def _text(passage):
+    return Evidence(id="e1", modality="text", content=passage)
+
+
+def _table(header, *rows):
+    return Evidence(id="t", modality="table", content=Table(header=header, rows=rows))
+
+
 class TestTemplates:
     def test_render_fills_slots(self):
-        text = render("vqa", question="q?", caption="cap")
+        text = render("feedback", n="200", f="fact1", a="cap", q="q?")
         assert "q?" in text and "cap" in text
 
     def test_unbound_slot_errors(self):
         with pytest.raises(ValueError):
-            render("vqa", question="q?")
+            render("feedback", n="200", f="fact1", a="cap")
 
     def test_template_openings_are_distinct_and_prefix_free(self):
         """A stand-in server that gets no tag can recover it from the prompt's
@@ -88,12 +107,13 @@ class TestTemplates:
         assert "Facts:fact1; fact2  Answer:yes  Question:why?" in text
 
     def test_block_items_go_one_to_a_line(self):
-        text = render("table_qa", question="who\nwon?", rows_block=["row\none.", "  row  two. "])
-        assert text.endswith("question: who won?\nrows:\nrow one.\nrow two.")
+        text = render("tree_structure", question_id="q1", hypothesis="who\nwon?",
+                      facts_block=["row\none.", "  row  two. "])
+        assert text.endswith("hypothesis: who won?\nfacts:\nrow one.\nrow two.")
 
     def test_block_slot_given_a_str_errors(self):
-        with pytest.raises(ValueError, match="rows_block"):
-            render("table_qa", question="q?", rows_block="row one.")
+        with pytest.raises(ValueError, match="facts_block"):
+            render("tree_structure", question_id="q1", hypothesis="q?", facts_block="row one.")
 
 
 class TestDecomposeQuestion:
@@ -144,31 +164,41 @@ class TestDecomposeQuestion:
 class TestDecomposeAtomic:
     def test_splits_on_conjunction(self, mock_backend, image_evidence):
         out = decompose_atomic(
-            mock_backend, "what color is the horse and what is it doing?", image_evidence
+            mock_backend, [("what color is the horse and what is it doing?", image_evidence)]
         )
-        assert out == ["what color is the horse?", "what is it doing?"]
+        assert out == [["what color is the horse?", "what is it doing?"]]
 
     def test_atomic_already(self, mock_backend, image_evidence):
-        out = decompose_atomic(mock_backend, "what color is the horse?", image_evidence)
-        assert out == ["what color is the horse?"]
+        out = decompose_atomic(mock_backend, [("what color is the horse?", image_evidence)])
+        assert out == [["what color is the horse?"]]
 
     def test_empty_subquestion(self, mock_backend, image_evidence):
         with pytest.raises(ValueError):
-            decompose_atomic(mock_backend, "  ", image_evidence)
+            decompose_atomic(mock_backend, [("what color?", image_evidence), ("  ", image_evidence)])
+        with pytest.raises(ValueError):
+            decompose_atomic(mock_backend, [])
 
-    def test_non_image_rejected(self, mock_backend):
+    def test_non_image_rejected(self, mock_backend, image_evidence):
         text_ev = Evidence(id="e1", modality="text", content="x")
         with pytest.raises(ValueError):
-            decompose_atomic(mock_backend, "q?", text_ev)
+            decompose_atomic(mock_backend, [("q?", image_evidence), ("q?", text_ev)])
+
+    def test_every_sub_question_in_one_call(self, image_evidence):
+        backend = RecordingBackend()
+        subs = [("what color is the horse and what is it doing?", image_evidence),
+                ("what is it?", Evidence(id="i2", modality="image", content="", caption="a mill"))]
+        out = decompose_atomic(backend, subs)
+        assert out == [["what color is the horse?", "what is it doing?"], ["what is it?"]]
+        assert [tag for tag, _ in backend.prompts] == ["decompose_atomic"]
 
 
 class TestVqa:
     def test_color_keyword(self, mock_backend, image_evidence):
-        answer = vqa_answer(mock_backend, "what color is the horse", image_evidence)
+        answer = _answer(mock_backend, "what color is the horse", image_evidence)
         assert answer == "brown"
 
     def test_no_overlap_fallback(self, mock_backend, image_evidence):
-        answer = vqa_answer(mock_backend, "when did gold rust", image_evidence)
+        answer = _answer(mock_backend, "when did gold rust", image_evidence)
         assert answer == "unknown"
 
     @pytest.mark.parametrize(
@@ -180,22 +210,18 @@ class TestVqa:
     )
     def test_count_keyword(self, mock_backend, caption, expected):
         ev = Evidence(id="i", modality="image", content="", caption=caption)
-        answer = vqa_answer(mock_backend, "how many horses graze in the field", ev)
+        answer = _answer(mock_backend, "how many horses graze in the field", ev)
         assert answer == expected
 
     def test_head_noun_fallback(self, mock_backend):
         ev = Evidence(id="i", modality="image", content="", caption="a falcon over the reef")
-        answer = vqa_answer(mock_backend, "what flies over the reef", ev)
+        answer = _answer(mock_backend, "what flies over the reef", ev)
         assert answer == "falcon"
 
     def test_caption_reaches_the_prompt_as_one_line(self, mock_backend):
         ev = Evidence(id="i", modality="image", content="", caption="a falcon\nover the reef")
-        answer = vqa_answer(mock_backend, "what flies over the reef", ev)
+        answer = _answer(mock_backend, "what flies over the reef", ev)
         assert answer == "falcon"
-
-    def test_non_image_precondition(self, mock_backend):
-        with pytest.raises(ValueError):
-            vqa_answer(mock_backend, "q", Evidence(id="e", modality="text", content="x"))
 
 
 class TestTableQa:
@@ -204,26 +230,23 @@ class TestTableQa:
             header=("Season", "Winner"),
             rows=(("2010", "Super Saver"), ("2011", "Animal Kingdom")),
         )
-        rows = linearize_table(table)
-        answer = table_qa(mock_backend, "who was the Winner in the 2010 Season?", rows)
+        ev = Evidence(id="t", modality="table", content=table)
+        answer = _answer(mock_backend, "who was the Winner in the 2010 Season?", ev)
         assert answer == "Super Saver"
 
     def test_cell_reaches_the_prompt_as_one_line(self, mock_backend):
-        table = Table(header=("season", "winner"), rows=(("2010", "Super\nSaver"),))
-        rows = linearize_table(table)
-        answer = table_qa(mock_backend, "what is the winner of season 2010?", rows)
+        ev = _table(("season", "winner"), ("2010", "Super\nSaver"))
+        answer = _answer(mock_backend, "what is the winner of season 2010?", ev)
         assert answer == "Super Saver"
 
     def test_cell_with_a_comma_stays_whole(self, mock_backend):
-        table = Table(header=("season", "winner"), rows=(("2009", "Rome"), ("2010", "Paris, France")))
-        rows = linearize_table(table)
-        answer = table_qa(mock_backend, "what is the winner of season 2010?", rows)
+        ev = _table(("season", "winner"), ("2009", "Rome"), ("2010", "Paris, France"))
+        answer = _answer(mock_backend, "what is the winner of season 2010?", ev)
         assert answer == "Paris, France"
 
     def test_cell_holding_both_separators_stays_whole(self, mock_backend):
-        table = Table(header=("season", "winner"), rows=(("2009", "Rome"), ("2010", "Paris, which is big")))
-        rows = linearize_table(table)
-        answer = table_qa(mock_backend, "what is the winner of season 2010?", rows)
+        ev = _table(("season", "winner"), ("2009", "Rome"), ("2010", "Paris, which is big"))
+        answer = _answer(mock_backend, "what is the winner of season 2010?", ev)
         assert answer == "Paris, which is big"
 
     @given(st.lists(st.tuples(_CELL, _CELL), min_size=1, max_size=4))
@@ -231,47 +254,67 @@ class TestTableQa:
     def test_row_sentence_reads_back_cell_for_cell(self, pairs):
         """For any one-line names and cells, the mock reads the row sentence
         of the table_qa prompt back into exactly those (column, cell) pairs."""
-        table = Table(header=tuple(col for col, _ in pairs), rows=(tuple(cell for _, cell in pairs),))
-        prompt = render("table_qa", question="q?", rows_block=linearize_table(table))
-        assert llm._row_cells(llm._block(prompt, "rows")[0]) == pairs
+        backend = RecordingBackend()
+        _answer(backend, "q?", _table(tuple(col for col, _ in pairs), tuple(cell for _, cell in pairs)))
+        [(_, prompt)] = backend.prompts
+        [(_, row)] = llm._json_rows(prompt, "questions", llm._is_table_row)
+        assert llm._row_cells(row) == pairs
 
     def test_no_column_match(self, mock_backend):
-        rows = ["row one's Season is 2010, Winner is Super Saver."]
-        answer = table_qa(mock_backend, "what is the weather like?", rows)
+        ev = _table(("Season", "Winner"), ("2010", "Super Saver"))
+        answer = _answer(mock_backend, "what is the weather like?", ev)
         assert answer == "unknown"
 
     def test_empty_rows_precondition(self, mock_backend):
-        with pytest.raises(ValueError):
-            table_qa(mock_backend, "q?", [])
+        with pytest.raises(EmptyTable):
+            _answer(mock_backend, "q?", _table(("Season",)))
 
 
 class TestTextQa:
     def test_extracts_novel_content_words(self, mock_backend):
-        answer = text_qa(
-            mock_backend,
-            "what does e1 say about color falcon?",
-            "the color of the falcon is crimson.",
-        )
+        ev = Evidence(id="e1", modality="text", content="the color of the falcon is crimson.")
+        answer = _answer(mock_backend, "what does e1 say about color falcon?", ev)
         assert answer == "crimson"
 
     def test_best_sentence_selected(self, mock_backend):
         passage = "the mill is old. the falcon is swift."
-        answer = text_qa(mock_backend, "how swift is the falcon?", passage)
+        answer = _answer(mock_backend, "how swift is the falcon?", _text(passage))
         assert answer == "unknown" or "swift" not in answer  # novel words only
 
     def test_passage_reaches_the_prompt_as_one_line(self, mock_backend):
         """A newline in the passage neither hides the text after it nor
         leaves the mock an empty passage line."""
         passage = "\nthe color of the falcon\nis crimson."
-        answer = text_qa(mock_backend, "what does e1 say about color falcon?", passage)
+        answer = _answer(mock_backend, "what does e1 say about color falcon?", _text(passage))
         assert answer == "crimson"
         # "swift" is in the question, and the mock answers with novel words only
-        answer = text_qa(mock_backend, "how swift is the falcon?", "\nthe falcon is swift.")
+        answer = _answer(mock_backend, "how swift is the falcon?", _text("\nthe falcon is swift."))
         assert answer == "unknown"
 
     def test_empty_passage(self, mock_backend):
         with pytest.raises(ValueError):
-            text_qa(mock_backend, "q?", "  ")
+            _answer(mock_backend, "q?", _text("  "))
+
+
+class TestAnswerQuestions:
+    def test_one_call_per_modality_answers_in_input_order(self, image_evidence):
+        questions = [
+            ("what does e1 say about color falcon?", _text("the color of the falcon is crimson.")),
+            ("what color is the horse", image_evidence),
+            ("who was the Winner in the 2010 Season?", _table(("Season", "Winner"), ("2010", "Super Saver"))),
+            ("how many horses graze", Evidence(id="i2", modality="image", content="", caption="3 horses graze")),
+            ("what does e2 say about mill?", _text("the mill is old.")),
+        ]
+        backend = RecordingBackend()
+        answers = answer_questions(backend, questions)
+        assert answers == ["crimson", "brown", "Super Saver", "3", "old"]
+        assert answers == [_answer(MockBackend(), *question) for question in questions]
+        assert [tag for tag, _ in backend.prompts] == ["vqa", "table_qa", "text_qa"]
+
+    def test_empty_question_precondition(self, mock_backend):
+        for questions in ([], [("q?", _text("a.")), (" ", _text("b."))]):
+            with pytest.raises(ValueError):
+                answer_questions(mock_backend, questions)
 
 
 # Pair texts weighted towards what the pair line's JSON must carry intact.
@@ -282,6 +325,31 @@ _PAIR_TEXT = (
     ).map("".join)
     | st.text(min_size=1)
 ).filter(str.strip)
+
+
+# Table names and cells, weighted towards what linearize_table JSON-quotes and
+# what the row's JSON must carry intact; not one-lined.
+_TABLE_CELL = (
+    st.lists(st.sampled_from(["is", " is ", ", ", '"', "\\", "\u2028", "\n", "ü", "x"]), max_size=6).map("".join)
+    | st.text()
+)
+
+
+@st.composite
+def _answer_rows(draw):
+    """(question, evidence) pairs of any modality: a text, a captioned image,
+    or a table of one or two rows."""
+    questions = []
+    for modality in draw(st.lists(st.sampled_from(["text", "image", "table"]), min_size=1, max_size=4)):
+        if modality == "table":
+            width = draw(st.integers(1, 3))
+            cells = st.lists(_TABLE_CELL, min_size=width, max_size=width).map(tuple)
+            ev = _table(draw(cells), *draw(st.lists(cells, min_size=1, max_size=2)))
+        else:
+            text = draw(_PAIR_TEXT)
+            ev = _text(text) if modality == "text" else Evidence(id="i", modality="image", caption=text)
+        questions.append((draw(_PAIR_TEXT), ev))
+    return questions
 
 
 class TestRefineToFact:
@@ -335,16 +403,26 @@ class TestRefineToFact:
             '"quoted" is "x" answer: y.',
         ]
 
-    @given(st.lists(st.tuples(_PAIR_TEXT, _PAIR_TEXT), min_size=1, max_size=4))
+    @given(st.lists(st.tuples(_PAIR_TEXT, _PAIR_TEXT), min_size=1, max_size=4), _answer_rows())
     @settings(max_examples=200, deadline=None)
-    def test_pair_lines_read_back_pair_for_pair(self, pairs):
+    def test_pair_lines_read_back_pair_for_pair(self, pairs, questions):
         """For any questions and answers, the mock reads the pair lines of the
-        refine_fact prompt back into exactly those pairs, texts one-lined."""
+        refine_fact prompt back into exactly those pairs, and the rows of each
+        answer prompt back into exactly its questions with their caption,
+        row sentences or passage, texts one-lined."""
         backend = RecordingBackend()
         refine_to_facts(backend, pairs)
-        [(_, prompt)] = backend.prompts
+        answers = answer_questions(backend, questions)
+        [(_, prompt), *asked] = backend.prompts
         one_lined = [tuple(" ".join(text.split()) for text in pair) for pair in pairs]
         assert [tuple(row) for row in llm._json_rows(prompt, "pairs", llm._is_pair)] == one_lined
+        assert len(answers) == len(questions)
+        for tag, prompt in asked:
+            rows = [(question, *ev.answer_texts()) for question, ev in questions
+                    if llm._ANSWER_TAGS[ev.modality] == tag]
+            one_lined = [tuple(" ".join(text.split()) for text in row) for row in rows]
+            read = llm._json_rows(prompt, "questions", llm._is_table_row)
+            assert [tuple(row) for row in read] == one_lined
 
 
 class TestTreeStructure:
@@ -538,11 +616,19 @@ class TestInferIntermediate:
                 "1. what is it? crimson", '1. ["q"]', '1. ["q", 1]', '1. ["q", "a", "b"]', "1. []",
                 "1. question: q? answer: a",
             ]
+        ] + [
+            pytest.param(tag, line, id=f"{tag}-{line}")
+            for tag in ("decompose_atomic", "vqa", "text_qa")
+            for line in ['1. ["q"]', '1. ["q", 1]', '1. [1, "c"]', '1. ["q", "c", "d"]', '1. "q"']
+        ] + [
+            pytest.param("table_qa", line, id=f"table_qa-{line}")
+            for line in ['1. ["q"]', '1. ["q", 1]', '1. [1, "row one\'s a is b."]', '1. ["q", ["r"]]']
         ],
     )
     def test_unreadable_step_line_is_backend_error(self, mock_backend, tag, line):
-        """A step or pair line that is not a JSON array of the right items."""
-        label = {"intermediate_infer": "steps", "refine_fact": "pairs"}[tag]
+        """A step, pair or question line that is not a JSON array of the right items."""
+        label = {"intermediate_infer": "steps", "refine_fact": "pairs",
+                 "decompose_atomic": "sub-questions"}.get(tag, "questions")
         prompt = render(tag, **{f"{label}_block": [line]})
         with pytest.raises(BackendError, match=f"could not read the {label} line"):
             mock_backend.complete(BackendRequest(prompt=prompt, tag=tag))
@@ -582,7 +668,8 @@ class TestMockDeterminism:
 
     @pytest.mark.parametrize(
         "tag",
-        ["decompose_question", "table_qa", "refine_fact", "tree_structure", "feedback", "intermediate_infer"],
+        ["decompose_question", "decompose_atomic", "vqa", "table_qa", "text_qa", "refine_fact",
+         "tree_structure", "feedback", "intermediate_infer"],
     )
     def test_prompt_without_its_block_label_is_backend_error(self, mock_backend, tag):
         with pytest.raises(BackendError, match="block"):
@@ -615,7 +702,8 @@ _TREE_PROMPT = (
 
 
 def test_every_prompt_byte_for_byte():
-    """Each of the nine operations sends exactly these bytes for these inputs."""
+    """Each operation sends exactly these bytes for these inputs; answering
+    three questions of three modalities makes three prompts."""
     backend = RecordingBackend()
     text = Evidence(id="e1", modality="text", content="the falcon is crimson.")
     image = Evidence(id="i1", modality="image", content="", caption="a crimson falcon")
@@ -628,10 +716,8 @@ def test_every_prompt_byte_for_byte():
     base = add_fact(base, "the harbor is deep.", "text", "e2")
     question = "what color is the falcon?"
     decompose_question(backend, question, [text, image, table])
-    decompose_atomic(backend, "what color is the falcon and where is it?", image)
-    vqa_answer(backend, question, image)
-    table_qa(backend, "who was the Winner in 2010?", linearize_table(table.content))
-    text_qa(backend, question, "the falcon is crimson.")
+    decompose_atomic(backend, [("what color is the falcon and where is it?", image)])
+    answer_questions(backend, [(question, image), ("who was the Winner in 2010?", table), (question, text)])
     refine_to_facts(backend, [(question, "crimson"), ("what is the answer: the first?", "it")])
     generate_tree_structure(backend, question, base)
     feedback = (["fact1", "fact2"], "crimson")
@@ -651,29 +737,35 @@ def test_every_prompt_byte_for_byte():
         ),
         (
             "decompose_atomic",
-            "Split the sub-question about an image into atomic questions, each answerable\n"
-            "from the image alone. Reply with a numbered list only.\n\n"
-            "sub-question: what color is the falcon and where is it?\n"
-            "image i1: a crimson falcon",
+            "Split each sub-question about an image into atomic questions, each answerable\n"
+            "from its image alone. Each item is a JSON array: the sub-question, then the image caption.\n"
+            "Reply with a numbered list only, one JSON array of atomic questions per item, in order.\n\n"
+            "sub-questions:\n"
+            '1. ["what color is the falcon and where is it?", "a crimson falcon"]',
         ),
         (
             "vqa",
-            "Answer the question about the image in as few words as possible.\n\n"
-            "question: what color is the falcon?\n"
-            "image caption: a crimson falcon",
+            "Answer each question about an image in as few words as possible.\n"
+            "Each question is a JSON array: the question, then the image caption.\n"
+            "Reply with a numbered list only, one answer per question, in the order of the questions.\n\n"
+            "questions:\n"
+            '1. ["what color is the falcon?", "a crimson falcon"]',
         ),
         (
             "table_qa",
-            "Answer the question using only the table rows below. Reply with the answer only.\n\n"
-            "question: who was the Winner in 2010?\n"
-            "rows:\n"
-            "row one's Season is 2010, Winner is Super Saver.",
+            "Answer each question using only the table rows given with it.\n"
+            "Each question is a JSON array: the question, then one sentence per table row.\n"
+            "Reply with a numbered list only, one answer per question, in the order of the questions.\n\n"
+            "questions:\n"
+            '1. ["who was the Winner in 2010?", "row one\'s Season is 2010, Winner is Super Saver."]',
         ),
         (
             "text_qa",
-            "Answer the question using only the passage. Reply with a short answer.\n\n"
-            "question: what color is the falcon?\n"
-            "passage: the falcon is crimson.",
+            "Answer each question using only the passage given with it, in a few words.\n"
+            "Each question is a JSON array: the question, then the passage.\n"
+            "Reply with a numbered list only, one answer per question, in the order of the questions.\n\n"
+            "questions:\n"
+            '1. ["what color is the falcon?", "the falcon is crimson."]',
         ),
         (
             "refine_fact",

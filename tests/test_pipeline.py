@@ -146,40 +146,55 @@ class TestStage1:
         )
 
     def test_image_pairs_are_refined_in_one_call(self):
-        class TwoAtomicBackend(MockBackend):
-            def __init__(self):
-                super().__init__()
-                self.tags = []
-
-            def complete(self, request):
-                self.tags.append(request.tag)
-                return super().complete(request)
-
+        class TwoAtomicBackend(_CountingBackend):
             def _do_decompose_atomic(self, prompt):
-                return "1. what color is the horse?\n2. what is the horse doing?"
+                return '1. ["what color is the horse?", "what is the horse doing?"]'
 
+        # no evidence shares a word with the question, so all keep their order
         example = QAExample(
-            id="img2",
-            question="what color is the horse?",
+            id="mix2",
+            question="what happened?",
             evidence=(
+                Evidence(id="txt1", modality="text", content="the race was at churchill downs."),
                 Evidence(id="img1", modality="image", content="", caption="a racing brown horse"),
+                Evidence(
+                    id="tab1",
+                    modality="table",
+                    content=Table(header=("Season", "Winner"), rows=(("2010", "Super Saver"),)),
+                ),
             ),
             gold_answer="brown",
         )
         backend = TwoAtomicBackend()
         base, _ = run_stage1(example, backend)
-        assert backend.tags[:6] == [
+        assert backend.tags == [
             "decompose_question",
             "decompose_atomic",
             "vqa",
-            "vqa",
+            "table_qa",
+            "text_qa",
             "refine_fact",
             "tree_structure",
+            "intermediate_infer",
         ]
-        assert [f.origin for f in base.facts] == [
-            ("what color is the horse?", "brown"),
-            ("what is the horse doing?", "racing"),
+        assert [(f.source_evidence_id, f.origin) for f in base.facts] == [
+            ("txt1", ("what does txt1 say about happened?", "race at churchill downs")),
+            ("img1", ("what color is the horse?", "brown")),
+            ("img1", ("what is the horse doing?", "racing")),
+            ("tab1", ("what does tab1 say about happened?", "unknown")),
         ]
+
+    def test_at_most_one_call_per_answer_tag_per_example(self):
+        examples = _mixed_corpus(12, seed=3)
+        asked = set()
+        for example in examples:
+            backend = _CountingBackend()
+            run_stage1(example, backend)
+            for tag in ("decompose_atomic", "vqa", "table_qa", "text_qa"):
+                assert backend.tags.count(tag) <= 1, (example.id, tag)
+            assert len(backend.tags) <= 8
+            asked.update(backend.tags)
+        assert {"decompose_atomic", "vqa", "table_qa", "text_qa"} <= asked
 
     def test_one_refine_call_per_example_that_reaches_refinement(self):
         examples = _mixed_corpus(6, seed=3) + [replace(_text_example("bare"), evidence=())]
@@ -189,8 +204,79 @@ class TestStage1:
         assert [i for i, state in states.items() if state.failed] == ["bare"]  # no evidence
         assert backend.tags.count("refine_fact") == len(examples) - 1
         assert backend.tags.count("tree_structure") == len(examples) - 1
-        pairs = backend.tags.count("vqa") + backend.tags.count("table_qa") + backend.tags.count("text_qa")
-        assert sum(len(state.base) for state in states.values() if state.base) == pairs
+        rows = sum(
+            len(llm._block(request.prompt, "questions"))
+            for request in backend.requests
+            if request.tag in ("vqa", "table_qa", "text_qa")
+        )
+        assert sum(len(state.base) for state in states.values() if state.base) == rows
+
+    def test_table_reply_one_answer_short_twice_fails_its_example_alone(self):
+        class ShortTableBackend(MockBackend):
+            """Drops the last answer of every table_qa reply whose prompt holds ``marker``."""
+
+            def __init__(self, marker):
+                super().__init__()
+                self.marker = marker
+                self.short_replies = 0
+
+            def _do_table_qa(self, prompt):
+                reply = super()._do_table_qa(prompt)
+                if self.marker not in prompt:
+                    return reply
+                self.short_replies += 1
+                return reply.rsplit("\n", 1)[0]
+
+        examples = [
+            replace(example, evidence=tuple(
+                Evidence(id=ev.id, modality="table", content=Table(("fact",), ((ev.content,),)))
+                for ev in example.evidence
+            ))
+            for example in synthetic_examples(4, seed=6)
+        ]
+        bad = examples[1]
+        # the mock's sub-questions end "say about <first four content words>?"
+        marker = f'say about {" ".join(llm._content_words(bad.question)[:4])}?", "'
+        backend = ShortTableBackend(marker)
+        states = stage1_states(examples, RunConfig(workers=2), backend)
+        assert backend.short_replies == 2  # asked once more, short again
+        assert states[bad.id].error_class is ParseError
+        assert states[bad.id].error.startswith("ParseError: 3 answers for 4 questions")
+        for example in examples:
+            if example is not bad:
+                assert not states[example.id].failed
+                assert len(states[example.id].base) == RunConfig.retrieval_top_n
+
+    @pytest.mark.parametrize(
+        "line",
+        ['1. what color is it?', "1. []", '1. [""]', '1. [" "]', '1. ["a?", 1]', '1. "a?"',
+         '1. {"a": 1}', "1. [[]]", "1. " + "[" * 100_000],
+        ids=["prose", "empty", "empty-text", "blank-text", "number", "string", "object", "nested",
+             "too-deep"],
+    )
+    def test_unreadable_atomic_line_is_asked_once_more(self, line):
+        class BadAtomicBackend(_CountingBackend):
+            def __init__(self, replies):
+                super().__init__()
+                self.replies = list(replies)
+
+            def _do_decompose_atomic(self, prompt):
+                return self.replies.pop(0)
+
+        example = QAExample(
+            id="img3",
+            question="what color is the horse?",
+            evidence=(Evidence(id="img1", modality="image", content="", caption="a brown horse"),),
+            gold_answer="brown",
+        )
+        backend = BadAtomicBackend([line, '1. ["what color is the horse?"]'])
+        base, _ = run_stage1(example, backend)
+        assert backend.tags.count("decompose_atomic") == 2
+        assert [f.origin for f in base.facts] == [("what color is the horse?", "brown")]
+        backend = BadAtomicBackend([line, line])
+        with pytest.raises(ParseError, match="not a JSON array of atomic questions"):
+            run_stage1(example, backend)
+        assert backend.tags == ["decompose_question", "decompose_atomic", "decompose_atomic"]
 
     def test_refine_reply_one_fact_short_twice_fails_its_example_alone(self):
         class ShortRefineBackend(MockBackend):
@@ -308,14 +394,16 @@ class TestTargets:
 
 
 class _CountingBackend(MockBackend):
-    """The mock, recording the tag of every call."""
+    """The mock, recording every request and its tag."""
 
     def __init__(self):
         super().__init__()
         self.tags = []
+        self.requests = []
 
     def complete(self, request):
         self.tags.append(request.tag)
+        self.requests.append(request)
         return super().complete(request)
 
 
